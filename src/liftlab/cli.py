@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -42,7 +41,6 @@ class RunConfig:
     tol_int: float = criteria.TOL_INT
     tol_taylor: float = criteria.TOL_TAYLOR
     seed: int = 0
-    threads: int = 0
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -105,13 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    threads = 0
-    raw = os.environ.get("LIFTLAB_THREADS", "")
-    if raw:
-        try:
-            threads = max(0, int(raw))
-        except ValueError:
-            threads = 0
     return RunConfig(
         command=args.command,
         scenario=getattr(args, "scenario", None),
@@ -125,7 +116,6 @@ def config_from_args(args) -> RunConfig:
         tol_int=args.tol_int,
         tol_taylor=args.tol_taylor,
         seed=args.seed,
-        threads=threads,
     )
 
 

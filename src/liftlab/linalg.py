@@ -164,7 +164,7 @@ def classify(m, tol: float = CLASSIFY_TOL) -> frozenset:
         out.add("contraction")
     gram = a.conj().T @ a
     cogram = a @ a.conj().T
-    isometry = bool(np.linalg.norm(gram - np.eye(cols), 2) <= tol) if min(rows, cols) >= 0 else False
+    isometry = bool(np.linalg.norm(gram - np.eye(cols), 2) <= tol)
     coisometry = bool(np.linalg.norm(cogram - np.eye(rows), 2) <= tol)
     partial = bool(np.linalg.norm(a @ gram - a, 2) <= tol)
     if isometry:

@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from . import clt, coiso, linalg
-from .h2 import MatPoly, VecPoly
+from .h2 import MatPoly
 
 
 class SchemaError(ValueError):
@@ -76,27 +76,6 @@ def decode_matpoly(obj, path: str = "") -> MatPoly:
     if len(shapes) != 1:
         raise SchemaError(f"{path}.coeffs", "coefficient matrices must share one shape")
     return MatPoly(np.stack(mats))
-
-
-def encode_vecpoly(v: VecPoly) -> dict:
-    return {"coeffs": [[encode_complex(x) for x in c] for c in v.coeffs]}
-
-
-def decode_vecpoly(obj, path: str = "") -> VecPoly:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise SchemaError(path, 'vector polynomial must have a "coeffs" array')
-    rows = obj["coeffs"]
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{path}.coeffs", "must be a non-empty array of vectors")
-    out = []
-    for k, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise SchemaError(f"{path}.coeffs[{k}]", "vector must be an array")
-        out.append([decode_complex(x, f"{path}.coeffs[{k}][{j}]") for j, x in enumerate(row)])
-    widths = {len(r) for r in out}
-    if len(widths) != 1:
-        raise SchemaError(f"{path}.coeffs", "vector coefficients must share one dimension")
-    return VecPoly(np.array(out, dtype=complex))
 
 
 def encode_operator_spec(spec) -> dict:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftlab import h2, linalg
 from liftlab.h2 import MatPoly, VecPoly
 
-from conftest import contractive_matpoly, random_matpoly
+from conftest import contractive_matpoly, random_matpoly, random_unitary
 
 
 class TestEval:
@@ -340,3 +342,94 @@ class TestRadialChainIdentities:
                 f_vals = np.einsum("nij,j->ni", h2.eval_circle_grid(f, rho, grid), d)
                 re_fdd = np.real(np.einsum("ni,i->n", f_vals, np.conj(d)))
                 assert np.max(np.abs(re_fdd - h_d)) <= 1e-9 * max(1.0, nd2)
+
+
+def loop_neumann(a_coeffs, degree):
+    """Reference loop J_n = sum_{k=1..n} A_{k-1} J_{n-k}; the kernel's
+    recursion path must reproduce it bit for bit."""
+    dim = a_coeffs.shape[1]
+    out = np.zeros((degree + 1, dim, dim), dtype=complex)
+    out[0] = np.eye(dim)
+    for n in range(1, degree + 1):
+        acc = np.zeros((dim, dim), dtype=complex)
+        for k in range(1, min(n, a_coeffs.shape[0]) + 1):
+            acc += a_coeffs[k - 1] @ out[n - k]
+        out[n] = acc
+    return out
+
+
+def direct_product(p, q, degree):
+    out = np.zeros((degree + 1, p.shape[1], q.shape[2]), dtype=complex)
+    for i in range(min(p.shape[0], degree + 1)):
+        for j in range(min(q.shape[0], degree + 1 - i)):
+            out[i + j] += p[i] @ q[j]
+    return out
+
+
+def well_conditioned_series(rng, dim, terms):
+    """P = P_0 (I - z S) with a unitary-times-two P_0 and S of sup norm
+    0.9, so the inverse exists and its coefficients stay bounded."""
+    s = contractive_matpoly(rng, dim, dim, terms - 1, norm=0.9, probe_grid=max(64, 8 * terms))
+    p0 = 2.0 * random_unitary(rng, dim)
+    monic = np.concatenate([np.eye(dim)[None], -s.coeffs])
+    return MatPoly(p0 @ monic)
+
+
+class TestSeriesKernel:
+    """series_inverse, neumann_inverse and polymul on both sides of the
+    measured crossovers."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+           terms_per_dim=st.sampled_from([0.5, 1, 2, 8]), degree=st.integers(1, 300))
+    def test_inverse_times_input_is_identity(self, seed, dim, terms_per_dim, degree):
+        rng = np.random.default_rng(seed)
+        p = well_conditioned_series(rng, dim, max(1, int(terms_per_dim * dim)))
+        q = h2.series_inverse(p, degree)
+        assert q.degree == degree
+        residual = h2.polymul(p, q, degree).coeffs
+        residual[0] -= np.eye(dim)
+        assert np.max(np.abs(residual)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),
+           terms=st.integers(1, 40), degree=st.integers(0, 300))
+    def test_newton_matches_recursion(self, seed, dim, terms, degree):
+        rng = np.random.default_rng(seed)
+        s = contractive_matpoly(rng, dim, dim, terms - 1, norm=0.9, probe_grid=max(64, 8 * terms))
+        newton = h2._newton_inverse(s.coeffs, degree)
+        assert np.max(np.abs(newton - loop_neumann(s.coeffs, degree))) <= 1e-12
+
+    def test_long_series_take_newton(self):
+        # ex3_1 and the 3x3 Herglotz denominators are long; every constant
+        # symbol stays on the recursion whatever its dimension
+        assert h2._newton_pays(1024, 1, 1024)
+        assert h2._newton_pays(1024, 3, 1024)
+        for dim in (1, 2, 3, 25, 50):
+            assert not h2._newton_pays(1, dim, 4096)
+
+    @pytest.mark.parametrize("dim,deg,n", [(1, 0, 256), (2, 0, 512), (3, 1, 200), (3, 2, 64), (25, 0, 256), (50, 0, 64)])
+    def test_neumann_short_symbols_bitwise_equal_loop(self, rng, dim, deg, n):
+        a = contractive_matpoly(rng, dim, dim, deg, norm=0.99)
+        assert not h2._newton_pays(a.degree + 1, dim, n)
+        assert h2.neumann_inverse(a, n).coeffs.tobytes() == loop_neumann(a.coeffs, n).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 4)] * 3),
+           p_terms=st.integers(h2.FFT_MIN_TERMS, 160), q_terms=st.integers(h2.FFT_MIN_TERMS, 160),
+           cut=st.integers(0, 400))
+    def test_fft_polymul_matches_direct_sum(self, seed, dims, p_terms, q_terms, cut):
+        rng = np.random.default_rng(seed)
+        out_dim, mid, in_dim = dims
+        p = contractive_matpoly(rng, out_dim, mid, p_terms - 1, norm=1.0, probe_grid=max(64, 8 * p_terms))
+        q = contractive_matpoly(rng, mid, in_dim, q_terms - 1, norm=1.0, probe_grid=max(64, 8 * q_terms))
+        degree = min(cut, p.degree + q.degree)
+        got = h2.polymul(p, q, degree).coeffs
+        assert got.shape == (degree + 1, out_dim, in_dim)
+        assert np.max(np.abs(got - direct_product(p.coeffs, q.coeffs, degree))) <= 1e-12
+
+    def test_herglotz_round_trip_3x3_degree_1024(self, rng):
+        a = contractive_matpoly(rng, 3, 3, 6, norm=0.9, probe_grid=64)
+        back = h2.herglotz_to_symbol(h2.herglotz_from_A(a, 1024), 1024)
+        assert back.degree == 1023
+        assert np.max(np.abs(back.coeffs - h2.pad_coeffs(a, back.degree).coeffs)) <= 1e-9
