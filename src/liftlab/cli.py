@@ -403,12 +403,17 @@ def _cmd_lift(cfg: RunConfig) -> int:
 
 def _cmd_bimodel(cfg: RunConfig) -> int:
     doc = _load_json(cfg.input)
-    theta = serialize.decode_matpoly(doc if "coeffs" in doc else doc.get("symbol"), "$")
+    if not isinstance(doc, dict):
+        raise serialize.SchemaError("$", "symbol file must be an object")
+    if "coeffs" in doc:
+        theta = serialize.decode_matpoly(doc)
+    else:
+        theta = serialize.decode_matpoly(doc.get("symbol"), "$.symbol")
     grid = cfg.grid or 256
     degree = cfg.degree or 64
     model = bimodel.build_model(theta, grid, degree)
     rep = bimodel.verify_bi_isometry(model, seed=cfg.seed or 7)
-    want = doc.get("expect", "pass") if isinstance(doc, dict) else "pass"
+    want = doc.get("expect", "pass")
     checks = [(f"model verification = {want}", rep.verdict == want)]
     return _finish(cfg, [rep], {"grid": grid, "degree": degree}, checks)
 
@@ -433,7 +438,7 @@ def _cmd_coiso(cfg: RunConfig) -> int:
             ("extension is a coisometry within 1e-10", co_res <= 1e-10),
             ("extension restricts to C within 1e-10", restr <= 1e-10),
         ]
-    expect = doc.get("expect") if isinstance(doc, dict) else None
+    expect = doc.get("expect")
     if isinstance(expect, dict) and "feasible" in expect:
         checks.append((f"feasibility = {expect['feasible']}", feas.feasible == bool(expect["feasible"])))
     return _finish(cfg, [], values, checks)
@@ -446,7 +451,7 @@ def _cmd_dims(cfg: RunConfig) -> int:
     rep = clt.dims_report(ld, problem)
     values = rep.to_dict()
     checks = []
-    expect = doc.get("expect") if isinstance(doc, dict) else None
+    expect = doc.get("expect")
     if isinstance(expect, dict):
         for key, want in expect.items():
             checks.append((f"expected {key} = {want}", values.get(key) == want))

@@ -274,36 +274,3 @@ def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
     k = int(np.argmax(np.abs(h)))
     h = h * (abs(h[k]) / h[k])
     return complex(lams[best]), h
-
-
-def detect_unitary_part(t, n_max: int = 64, tol: float = CLASSIFY_TOL) -> SubspaceBasis:
-    """Largest subspace reducing T on which T acts unitarily.
-
-    Iterates the norm-preservation conditions ||T^n h|| = ||T*^n h|| =
-    ||h|| for n <= n_max, stopping when the subspace stabilizes.
-    """
-    a = as_matrix(t)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("square matrix required")
-    if operator_norm(a) > 1.0 + tol:
-        raise NotAContraction("input is not a contraction")
-    n = a.shape[0]
-    basis = np.eye(n, dtype=complex)
-    power = np.eye(n, dtype=complex)
-    for _ in range(max(1, n_max)):
-        if basis.shape[1] == 0:
-            break
-        power = power @ a
-        g1 = np.eye(n) - power.conj().T @ power
-        g2 = np.eye(n) - power @ power.conj().T
-        stacked = np.vstack([g1 @ basis, g2 @ basis])
-        null = kernel_basis(stacked, tol=max(tol, 1e-10))
-        new_basis = basis @ null.columns
-        if new_basis.shape[1] == basis.shape[1]:
-            basis = new_basis
-            break
-        basis = new_basis
-    if basis.shape[1] == 0:
-        return SubspaceBasis.empty(n)
-    q, _ = np.linalg.qr(basis)
-    return SubspaceBasis(q[:, : basis.shape[1]], tol=max(tol, 1e-10))

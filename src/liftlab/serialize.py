@@ -31,7 +31,7 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
-def decode_complex(obj, path: str = "") -> complex:
+def decode_complex(obj, path: str = "$") -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SchemaError(path, "complex scalar must be a [re, im] pair")
     try:
@@ -45,7 +45,7 @@ def encode_matrix(m) -> list:
     return [[encode_complex(v) for v in row] for row in a]
 
 
-def decode_matrix(obj, path: str = "") -> np.ndarray:
+def decode_matrix(obj, path: str = "$") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(path, "matrix must be a non-empty array of rows")
     rows = []
@@ -65,7 +65,7 @@ def encode_matpoly(p: MatPoly) -> dict:
     return {"coeffs": [encode_matrix(c) for c in p.coeffs]}
 
 
-def decode_matpoly(obj, path: str = "") -> MatPoly:
+def decode_matpoly(obj, path: str = "$") -> MatPoly:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise SchemaError(path, 'polynomial must be an object with a "coeffs" array')
     coeffs = obj["coeffs"]
@@ -78,6 +78,19 @@ def decode_matpoly(obj, path: str = "") -> MatPoly:
     return MatPoly(np.stack(mats))
 
 
+def _optional_number(obj: dict, key: str, cast, default, path: str):
+    """obj[key] converted by cast (float or int), or default when the
+    key is absent or null."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        kind = "an integer" if cast is int else "a number"
+        raise SchemaError(f"{path}.{key}", f"must be {kind}")
+
+
 def encode_operator_spec(spec) -> dict:
     if isinstance(spec, clt.DenseOp):
         return {"dense": encode_matrix(spec.matrix_data)}
@@ -88,7 +101,7 @@ def encode_operator_spec(spec) -> dict:
     raise SchemaError("", f"unknown operator spec {type(spec).__name__}")
 
 
-def decode_operator_spec(obj, path: str = ""):
+def decode_operator_spec(obj, path: str = "$"):
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SchemaError(path, "operator spec must have exactly one tag")
     tag, body = next(iter(obj.items()))
@@ -109,7 +122,7 @@ def decode_operator_spec(obj, path: str = ""):
     raise SchemaError(path, f'unknown operator tag "{tag}"')
 
 
-def decode_problem(obj, path: str = "") -> clt.CLTProblem:
+def decode_problem(obj, path: str = "$") -> clt.CLTProblem:
     if not isinstance(obj, dict):
         raise SchemaError(path, "problem must be an object")
     for key in ("T", "T_prime", "X"):
@@ -118,9 +131,8 @@ def decode_problem(obj, path: str = "") -> clt.CLTProblem:
     spec = decode_operator_spec(obj["T"], f"{path}.T")
     t_prime = decode_matrix(obj["T_prime"], f"{path}.T_prime")
     x = decode_matrix(obj["X"], f"{path}.X")
-    tol = float(obj.get("tol", 1e-8))
-    window = obj.get("window")
-    window = int(window) if window is not None else None
+    tol = _optional_number(obj, "tol", float, 1e-8, path)
+    window = _optional_number(obj, "window", int, None, path)
     try:
         return clt.build_problem(spec, t_prime, x, tol, window)
     except clt.CLTError as exc:
@@ -139,7 +151,7 @@ def encode_problem(p: clt.CLTProblem) -> dict:
     return out
 
 
-def decode_extension_problem(obj, path: str = "") -> coiso.ExtensionProblem:
+def decode_extension_problem(obj, path: str = "$") -> coiso.ExtensionProblem:
     if not isinstance(obj, dict):
         raise SchemaError(path, "extension problem must be an object")
     for key in ("H_dim", "H_prime_dim", "M", "M_prime", "C"):
@@ -158,8 +170,9 @@ def decode_extension_problem(obj, path: str = "") -> coiso.ExtensionProblem:
     # spanning columns are orthonormalized on load
     m = linalg.range_basis(m_cols)
     mp = linalg.range_basis(mp_cols)
+    tol = _optional_number(obj, "tol", float, 1e-8, path)
     try:
-        return coiso.ExtensionProblem(h_dim, hp_dim, m, mp, c, float(obj.get("tol", 1e-8)))
+        return coiso.ExtensionProblem(h_dim, hp_dim, m, mp, c, tol)
     except coiso.CoisoError as exc:
         raise SchemaError(path, f"extension problem validation failed: {exc}")
 

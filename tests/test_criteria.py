@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liftlab import clt, criteria, h2, linalg
+from liftlab import clt, criteria, h2
 from liftlab.h2 import MatPoly
 
 from conftest import random_contraction, random_isometry, random_unitary
@@ -72,37 +72,6 @@ class TestRadialIsometry:
             assert (weighted == "pass") == (a_form == "pass")
 
 
-class TestVanishingPoint:
-    def test_rejects_nonvanishing(self):
-        w = MatPoly.constant([[0.5], [0.5]])
-        with pytest.raises(criteria.Z0NotAZero):
-            criteria.vanishing_point_check(w, 0.0, grid=64)
-
-    def test_isometric_case_passes_on_fine_ladder(self):
-        # W(z) = z*[0; 1]: the coefficient map is isometric, and the
-        # defect ladder ~ (1 - rho^2) confirms it on a fine ladder
-        w = MatPoly(np.array([[[0.0], [0.0]], [[0.0], [1.0]]]))
-        rep = criteria.vanishing_point_check(
-            w, 0.0, ladder=(0.99, 0.999, 0.9999), grid=64, tol_int=1e-3
-        )
-        assert rep.verdict == "pass"
-
-    def test_zero_symbol_fails_with_note(self):
-        w = MatPoly.zero(2, 1)
-        rep = criteria.vanishing_point_check(w, 0.3 + 0.1j, grid=64)
-        assert rep.verdict == "fail"
-        assert "identically zero" in rep.notes
-
-    def test_shifted_unitary_top_fails(self):
-        # moderate radii keep the grid quadrature exact for the closed form
-        w = MatPoly(np.array([[[0.0], [0.0]], [[1.0], [0.0]]]))
-        rep = criteria.vanishing_point_check(w, 0.0, ladder=(0.5, 0.7, 0.9), grid=2048)
-        assert rep.verdict == "fail"
-        # direct evaluation: the ladder value is 1/(1 + rho^2)
-        for rho, val in rep.rho_ladder:
-            assert val == pytest.approx(1 / (1 + rho**2), rel=1e-9)
-
-
 class TestConstantSymbol:
     def test_stable_isometric_column_passes(self):
         rep = criteria.constant_symbol_check(np.array([[0.0], [1.0]]))
@@ -163,34 +132,6 @@ class TestBoundaryMeasure:
         assert rep.extras["mass_ladder"][-1][1] == pytest.approx(0.5, abs=5e-2)
 
 
-class TestInnerBoundary:
-    def test_requires_assertion_flag(self):
-        w = MatPoly.constant([[0.0], [1.0]])
-        with pytest.raises(criteria.BoundaryAssumptionMissing):
-            criteria.inner_boundary_check(w, grid=64)
-
-    def test_constant_inner_with_stable_block_passes(self, rng):
-        a0 = np.array([[0.3, 0.2], [0.0, -0.4]])
-        w0 = np.vstack([a0, linalg.defect(a0)])
-        rep = criteria.inner_boundary_check(
-            MatPoly.constant(w0), grid=256, boundary_invertibility_asserted=True
-        )
-        assert rep.verdict == "pass"
-
-    def test_strict_contraction_fails_innerness(self):
-        w = MatPoly.constant([[0.5], [0.5]])
-        rep = criteria.inner_boundary_check(w, grid=128, boundary_invertibility_asserted=True)
-        assert rep.rho_ladder[-1][1] == pytest.approx(np.sqrt(0.5), rel=1e-9)
-        assert rep.verdict == "fail"
-
-    def test_unitary_top_inner_but_mass_zero(self):
-        w = MatPoly.constant([[1.0], [0.0]])
-        rep = criteria.inner_boundary_check(w, grid=128, boundary_invertibility_asserted=True)
-        assert rep.extras["mass_verdict"] == "fail"
-        assert rep.rho_ladder[-1][1] <= 1e-12
-        assert rep.verdict == "fail"
-
-
 class TestLiftingIsometry:
     def test_shift_with_isometric_parameter_passes(self, rng):
         p = shift_problem(rng, mult=1, degree=10)
@@ -247,32 +188,3 @@ class TestObstructionSearch:
         bad = 0.5 * random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         with pytest.raises(criteria.NotIsometricR0):
             criteria.obstruction_search(ld, bad)
-
-
-class TestOrbitConsistency:
-    def test_zero_sequence_is_degenerate_pass(self):
-        p, ld = identity_obstruction_data()
-        rep = criteria.orbit_consistency_check([np.zeros(1)] * 4, ld)
-        assert rep.verdict == "pass"
-        assert "degenerate" in rep.notes
-
-    def test_unit_orbit_from_identity_coupling(self):
-        p, ld = identity_obstruction_data()
-        seq = [np.ones(1) for _ in range(6)]
-        rep = criteria.orbit_consistency_check(seq, ld, n_back=4)
-        assert rep.verdict == "pass"
-        assert rep.extras["recursion_residual"] <= 1e-12
-
-    def test_decreasing_norms_rejected(self):
-        p, ld = identity_obstruction_data()
-        seq = [np.ones(1), 0.5 * np.ones(1)]
-        with pytest.raises(criteria.SequenceViolatesRecursion):
-            criteria.orbit_consistency_check(seq, ld)
-
-    def test_recursion_violation_rejected(self, rng):
-        p = shift_problem(rng, mult=1, degree=6)
-        ld = clt.build_omega(p)
-        seq = [rng.standard_normal(ld.defect_dim) for _ in range(3)]
-        seq = [s / max(np.linalg.norm(s), 1) * (1 + i) for i, s in enumerate(seq)]
-        with pytest.raises(criteria.SequenceViolatesRecursion):
-            criteria.orbit_consistency_check(seq, ld)

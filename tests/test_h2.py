@@ -113,35 +113,6 @@ class TestHardyNorm:
         assert h2.hardy_norm_sq(v) == pytest.approx(2.0)
 
 
-class TestRadialMean:
-    def test_identity(self, rng):
-        d = np.array([1.0, 2.0])
-        for rho in (0.3, 0.9, 1.0):
-            got = h2.radial_mean_norm_sq(MatPoly.identity(2), d, rho, 16)
-            assert got == pytest.approx(5.0)
-
-    def test_z_identity_quarter(self):
-        p = MatPoly(np.stack([np.zeros((2, 2)), np.eye(2)]))
-        got = h2.radial_mean_norm_sq(p, [1.0, 0.0], 0.5, 8)
-        assert got == pytest.approx(0.25)
-
-    def test_parseval_cross_check(self, rng):
-        p = random_matpoly(rng, 2, 2, 5)
-        d = rng.standard_normal(2)
-        got = h2.radial_mean_norm_sq(p, d, 1.0, 11)
-        coeff = np.sum(np.abs(np.einsum("nij,j->ni", p.coeffs, d)) ** 2)
-        assert abs(got - coeff) <= 1e-12 * max(1.0, coeff)
-
-    def test_defect_option(self, rng):
-        # scalar oracle: D of constant c applied to values of J
-        c = 0.6
-        w = MatPoly.constant([[c]])
-        j = MatPoly.from_scalar_coeffs([1.0, 0.5])
-        got = h2.radial_mean_norm_sq(j, [1.0], 0.5, 8, defect_of=w)
-        expected = (1 - c**2) * (1 + 0.25 * 0.25)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-
 class TestResolventGrid:
     def test_matches_series_when_coefficients_decay(self, rng):
         a = contractive_matpoly(rng, 3, 3, 3, norm=0.8)
@@ -157,6 +128,14 @@ class TestResolventGrid:
         vals = h2.resolvent_apply_grid(a, [1.0], 0.5, 8)[:, 0]
         z = h2.circle_nodes(0.5, 8)
         np.testing.assert_allclose(vals, 1.0 / (1.0 - 0.5 * z), atol=1e-14)
+
+    def test_probe_block_equals_stacked_columns(self, rng):
+        a = contractive_matpoly(rng, 3, 3, 2, norm=0.9)
+        probes = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        block = h2.resolvent_apply_grid(a, probes, 0.95, 64)
+        assert block.shape == (64, 3, 5)
+        columns = [h2.resolvent_apply_grid(a, probes[:, k], 0.95, 64) for k in range(5)]
+        assert np.array_equal(block, np.stack(columns, axis=2))
 
 
 class TestHerglotzFromMeasure:
@@ -250,24 +229,6 @@ class TestOuter:
         rhs = np.mean(np.log(np.abs(vals)))
         assert abs(lhs - rhs) <= 1e-8
         assert res.poly(0.0)[0, 0].real > 0
-
-
-class TestIsOuter:
-    def test_identity(self):
-        assert h2.is_outer(MatPoly.identity(2), 16)
-
-    def test_scalar_shift_is_not(self):
-        p = MatPoly.from_scalar_coeffs([0.0, 1.0])
-        assert not h2.is_outer(p, 16)
-
-    def test_one_minus_half_z(self):
-        # Jensen oracle: the quadrature mean of log|1 - z/2| on the circle is 0
-        p = MatPoly.from_scalar_coeffs([1.0, -0.5])
-        grid = 4096
-        theta = 2 * np.pi * np.arange(grid) / grid
-        oracle = np.mean(np.log(np.abs(1 - np.exp(1j * theta) / 2)))
-        assert abs(oracle) <= 1e-12
-        assert h2.is_outer(p, grid)
 
 
 class TestRadialChainIdentities:

@@ -199,37 +199,3 @@ class TestStability:
             else:
                 m = random_unitary(rng, n)
             assert la.is_c_dot_0(m) == (la.find_non_c0dot_witness(m) is None)
-
-
-class TestUnitaryPart:
-    def test_unitary_gives_full_space(self):
-        rng = np.random.default_rng(1)
-        u = random_unitary(rng, 4)
-        assert la.detect_unitary_part(u).dim == 4
-
-    def test_strict_contraction_gives_nothing(self):
-        assert la.detect_unitary_part(np.array([[0.5]])).dim == 0
-
-    def test_block_diagonal_oracle(self):
-        rng = np.random.default_rng(17)
-        u = random_unitary(rng, 2)
-        c = random_contraction(rng, 3, 3, norm=0.8)
-        t = np.block([[u, np.zeros((2, 3))], [np.zeros((3, 2)), c]])
-        got = la.detect_unitary_part(t, n_max=16)
-        expected = np.zeros((5, 2), dtype=complex)
-        expected[:2, :] = np.eye(2)
-        oracle = la.SubspaceBasis(expected)
-        assert got.dim == 2
-        np.testing.assert_allclose(got.projector(), oracle.projector(), atol=1e-8)
-
-    def test_result_is_reducing(self):
-        rng = np.random.default_rng(23)
-        u = random_unitary(rng, 2)
-        c = random_contraction(rng, 2, 2, norm=0.7)
-        t = np.block([[u, np.zeros((2, 2))], [np.zeros((2, 2)), c]])
-        w = random_unitary(rng, 4)
-        t = w @ t @ w.conj().T
-        basis = la.detect_unitary_part(t, n_max=16)
-        p = basis.projector()
-        assert np.linalg.norm(t @ p - p @ t @ p, 2) < 1e-8
-        assert np.linalg.norm(t.conj().T @ p - p @ t.conj().T @ p, 2) < 1e-8
