@@ -88,11 +88,6 @@ def build_model(theta: MatPoly, grid: int, degree: int, tol: float = 1e-9) -> Th
     return ThetaModel(theta, grid, degree, vals, delta, proj)
 
 
-def zero_vector(model: ThetaModel) -> ModelVector:
-    e, n, k = model.fiber_dim, model.degree, model.grid
-    return ModelVector(np.zeros((n + 1, e), dtype=complex), np.zeros((n + 1, k, e), dtype=complex))
-
-
 def vector_norm_sq(model: ThetaModel, v: ModelVector) -> float:
     """Coefficient norm on the first layer, grid-mean tensor coefficient
     norm on the second."""

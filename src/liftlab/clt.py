@@ -11,6 +11,16 @@ space of T'.
 
 All defect-space quantities are stored in orthonormal coordinate bases
 of the numerical ranges of D_X and D_{T'}.
+
+The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
+H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
+r' defect coordinates: a vector is [h'; f_0; ...; f_degree].  U' sends
+it to [T'h'; Q* D_{T'} h'; f_0; ...; f_{degree-1}], so it is stored as
+the (p + r') x p column [T'; Q* D_{T'}] alone; the shift moves each
+slot down one place by slicing and the top slot f_degree falls off.
+Block rows (the P onto H', the H'/H split of the coupling) and window
+columns are taken by slicing as well; only T itself is a dense matrix,
+being no larger than D_X.
 """
 
 from __future__ import annotations
@@ -163,9 +173,6 @@ class CLTProblem:
     def window_dim(self) -> int:
         return self.window_override if self.window_override is not None else self.t.window_dim
 
-    def window_columns(self) -> np.ndarray:
-        return np.eye(self.t.dim, dtype=complex)[:, : self.window_dim]
-
 
 def build_problem(t, t_prime, x, tol: float = 1e-8, window: int | None = None) -> CLTProblem:
     """Validate shapes, contractivity, window isometry and intertwining.
@@ -190,11 +197,11 @@ def build_problem(t, t_prime, x, tol: float = 1e-8, window: int | None = None) -
         raise CLTError("window override out of range")
     problem = CLTProblem(spec, t_prime, x, tol, window)
     tm = problem.t_matrix
-    w = problem.window_columns()
-    gram = w.conj().T @ (tm.conj().T @ tm) @ w - np.eye(problem.window_dim)
+    k = problem.window_dim
+    gram = (tm.conj().T @ tm)[:k, :k] - np.eye(k)
     if np.linalg.norm(gram, 2) > tol:
         raise NotIsometryOnWindow("T fails to be isometric on its window")
-    residual = float(np.linalg.norm((t_prime @ x - x @ tm) @ w, 2))
+    residual = float(np.linalg.norm((t_prime @ x - x @ tm)[:, :k], 2))
     if residual > tol:
         raise IntertwiningViolated(residual)
     return problem
@@ -202,26 +209,23 @@ def build_problem(t, t_prime, x, tol: float = 1e-8, window: int | None = None) -
 
 @dataclass(frozen=True)
 class MinimalLifting:
-    """Minimal isometric lifting of a contraction, truncated in degree.
+    """Minimal isometric lifting U' of a contraction T', truncated in degree.
 
-    The lifted space is C^h_dim stacked over degree slots of the defect
-    space; `u` is isometric on vectors whose top degree slot vanishes.
+    The lifted space is C^h_dim followed by degree + 1 slots of defect
+    coordinates.  `u` is the column [T'; Q* D_{T'}] on C^h_dim; the
+    shift part of U' is applied by slicing in `apply`, never stored.
     """
 
     u: np.ndarray
-    projection: np.ndarray
     defect_basis: SubspaceBasis
     degree: int
     h_dim: int
-    minimality_defect: int | None = None
 
-    @property
-    def total_dim(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def window_dim(self) -> int:
-        return self.total_dim - self.defect_basis.dim
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """U' v for a vector or a column block on the lifted space; the
+        top defect slot falls off the truncation."""
+        p, r = self.h_dim, self.defect_basis.dim
+        return np.concatenate([self.u @ v[:p], v[p : len(v) - r]])
 
 
 def minimal_isometric_lifting(
@@ -229,44 +233,19 @@ def minimal_isometric_lifting(
     degree: int,
     basis: SubspaceBasis | None = None,
     tol: float = 1e-8,
-    check_minimality: bool = False,
 ) -> MinimalLifting:
     """U'(h' + f) = T'h' + (D_{T'}h' shifted into the series slots).
 
-    Returns the dense matrix of U' on C^{h} + (defect coords)^(degree+1),
-    the orthogonal projection back onto the first block, and the defect
-    coordinate basis.  With check_minimality, the span of U'^n H' for
-    n <= degree+1 is rank-tested against the whole truncation and the
-    rank deficiency recorded.
+    Returns U' in the layout of `MinimalLifting` together with the
+    defect coordinate basis Q of D_{T'}.
     """
     t_prime = linalg.as_matrix(t_prime)
     if linalg.operator_norm(t_prime) > 1.0 + tol:
         raise NotContraction("T' is not a contraction")
-    p = t_prime.shape[0]
     d_tp = linalg.defect(t_prime, tol)
     q = basis if basis is not None else linalg.range_basis(d_tp)
-    r = q.dim
-    total = p + r * (degree + 1)
-    u = np.zeros((total, total), dtype=complex)
-    u[:p, :p] = t_prime
-    if r:
-        u[p : p + r, :p] = q.columns.conj().T @ d_tp
-        for n in range(degree):
-            lo = p + n * r
-            u[lo + r : lo + 2 * r, lo : lo + r] = np.eye(r)
-    proj = np.zeros((p, total), dtype=complex)
-    proj[:, :p] = np.eye(p)
-    deficiency = None
-    if check_minimality:
-        embed = np.zeros((total, p), dtype=complex)
-        embed[:p] = np.eye(p)
-        blocks, current = [embed], embed
-        for _ in range(degree + 1):
-            current = u @ current
-            blocks.append(current)
-        span = linalg.range_basis(np.hstack(blocks), RANK_TOL)
-        deficiency = total - span.dim
-    return MinimalLifting(u, proj, q, degree, p, deficiency)
+    u = np.vstack([t_prime, q.columns.conj().T @ d_tp])
+    return MinimalLifting(u, q, degree, t_prime.shape[0])
 
 
 @dataclass(frozen=True)
@@ -281,24 +260,10 @@ class LiftingData:
     omega_bar: np.ndarray
     ker_omega: SubspaceBasis
     ker_omega_star: SubspaceBasis
-    pi: np.ndarray
-    pi_prime: np.ndarray
 
     @property
     def defect_dim(self) -> int:
         return self.basis_x.dim
-
-    @property
-    def codomain_dim(self) -> int:
-        return self.basis_tprime.dim + self.basis_x.dim
-
-
-def _projections(r_prime: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    pi = np.zeros((r, r_prime + r), dtype=complex)
-    pi[:, r_prime:] = np.eye(r)
-    pi_prime = np.zeros((r_prime, r_prime + r), dtype=complex)
-    pi_prime[:, :r_prime] = np.eye(r_prime)
-    return pi, pi_prime
 
 
 def build_omega(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
@@ -308,17 +273,17 @@ def build_omega(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
     zero on the orthogonal complement of the closure of D_X T H.
     """
     tm = p.t_matrix
-    w = p.window_columns()
+    k = p.window_dim
     d_x = linalg.defect(p.x, p.tol)
     d_tp = linalg.defect(p.t_prime, p.tol)
     qx = linalg.range_basis(d_x, rank_tol)
     qp = linalg.range_basis(d_tp, rank_tol)
     r, r_prime = qx.dim, qp.dim
-    g = qx.columns.conj().T @ d_x @ tm @ w
+    g = (qx.columns.conj().T @ d_x @ tm)[:, :k]
     v = np.vstack(
         [
-            qp.columns.conj().T @ d_tp @ p.x @ w,
-            qx.columns.conj().T @ d_x @ w,
+            (qp.columns.conj().T @ d_tp @ p.x)[:, :k],
+            (qx.columns.conj().T @ d_x)[:, :k],
         ]
     )
     if r:
@@ -327,8 +292,7 @@ def build_omega(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
         omega = np.zeros((r_prime, 0), dtype=complex)
     ker = linalg.kernel_basis(g.conj().T, rank_tol) if r else SubspaceBasis.empty(0)
     ker_star = linalg.kernel_basis(v.conj().T, rank_tol)
-    pi, pi_prime = _projections(r_prime, r)
-    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star, pi, pi_prime)
+    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
 
 
 def _hermitian_pinv(h: np.ndarray, rank_tol: float) -> np.ndarray:
@@ -358,8 +322,7 @@ def build_omega_explicit(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingDa
     omsq = d_x @ tm @ reach
     qx = linalg.range_basis(d_x, rank_tol)
     qp = linalg.range_basis(d_tp, rank_tol)
-    r, r_prime = qx.dim, qp.dim
-    h_dim, hp_dim = p.t.dim, p.t_prime.shape[0]
+    hp_dim = p.t_prime.shape[0]
     omega = np.vstack(
         [
             qp.columns.conj().T @ omega_full_matrix[:hp_dim] @ qx.columns,
@@ -374,8 +337,7 @@ def build_omega_explicit(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingDa
         raise CLTError("coupling gram formula disagrees with the assembled operator")
     ker = linalg.kernel_basis(omega, rank_tol)
     ker_star = linalg.kernel_basis(omega.conj().T, rank_tol)
-    pi, pi_prime = _projections(r_prime, r)
-    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star, pi, pi_prime)
+    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
 
 
 def omega_full(ld: LiftingData) -> np.ndarray:
@@ -432,11 +394,11 @@ class Lifting:
 
     def residuals(self) -> dict:
         """Lifting-contract residuals, all restricted to the window."""
-        w = self.problem.window_columns()
-        tm = self.problem.t_matrix
-        intertwine = np.linalg.norm((self.minimal.u @ self.y - self.y @ tm) @ w, 2)
-        proj = np.linalg.norm(self.minimal.projection @ self.y - self.problem.x, 2)
-        norm_on_window = np.linalg.norm(self.y @ w, 2)
+        k = self.problem.window_dim
+        y, tm = self.y, self.problem.t_matrix
+        intertwine = np.linalg.norm(self.minimal.apply(y[:, :k]) - (y @ tm)[:, :k], 2)
+        proj = np.linalg.norm(y[: self.minimal.h_dim] - self.problem.x, 2)
+        norm_on_window = np.linalg.norm(y[:, :k], 2)
         return {
             "intertwining": float(intertwine),
             "projection": float(proj),
@@ -461,20 +423,11 @@ def lift(
     if r is None:
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
     w = assemble_schur_W(ld, r)
-    a = MatPoly(np.einsum("ij,njk->nik", ld.pi, w.coeffs))
-    b = MatPoly(np.einsum("ij,njk->nik", ld.pi_prime, w.coeffs))
+    b, a = w.block_rows(ld.basis_tprime.dim)
     gamma = h2.polymul(b, h2.neumann_inverse(a, degree), degree)
     coords = ld.basis_x.columns.conj().T @ ld.d_x
-    r_prime = ld.basis_tprime.dim
-    h_dim = p.t.dim
-    hp_dim = p.t_prime.shape[0]
-    y = np.zeros((hp_dim + r_prime * (degree + 1), h_dim), dtype=complex)
-    y[:hp_dim] = p.x
-    if r_prime:
-        gamma_padded = h2.pad_coeffs(gamma, degree)
-        for n in range(degree + 1):
-            lo = hp_dim + n * r_prime
-            y[lo : lo + r_prime] = gamma_padded.coeffs[n] @ coords
+    series = h2.pad_coeffs(gamma, degree).coeffs @ coords
+    y = np.vstack([p.x, series.reshape(-1, p.t.dim)])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
     return Lifting(p, ld, r, w, gamma, y, ml)
 

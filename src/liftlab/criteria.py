@@ -279,7 +279,6 @@ def boundary_measure_check(
     w: MatPoly,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
-    degree: int = h2.DEFAULT_DEGREE,
     exclusions=(),
 ) -> CriterionReport:
     """Boundary-measure test: absolute continuity via the recovered
@@ -315,7 +314,6 @@ def boundary_measure_check(
             "tol_mass": TOL_MASS,
             "tol_remainder": TOL_REMAINDER,
             "grid": grid,
-            "degree": degree,
             "n_probes": N_PROBES,
             "seed": PROBE_SEED,
         },
@@ -349,7 +347,7 @@ def lifting_isometry_check(
     w = assemble_schur_W(ld, r)
     if r is None:
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
-    a = MatPoly(np.einsum("ij,njk->nik", ld.pi, w.coeffs))
+    _, a = w.block_rows(ld.basis_tprime.dim)
     probes = probe_matrix(ld.defect_dim)
     kker = ld.ker_omega.columns
     defect_ladder, chain_residual = [], 0.0
@@ -410,8 +408,8 @@ def obstruction_search(
     if (r0.shape[0], r0.shape[1]) != (ld.ker_omega_star.dim, ld.ker_omega.dim):
         raise NotIsometricR0("free parameter does not match the kernel shapes")
     w0 = ld.omega_bar + ld.ker_omega_star.columns @ r0 @ ld.ker_omega.columns.conj().T
-    a0 = ld.pi @ w0
-    v = a0.conj().T
+    r_prime = ld.basis_tprime.dim
+    v = w0[r_prime:].conj().T
     witness = linalg.find_non_c0dot_witness(v, tol)
     if witness is None:
         trace = []
@@ -430,13 +428,13 @@ def obstruction_search(
     lam, h = witness
     seq = [h * lam ** (-n) for n in range(n_max + 1)]
     rec = max(
-        float(np.linalg.norm(w0.conj().T @ ld.pi.conj().T @ seq[n + 1] - seq[n]))
+        float(np.linalg.norm(v @ seq[n + 1] - seq[n]))
         for n in range(n_max)
     )
     coupled = max(
         float(
             np.linalg.norm(
-                ld.omega_bar @ ld.omega_bar.conj().T @ ld.pi.conj().T @ seq[n + 1]
+                ld.omega_bar @ ld.omega_bar[r_prime:].conj().T @ seq[n + 1]
                 - ld.omega_bar @ seq[n]
             )
         )

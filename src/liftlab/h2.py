@@ -111,10 +111,6 @@ class MatPoly:
         return MatPoly(m[np.newaxis, :, :])
 
     @staticmethod
-    def identity(dim: int) -> "MatPoly":
-        return MatPoly.constant(np.eye(dim, dtype=complex))
-
-    @staticmethod
     def zero(out_dim: int, in_dim: int, degree: int = 0) -> "MatPoly":
         return MatPoly(np.zeros((degree + 1, out_dim, in_dim), dtype=complex))
 
@@ -143,12 +139,6 @@ class VecPoly:
     @property
     def dim(self) -> int:
         return self.coeffs.shape[1]
-
-    def __call__(self, z: complex) -> np.ndarray:
-        acc = np.zeros(self.dim, dtype=complex)
-        for k in range(self.degree, -1, -1):
-            acc = acc * z + self.coeffs[k]
-        return acc
 
 
 def eval_circle_grid(p: MatPoly, rho: float, grid: int) -> np.ndarray:

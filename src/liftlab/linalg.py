@@ -233,18 +233,6 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = RANK_
     return SubspaceBasis(q[:, :keep], tol)
 
 
-def is_c_dot_0(t, tol: float = CLASSIFY_TOL) -> bool:
-    """Whether adjoint powers of the contraction tend to zero.
-
-    In finite dimension T*^n -> 0 strongly is equivalent to spectral
-    radius < 1; the test is rho(T) < 1 - tol.
-    """
-    a = as_matrix(t)
-    if operator_norm(a) > 1.0 + tol:
-        raise NotAContraction("input is not a contraction")
-    return spectral_radius(a) < 1.0 - tol
-
-
 def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
     """Eigenpair certifying that adjoint powers of T do not vanish.
 

@@ -11,6 +11,11 @@ def shift_symbol(dim):
     return MatPoly(np.stack([np.zeros((dim, dim)), np.eye(dim)]))
 
 
+def zero_vector(model):
+    e, n, k = model.fiber_dim, model.degree, model.grid
+    return bimodel.ModelVector(np.zeros((n + 1, e), dtype=complex), np.zeros((n + 1, k, e), dtype=complex))
+
+
 class TestBuildModel:
     def test_inner_symbol_kills_second_layer(self):
         model = bimodel.build_model(shift_symbol(2), grid=64, degree=8)
@@ -40,14 +45,14 @@ class TestBuildModel:
 class TestActions:
     def test_first_action_shifts(self):
         model = bimodel.build_model(shift_symbol(1), grid=64, degree=4)
-        v = bimodel.zero_vector(model)
+        v = zero_vector(model)
         v.f[0, 0] = 1.0
         out = bimodel.apply_V(model, v)
         assert out.f[1, 0] == 1.0 and abs(out.f[0, 0]) == 0
 
     def test_first_action_overflow(self):
         model = bimodel.build_model(shift_symbol(1), grid=64, degree=4)
-        v = bimodel.zero_vector(model)
+        v = zero_vector(model)
         v.f[4, 0] = 1.0
         with pytest.raises(bimodel.WindowOverflow):
             bimodel.apply_V(model, v)

@@ -92,6 +92,14 @@ def test_command_matches_and_is_deterministic(tmp_path, rng, name):
     assert doc["expected"] and all(doc["expected"].values())
 
 
+def test_bimodel_runs_on_the_default_seed(tmp_path, rng):
+    path = write_json(tmp_path / "symbol.json", symbol_doc(rng))
+    out = tmp_path / "report.json"
+    assert cli.main(["bimodel", "--input", path, "--grid", "64", "--degree", "8", "--out", str(out)]) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["reports"][0]["tolerances"]["seed"] == doc["config"]["seed"] == 0
+
+
 def read_csv(path) -> list:
     lines = path.read_text(encoding="utf-8").splitlines()
     return [[float(v) for v in line.split(",")] for line in lines[1:]]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,19 @@ from conftest import random_contraction, random_isometry, random_unitary
 
 
 def window_vectors(problem, rng, count):
-    w = problem.window_columns()
-    coeffs = rng.standard_normal((w.shape[1], count)) + 1j * rng.standard_normal((w.shape[1], count))
-    return (w @ coeffs).T
+    k = problem.window_dim
+    h = np.zeros((count, problem.t.dim), dtype=complex)
+    h[:, :k] = rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k))
+    return h
+
+
+def lifted_dim(ml) -> int:
+    return ml.h_dim + ml.defect_basis.dim * (ml.degree + 1)
+
+
+def dense_lifting(ml) -> np.ndarray:
+    """Oracle: the matrix of U', read off `apply` on identity columns."""
+    return ml.apply(np.eye(lifted_dim(ml), dtype=complex))
 
 
 def random_shift_problem(rng, mult=None, degree=None, p_dim=None, x_norm=0.9):
@@ -51,8 +63,7 @@ class TestBuildProblem:
         x = np.zeros((1, 65), dtype=complex)
         x[0, 0] = 0.5
         p = clt.build_problem(clt.TruncatedShift(1, 64), np.array([[0.0]]), x)
-        w = p.window_columns()
-        residual = np.linalg.norm((p.t_prime @ p.x - p.x @ p.t_matrix) @ w, 2)
+        residual = np.linalg.norm((p.t_prime @ p.x - p.x @ p.t_matrix)[:, : p.window_dim], 2)
         assert residual == 0.0
 
     def test_intertwining_violation(self, rng):
@@ -74,31 +85,61 @@ class TestBuildProblem:
 class TestMinimalLifting:
     def test_zero_contraction_gives_shift(self):
         ml = clt.minimal_isometric_lifting(np.array([[0.0]]), 4)
-        np.testing.assert_allclose(ml.u, np.diag(np.ones(5), -1), atol=1e-15)
-        assert ml.total_dim == 6
+        assert ml.u.shape == (2, 1)
+        np.testing.assert_allclose(dense_lifting(ml), np.diag(np.ones(5), -1), atol=1e-15)
 
     def test_unitary_needs_no_room(self, rng):
         u = random_unitary(rng, 3)
         ml = clt.minimal_isometric_lifting(u, 8)
         assert ml.defect_basis.dim == 0
         np.testing.assert_allclose(ml.u, u)
+        np.testing.assert_allclose(dense_lifting(ml), u)
+
+    @pytest.mark.parametrize("p_dim, degree", [(1, 3), (2, 6), (3, 32)])
+    def test_one_column_and_a_shift(self, rng, p_dim, degree):
+        t_prime = random_contraction(rng, p_dim, p_dim, norm=0.8)
+        ml = clt.minimal_isometric_lifting(t_prime, degree)
+        q, r = ml.defect_basis.columns, ml.defect_basis.dim
+        assert ml.u.shape == (p_dim + r, p_dim)
+        # the Sz.-Nagy--Foias layout written out block by block
+        expected = np.zeros((lifted_dim(ml),) * 2, dtype=complex)
+        expected[:p_dim, :p_dim] = t_prime
+        expected[p_dim : p_dim + r, :p_dim] = q.conj().T @ linalg.defect(t_prime)
+        for n in range(degree):
+            lo = p_dim + n * r
+            expected[lo + r : lo + 2 * r, lo : lo + r] = np.eye(r)
+        oracle = dense_lifting(ml)
+        np.testing.assert_allclose(oracle, expected, atol=1e-15)
+        v = rng.standard_normal((lifted_dim(ml), 3)) + 1j * rng.standard_normal((lifted_dim(ml), 3))
+        np.testing.assert_allclose(ml.apply(v[:, 0]), oracle @ v[:, 0], atol=1e-13)
+        np.testing.assert_allclose(ml.apply(v), oracle @ v, atol=1e-13)
 
     def test_isometric_on_window(self, rng):
         t_prime = random_contraction(rng, 2, 2, norm=0.9)
         ml = clt.minimal_isometric_lifting(t_prime, 6)
-        window = np.eye(ml.total_dim)[:, : ml.window_dim]
-        gram = window.conj().T @ ml.u.conj().T @ ml.u @ window
-        assert np.linalg.norm(gram - np.eye(ml.window_dim), 2) <= 1e-12
+        window = lifted_dim(ml) - ml.defect_basis.dim
+        oracle = dense_lifting(ml)[:, :window]
+        gram = oracle.conj().T @ oracle
+        assert np.linalg.norm(gram - np.eye(window), 2) <= 1e-12
 
     def test_projection_intertwines(self, rng):
         t_prime = random_contraction(rng, 3, 3, norm=0.8)
         ml = clt.minimal_isometric_lifting(t_prime, 5)
-        np.testing.assert_allclose(ml.projection @ ml.u, t_prime @ ml.projection, atol=1e-12)
+        projection = np.eye(lifted_dim(ml))[:3]
+        oracle = dense_lifting(ml)
+        np.testing.assert_allclose(projection @ oracle, t_prime @ projection, atol=1e-12)
 
     def test_minimality_spot_check(self, rng):
         t_prime = random_contraction(rng, 2, 2, norm=0.9)
-        ml = clt.minimal_isometric_lifting(t_prime, 5, check_minimality=True)
-        assert ml.minimality_defect == 0
+        ml = clt.minimal_isometric_lifting(t_prime, 5)
+        oracle = dense_lifting(ml)
+        current = np.eye(lifted_dim(ml))[:, :2]
+        blocks = [current]
+        for _ in range(ml.degree + 1):
+            current = oracle @ current
+            blocks.append(current)
+        span = linalg.range_basis(np.hstack(blocks), linalg.RANK_TOL)
+        assert span.dim == lifted_dim(ml)
 
 
 class TestBuildOmega:
@@ -249,6 +290,38 @@ class TestLift:
             l2 = clt.lift(p, r2, 24, ld=ld)
             h = window_vectors(p, rng, 1)[0]
             assert np.linalg.norm(l1.apply(h) - l2.apply(h)) > 1e-6
+
+    @pytest.mark.parametrize("mult, degree", [(1, 8), (2, 32)])
+    def test_residuals_match_dense_oracle(self, rng, mult, degree):
+        p = random_shift_problem(rng, mult=mult, degree=6)
+        ld = clt.build_omega(p)
+        r = MatPoly.constant(random_contraction(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, norm=0.9))
+        lifting = clt.lift(p, r, degree, ld=ld)
+        oracle = dense_lifting(lifting.minimal)
+        y, k = lifting.y, p.window_dim
+        projection = np.eye(y.shape[0])[: p.t_prime.shape[0]]
+        want = {
+            "intertwining": np.linalg.norm((oracle @ y - y @ p.t_matrix)[:, :k], 2),
+            "projection": np.linalg.norm(projection @ y - p.x, 2),
+            "window_norm": np.linalg.norm(y[:, :k], 2),
+        }
+        got = lifting.residuals()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-12, key
+
+    def test_residuals_memory_does_not_grow_with_lifted_dim_squared(self, rng):
+        # at degree 1024 the lifted space has 2 + 2 * 1025 dimensions:
+        # a dense U' alone would take 2052^2 * 16 bytes, about 67 MB
+        p = random_shift_problem(rng, mult=1, degree=6, p_dim=2)
+        ld = clt.build_omega(p)
+        assert ld.basis_tprime.dim == 2
+        tracemalloc.start()
+        try:
+            clt.lift(p, None, 1024, ld=ld).residuals()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_shift_with_isometric_parameter_is_isometric(self, rng):
         p = random_shift_problem(rng, mult=1, degree=10, p_dim=2, x_norm=0.85)

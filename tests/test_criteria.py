@@ -98,14 +98,14 @@ class TestConstantSymbol:
 class TestBoundaryMeasure:
     def test_constant_isometric_column_passes_both(self):
         w = MatPoly.constant([[0.0], [1.0]])
-        rep = criteria.boundary_measure_check(w, grid=256, degree=64)
+        rep = criteria.boundary_measure_check(w, grid=256)
         assert rep.verdict == "pass"
         assert rep.extras["mass_verdict"] == "pass"
         assert rep.extras["remainder_verdict"] == "pass"
 
     def test_scalar_half_column_keeps_mass_but_fails_remainder(self):
         w = MatPoly.constant([[0.5], [0.5]])
-        rep = criteria.boundary_measure_check(w, grid=1024, degree=64)
+        rep = criteria.boundary_measure_check(w, grid=1024)
         assert rep.extras["mass_verdict"] == "pass"
         # oracle: the remainder tends to (1/2) * 1/(1 - 1/4) = 2/3
         assert rep.rho_ladder[-1][1] == pytest.approx(2.0 / 3.0, rel=1e-2)

@@ -11,7 +11,7 @@ from conftest import contractive_matpoly, random_matpoly, random_unitary
 
 class TestEval:
     def test_constant_identity(self, rng):
-        p = MatPoly.identity(3)
+        p = MatPoly.constant(np.eye(3))
         for z in [0.0, 0.3 + 0.4j, 1j]:
             np.testing.assert_allclose(p(z), np.eye(3), atol=1e-15)
 
