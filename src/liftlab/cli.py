@@ -7,6 +7,9 @@ lifting pipeline on a problem file plus a free-parameter file;
 `--seed` seeds the random draws of `examples` and `bimodel`; `coiso`
 with a nonzero seed twists the extension's fills by random unitaries,
 and `coiso --seed 0` (the default) builds the basis-aligned extension.
+`--degree` and `--grid` take integers of at least 1; each command has
+its own default for the flag left out, and the report's `config`
+records null for it.
 Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
@@ -64,6 +67,21 @@ def parse_ladder(text: str) -> tuple:
     return values
 
 
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _given(value, default):
+    """The flag's value when it was given, else the command's default."""
+    return default if value is None else value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liftlab",
@@ -75,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--csv", help="prefix for ladder/trace CSV files")
-        p.add_argument("--degree", type=int, help="truncation degree")
-        p.add_argument("--grid", type=int, help="circle grid size")
+        p.add_argument("--degree", type=positive_int, help="truncation degree")
+        p.add_argument("--grid", type=positive_int, help="circle grid size")
         p.add_argument("--ladder", type=parse_ladder, default=criteria.DEFAULT_LADDER)
         p.add_argument("--tol-int", type=float, default=criteria.TOL_INT)
         p.add_argument("--tol-taylor", type=float, default=criteria.TOL_TAYLOR)
@@ -170,8 +188,8 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
 
 
 def _scenario_ex3_2(cfg: RunConfig) -> int:
-    grid = cfg.grid or 4096
-    degree = cfg.degree or 256
+    grid = _given(cfg.grid, 4096)
+    degree = _given(cfg.degree, 256)
     w = MatPoly.constant([[0.5], [0.5]])
     a, _ = w.block_rows(1)
     d_vals = h2.resolvent_apply_grid(a, [1.0], 1.0, grid)
@@ -204,8 +222,8 @@ def split_measure_with_atom() -> h2.CircleMeasure:
 
 
 def _scenario_ex3_1(cfg: RunConfig) -> int:
-    degree = cfg.degree or 1024
-    grid = cfg.grid or 4096
+    degree = _given(cfg.degree, 1024)
+    grid = _given(cfg.grid, 4096)
     rho = cfg.ladder[-1]
     mu = split_measure_with_atom()
     u = h2.herglotz_from_measure(mu, degree)
@@ -253,8 +271,8 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
 
 
 def _scenario_rk3_1(cfg: RunConfig) -> int:
-    degree = cfg.degree or 64
-    grid = cfg.grid or 256
+    degree = _given(cfg.degree, 64)
+    grid = _given(cfg.grid, 256)
     w0 = np.array([[1.0], [0.0]])
     rep_ri = criteria.radial_isometry_check(
         MatPoly.constant(w0), grid=grid, degree=degree, ladder=cfg.ladder,
@@ -281,8 +299,8 @@ def _scenario_rk3_1(cfg: RunConfig) -> int:
 
 
 def _scenario_cor3_3(cfg: RunConfig) -> int:
-    degree = cfg.degree or 512
-    grid = cfg.grid or 512
+    degree = _given(cfg.degree, 512)
+    grid = _given(cfg.grid, 512)
     a0 = np.array([[0.5, 0.3], [0.0, -0.4]])
     w0 = np.vstack([a0, linalg.defect(a0)])
     rep_cs = criteria.constant_symbol_check(w0)
@@ -305,8 +323,8 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
 
 
 def _scenario_prop4_6(cfg: RunConfig) -> int:
-    degree = cfg.degree or 512
-    grid = cfg.grid or 512
+    degree = _given(cfg.degree, 512)
+    grid = _given(cfg.grid, 512)
     rng = np.random.default_rng(cfg.seed)
     reports, checks = [], []
     values = {}
@@ -322,14 +340,13 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         raw_r = rng.standard_normal((ks, k)) + 1j * rng.standard_normal((ks, k))
         q, _ = np.linalg.qr(raw_r)
         r0 = q[:, :k]
+        lifting = clt.lift(problem, MatPoly.constant(r0), degree, ld=ld)
         rep = criteria.lifting_isometry_check(
-            ld, MatPoly.constant(r0), degree=degree, grid=grid, ladder=cfg.ladder,
-            tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+            lifting, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
         )
         rep.criterion_id = f"lifting_isometry_mult{mult}"
         rep_ob = criteria.obstruction_search(ld, r0)
         rep_ob.criterion_id = f"obstruction_mult{mult}"
-        lifting = clt.lift(problem, MatPoly.constant(r0), degree, ld=ld)
         k = problem.window_dim
         dev = 0.0
         for _ in range(20):
@@ -373,8 +390,8 @@ def _cmd_lift(cfg: RunConfig) -> int:
     r = None
     if cfg.schur:
         r = serialize.decode_matpoly(_load_json(cfg.schur))
-    degree = cfg.degree or 256
-    grid = cfg.grid or 512
+    degree = _given(cfg.degree, 256)
+    grid = _given(cfg.grid, 512)
     try:
         ld = clt.build_omega_explicit(problem)
         route = "explicit"
@@ -384,8 +401,7 @@ def _cmd_lift(cfg: RunConfig) -> int:
     lifting = clt.lift(problem, r, degree, ld=ld)
     residuals = lifting.residuals()
     rep = criteria.lifting_isometry_check(
-        ld, r, degree=degree, grid=grid, ladder=cfg.ladder,
-        tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        lifting, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     reports = [rep]
     r_eff = lifting.free_parameter
@@ -410,8 +426,8 @@ def _cmd_bimodel(cfg: RunConfig) -> int:
         theta = serialize.decode_matpoly(doc)
     else:
         theta = serialize.decode_matpoly(doc.get("symbol"), "$.symbol")
-    grid = cfg.grid or 256
-    degree = cfg.degree or 64
+    grid = _given(cfg.grid, 256)
+    degree = _given(cfg.degree, 64)
     model = bimodel.build_model(theta, grid, degree)
     rep = bimodel.verify_bi_isometry(model, seed=cfg.seed)
     want = doc.get("expect", "pass")

@@ -363,9 +363,7 @@ def assemble_schur_W(ld: LiftingData, r: MatPoly | None, tol: float = 1e-8) -> M
         raise WrongKernelShapes(
             f"free parameter must map C^{k} into C^{k_star}, got {r.in_dim}->{r.out_dim}"
         )
-    coeffs = np.einsum(
-        "ia,nab,jb->nij", ld.ker_omega_star.columns, r.coeffs, np.conj(ld.ker_omega.columns)
-    )
+    coeffs = ld.ker_omega_star.columns @ r.coeffs @ ld.ker_omega.columns.conj().T
     coeffs[0] += ld.omega_bar
     w = MatPoly(coeffs)
     if w.in_dim:

@@ -23,15 +23,15 @@ Each rung of a radial ladder is one ``radial_sample``: it solves
 ``h2.resolvent_apply_grid`` (the only place that evaluates A), evaluates
 W once, and returns d with the squared column norms of d, of W d and of
 the first rows of W d.  When A is the top block of W, those rows are
-A d, so A is never evaluated a second time.  W d is reduced to norms
-inside the helper, which each criterion calls afresh inside its own
-loop over the ladder, and the lifting check frees a rung's blocks
-before the next rung's solve.  Memory is why: on the lifting benchmark
-(512 nodes, ~50 x 54 complex blocks of ~22 MB each) a generator over
-the rungs, which keeps the previous rung's d and W d alive while it
-computes the next, raised peak RSS by 15 %, and keeping one rung's
-blocks into the next solve still cost 13 %; freeing them takes the
-peak from 210 to 180 MB.
+A d, so A is never evaluated a second time.  Every product over the
+nodes is a batched ``@``, one BLAS gemm per node, and a constant W, A
+or free parameter evaluates as a broadcast of its one coefficient.
+W d is reduced to norms inside the helper, which each criterion calls
+afresh inside its own loop over the ladder, and the lifting check
+frees a rung's blocks before the next rung's solve.  Memory is why: on
+the lifting benchmark (512 nodes, ~50 x 54 complex blocks of ~22 MB
+each) keeping one rung's blocks alive into the next solve raises peak
+RSS from 132 to 180 MB.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import h2, linalg
-from .clt import LiftingData, assemble_schur_W
+from .clt import Lifting, LiftingData
 from .h2 import MatPoly
 
 DEFAULT_LADDER = (0.9, 0.99, 0.999)
@@ -159,7 +159,7 @@ class RadialSample:
 def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int, a_rows: int = 0) -> RadialSample:
     """Solve the resolvent once and evaluate W once on the rho-circle."""
     d = h2.resolvent_apply_grid(a, probes, rho, grid)
-    wd_sq = np.abs(np.einsum("nij,njm->nim", h2.eval_circle_grid(w, rho, grid), d)) ** 2
+    wd_sq = np.abs(h2.eval_circle_grid(w, rho, grid) @ d) ** 2
     return RadialSample(d, _norms_sq(d), np.sum(wd_sq, axis=1), np.sum(wd_sq[:, :a_rows], axis=1))
 
 
@@ -167,7 +167,7 @@ def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int) -> np.ndarray:
     """Largest probe norm of each Taylor coefficient 0..degree of
     (I - z A(z))^(-1) applied to the probes."""
     j = h2.neumann_inverse(a, degree)
-    norms = np.linalg.norm(np.einsum("nij,jm->nim", j.coeffs, probes), axis=1)
+    norms = np.linalg.norm(j.coeffs @ probes, axis=1)
     return np.max(norms, axis=1) if norms.size else np.zeros(degree + 1)
 
 
@@ -328,36 +328,34 @@ def boundary_measure_check(
 
 
 def lifting_isometry_check(
-    ld: LiftingData,
-    r: MatPoly | None,
+    lifting: Lifting,
     ladder=DEFAULT_LADDER,
-    degree: int = h2.DEFAULT_DEGREE,
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
 ) -> CriterionReport:
     """Isometry test for the lifting generated by a free parameter.
 
-    Assembles the Schur symbol, then checks the free-parameter defect
-    integral over the kernel component of the resolvent (vacuous for a
-    trivial kernel) and the Taylor decay of the resolvent coefficients.
-    The three equivalent forms of the pointwise defect identity are
-    cross-checked on every node and the worst residual reported.
+    Reads the coupling data, the free parameter, the assembled Schur
+    symbol and the truncation degree from the lifting, then checks the
+    free-parameter defect integral over the kernel component of the
+    resolvent (vacuous for a trivial kernel) and the Taylor decay of
+    the resolvent coefficients.  The three equivalent forms of the
+    pointwise defect identity are cross-checked on every node and the
+    worst residual reported.
     """
-    w = assemble_schur_W(ld, r)
-    if r is None:
-        r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
+    ld, r, w, degree = lifting.data, lifting.free_parameter, lifting.w, lifting.minimal.degree
     _, a = w.block_rows(ld.basis_tprime.dim)
     probes = probe_matrix(ld.defect_dim)
-    kker = ld.ker_omega.columns
+    kker_h = ld.ker_omega.columns.conj().T
     defect_ladder, chain_residual = [], 0.0
     for rho in ladder:
         s = radial_sample(w, a, probes, rho, grid)
-        u_vals = np.einsum("ji,njm->nim", kker.conj(), s.d)
-        r_vals = np.einsum("nij,njm->nim", h2.eval_circle_grid(r, rho, grid), u_vals) if kker.size else np.zeros_like(u_vals)
+        u_vals = kker_h @ s.d
+        r_vals = h2.eval_circle_grid(r, rho, grid) @ u_vals
         term = _norms_sq(u_vals) - _norms_sq(r_vals)
         defect_ladder.append(float(np.max(np.mean(term, axis=0))) if term.size else 0.0)
-        om_vals = np.einsum("ij,njm->nim", ld.omega_bar, s.d)
+        om_vals = ld.omega_bar @ s.d
         e1 = s.dn2 - s.wn2
         e2 = s.dn2 - _norms_sq(om_vals) - _norms_sq(r_vals)
         worst = max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term)))) if e1.size else 0.0

@@ -6,7 +6,8 @@ analogue.  Degrees and grid sizes are explicit everywhere: limits
 toward the boundary are replaced by evaluations on rho-circles, and a
 K-point uniform grid integrates trigonometric polynomials of degree
 < K exactly, so every Parseval-type statement below is exact once
-K >= 2*degree + 1.
+K >= 2*degree + 1.  A constant evaluates on a grid as a read-only
+broadcast of its one coefficient, with no FFT.
 
 Series layer.  Every inverse goes through one kernel for
 (I - z S(z))^(-1): ``neumann_inverse`` hands it A, ``series_inverse``
@@ -146,12 +147,16 @@ def eval_circle_grid(p: MatPoly, rho: float, grid: int) -> np.ndarray:
 
     The trapezoid mean over this grid integrates trigonometric
     polynomials of degree < grid exactly; grid must cover twice the
-    polynomial degree for quadratic quantities, hence the guard.
+    polynomial degree for quadratic quantities, hence the guard.  A
+    constant takes the same value at every node and is returned as a
+    read-only broadcast of its one coefficient, without an FFT.
     """
     if not (0.0 < rho <= 1.0):
         raise H2Error("rho must lie in (0, 1]")
     if grid < 2 * p.degree + 1:
         raise GridTooCoarse(f"grid {grid} < 2*degree+1 = {2 * p.degree + 1}")
+    if p.degree == 0:
+        return np.broadcast_to(p.coeffs[0], (grid,) + p.coeffs.shape[1:])
     weighted = p.coeffs * (rho ** np.arange(p.degree + 1))[:, None, None]
     padded = np.zeros((grid,) + p.coeffs.shape[1:], dtype=complex)
     padded[: p.degree + 1] = weighted
@@ -195,7 +200,7 @@ def polymul(p: MatPoly, q: MatPoly, degree: int | None = None) -> MatPoly:
     out = np.zeros((deg + 1, p.out_dim, q.in_dim), dtype=complex)
     for k in range(pc.shape[0]):
         hi = min(q.degree, deg - k)
-        out[k : k + hi + 1] += np.einsum("ij,njk->nik", pc[k], qc[: hi + 1])
+        out[k : k + hi + 1] += pc[k] @ qc[: hi + 1]
     return MatPoly(out)
 
 
@@ -258,9 +263,10 @@ def resolvent_apply_grid(a: MatPoly, d, rho: float, grid: int) -> np.ndarray:
         raise NotSquare("A(z) must be square")
     d = np.asarray(d, dtype=complex)
     block = d if d.ndim == 2 else d.reshape(-1, 1)
-    vals = eval_circle_grid(a, rho, grid)
-    z = circle_nodes(rho, grid)
-    systems = np.eye(a.in_dim) - z[:, None, None] * vals
+    # I - z A(z) as one array: -z A(z), then 1 added on the diagonal in place
+    systems = eval_circle_grid(a, rho, grid) * -circle_nodes(rho, grid)[:, None, None]
+    diag = np.arange(a.in_dim)
+    systems[:, diag, diag] += 1.0
     out = np.linalg.solve(systems, np.broadcast_to(block, (grid,) + block.shape))
     return out if d.ndim == 2 else out[..., 0]
 

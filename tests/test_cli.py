@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liftlab import cli, clt, serialize
+from liftlab import cli, clt, criteria, serialize
 
 from conftest import contractive_matpoly, random_contraction
 
@@ -23,6 +23,35 @@ def test_example_matches_and_is_deterministic(tmp_path, scenario):
     assert doc["matched"] is True
     assert all(doc["expected"].values())
     assert "threads" not in doc["config"]
+
+
+def test_prop4_6_report_is_deterministic(tmp_path):
+    # no exit code is asserted: at low degrees the Taylor traces of
+    # prop4_6 have not decayed and its verdicts come out inconclusive
+    out = tmp_path / "prop4_6.json"
+    runs = []
+    for _ in range(2):
+        code = cli.main(["examples", "prop4_6", "--degree", "64", "--grid", "256", "--out", str(out)])
+        runs.append((code, out.read_bytes()))
+    assert runs[0] == runs[1]
+
+
+BAD_SIZES = {
+    "degree_negative": (["examples", "ex3_2", "--degree", "-1"], "--degree"),
+    "degree_zero": (["examples", "cor3_3", "--degree", "0"], "--degree"),
+    "grid_zero": (["examples", "cor3_3", "--grid", "0"], "--grid"),
+    "grid_negative": (["examples", "rk3_1", "--grid", "-8"], "--grid"),
+    "degree_not_an_integer": (["examples", "rk3_1", "--degree", "1.5"], "--degree"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SIZES))
+def test_sizes_below_one_exit_2_naming_the_flag(capsys, name):
+    argv, flag = BAD_SIZES[name]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def write_json(path, doc) -> str:
@@ -90,6 +119,23 @@ def test_command_matches_and_is_deterministic(tmp_path, rng, name):
     doc = json.loads(reports[0])
     assert doc["matched"] is True
     assert doc["expected"] and all(doc["expected"].values())
+
+
+def test_lift_assembles_the_schur_symbol_once(tmp_path, rng, monkeypatch):
+    calls = []
+    original = clt.assemble_schur_W
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module that binds the function, as the benchmark's tracer does
+    for module in (clt, criteria, cli):
+        if getattr(module, "assemble_schur_W", None) is original:
+            monkeypatch.setattr(module, "assemble_schur_W", counted)
+    argv = COMMANDS["lift"](rng, tmp_path)
+    assert cli.main([*argv, "--degree", "64", "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_bimodel_runs_on_the_default_seed(tmp_path, rng):

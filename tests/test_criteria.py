@@ -4,7 +4,7 @@ import pytest
 from liftlab import clt, criteria, h2
 from liftlab.h2 import MatPoly
 
-from conftest import random_contraction, random_isometry, random_unitary
+from conftest import contractive_matpoly, random_contraction, random_isometry, random_unitary
 
 
 def shift_problem(rng, mult=1, degree=8, p_dim=2, x_norm=0.85):
@@ -137,9 +137,7 @@ class TestLiftingIsometry:
         p = shift_problem(rng, mult=1, degree=10)
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        rep = criteria.lifting_isometry_check(
-            ld, MatPoly.constant(r0), degree=512, grid=256
-        )
+        rep = criteria.lifting_isometry_check(clt.lift(p, MatPoly.constant(r0), 512, ld=ld), grid=256)
         assert rep.verdict == "pass"
         assert rep.extras["defect_chain_residual"] <= 1e-10
 
@@ -147,7 +145,7 @@ class TestLiftingIsometry:
         p = shift_problem(rng, mult=1, degree=8)
         ld = clt.build_omega(p)
         assert ld.ker_omega.dim >= 1
-        rep = criteria.lifting_isometry_check(ld, None, degree=128, grid=256)
+        rep = criteria.lifting_isometry_check(clt.lift(p, None, 128, ld=ld), grid=256)
         assert rep.verdict == "fail"
         assert rep.rho_ladder[-1][1] > 1e-3
 
@@ -156,11 +154,62 @@ class TestLiftingIsometry:
         p = clt.build_problem(u, 0.5 * random_unitary(rng, 2), np.zeros((2, 2)))
         ld = clt.build_omega(p)
         assert ld.ker_omega.dim == 0
-        rep = criteria.lifting_isometry_check(ld, None, degree=64, grid=128)
+        rep = criteria.lifting_isometry_check(clt.lift(p, None, 64, ld=ld), grid=128)
         assert all(v == 0 for _, v in rep.rho_ladder)
         assert "vacuous" in rep.notes
         # A = ΠW = coupling bottom block is unitary here: flat trace, fail
         assert rep.verdict == "fail"
+
+
+def einsum_oracle(lifting, ladder, grid):
+    """The parameter defect ladder, the defect chain residual and the
+    Taylor trace of lifting_isometry_check, with every product written
+    as an einsum and every resolvent solved node by node."""
+    ld, r, w = lifting.data, lifting.free_parameter, lifting.w
+    r_prime = ld.basis_tprime.dim
+    probes = criteria.probe_matrix(ld.defect_dim)
+    kker = ld.ker_omega.columns
+
+    def norms_sq(v):
+        return np.sum(np.abs(v) ** 2, axis=1)
+
+    ladder_values, residual = [], 0.0
+    for rho in ladder:
+        z = h2.circle_nodes(rho, grid)
+        w_vals = np.stack([w(zk) for zk in z])
+        r_vals = np.stack([r(zk) for zk in z])
+        eye = np.eye(w.in_dim)
+        d = np.stack([np.linalg.solve(eye - zk * wk[r_prime:], probes) for zk, wk in zip(z, w_vals)])
+        u = np.einsum("ji,njm->nim", kker.conj(), d)
+        ru = np.einsum("nij,njm->nim", r_vals, u)
+        term = norms_sq(u) - norms_sq(ru)
+        ladder_values.append(float(np.max(np.mean(term, axis=0))))
+        e1 = norms_sq(d) - norms_sq(np.einsum("nij,njm->nim", w_vals, d))
+        e2 = norms_sq(d) - norms_sq(np.einsum("ij,njm->nim", ld.omega_bar, d)) - norms_sq(ru)
+        residual = max(residual, float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term))))
+    j = h2.neumann_inverse(MatPoly(w.coeffs[:, r_prime:]), lifting.minimal.degree)
+    taylor = np.max(np.linalg.norm(np.einsum("nij,jm->nim", j.coeffs, probes), axis=1), axis=1)
+    return ladder_values, residual, taylor
+
+
+class TestLiftingIsometryOracle:
+    @pytest.mark.parametrize("mult, r_degree", [(1, 0), (2, 0), (2, 2)])
+    def test_matches_the_einsum_oracle(self, rng, mult, r_degree):
+        p = shift_problem(rng, mult=mult, degree=6)
+        ld = clt.build_omega(p)
+        assert ld.ker_omega.dim >= 1
+        shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
+        if r_degree:
+            r = contractive_matpoly(rng, *shape, r_degree, norm=0.9)
+        else:
+            r = MatPoly.constant(random_isometry(rng, *shape))
+        lifting = clt.lift(p, r, 64, ld=ld)
+        ladder, grid = (0.9, 0.99), 128
+        rep = criteria.lifting_isometry_check(lifting, ladder=ladder, grid=grid)
+        want_ladder, want_residual, want_taylor = einsum_oracle(lifting, ladder, grid)
+        assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
+        assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
+        assert np.max(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor)) <= 1e-12
 
 
 class TestObstructionSearch:

@@ -32,6 +32,25 @@ class TestCircleGrid:
         for v in vals:
             np.testing.assert_allclose(v, p.coeffs[0], atol=1e-14)
 
+    @pytest.mark.parametrize("rho, grid", [(1.0, 64), (0.9, 65)])
+    def test_constant_is_a_read_only_broadcast_of_the_fft_values(self, rng, rho, grid):
+        c = rng.standard_normal((1, 3, 2)) + 1j * rng.standard_normal((1, 3, 2))
+        c /= np.max(np.abs(c))
+        vals = h2.eval_circle_grid(MatPoly(c), rho, grid)
+        # a zero degree-1 term sends the same value through the FFT path
+        fft_vals = h2.eval_circle_grid(MatPoly(np.concatenate([c, np.zeros_like(c)])), rho, grid)
+        assert vals.shape == fft_vals.shape == (grid, 3, 2)
+        assert not vals.flags.writeable
+        assert np.max(np.abs(vals - fft_vals)) <= 1e-15
+
+    def test_constant_keeps_the_guards(self):
+        p = MatPoly.constant(np.eye(2))
+        for rho in (0.0, 1.5):
+            with pytest.raises(h2.H2Error):
+                h2.eval_circle_grid(p, rho, 8)
+        with pytest.raises(h2.GridTooCoarse):
+            h2.eval_circle_grid(p, 1.0, 0)
+
     def test_fourth_roots(self):
         p = MatPoly(np.stack([np.zeros((1, 1)), np.eye(1)]))
         vals = h2.eval_circle_grid(p, 1.0, 4)[:, 0, 0]
