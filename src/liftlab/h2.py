@@ -429,10 +429,11 @@ def series_exp_scalar(coeffs, degree: int) -> np.ndarray:
     l = np.zeros(degree + 1, dtype=complex)
     src = np.asarray(coeffs, dtype=complex).reshape(-1)
     l[: min(len(src), degree + 1)] = src[: degree + 1]
+    kl = np.arange(degree + 1) * l
     b = np.zeros(degree + 1, dtype=complex)
     b[0] = np.exp(l[0])
     for n in range(1, degree + 1):
-        b[n] = np.sum(np.arange(1, n + 1) * l[1 : n + 1] * b[n - 1 :: -1][: n]) / n
+        b[n] = np.dot(kl[n:0:-1], b[:n]) / n
     return b
 
 

@@ -77,6 +77,12 @@ def psd_sqrt(h) -> np.ndarray:
     return (v * w) @ v.conj().T
 
 
+def adjoint_batch(values: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of a stack of matrices, (..., rows, cols) to
+    (..., cols, rows)."""
+    return np.conj(np.swapaxes(values, -1, -2))
+
+
 def defect_batch(values: np.ndarray) -> np.ndarray:
     """Pointwise defects (I - M*M)^(1/2) for a stack of matrices.
 
@@ -86,13 +92,13 @@ def defect_batch(values: np.ndarray) -> np.ndarray:
     the eigenvalue clamp absorbs.
     """
     a = np.asarray(values, dtype=complex)
-    gram = np.einsum("...ji,...jk->...ik", a.conj(), a)
+    gram = adjoint_batch(a) @ a
     n = gram.shape[-1]
-    gram = 0.5 * (gram + np.conj(np.swapaxes(gram, -1, -2)))
+    gram = 0.5 * (gram + adjoint_batch(gram))
     w, v = np.linalg.eigh(np.eye(n) - gram)
     floor = 1e-13
     w = np.sqrt(np.where(w < floor, 0.0, w))
-    return np.einsum("...ik,...k,...jk->...ij", v, w, v.conj())
+    return (v * w[..., None, :]) @ adjoint_batch(v)
 
 
 @dataclass(frozen=True)

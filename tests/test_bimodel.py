@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,24 +104,94 @@ class TestActions:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(rhs)
 
 
-class TestVerify:
-    @pytest.mark.parametrize(
-        "theta",
-        [
-            MatPoly.zero(1, 1),
-            shift_symbol(1),
-            MatPoly(np.stack([np.zeros((1, 1)), 0.5 * np.eye(1)])),
-        ],
-        ids=["zero", "inner-shift", "half-shift"],
-    )
-    def test_standard_symbols_pass(self, theta):
-        model = bimodel.build_model(theta, grid=128, degree=16)
-        rep = bimodel.verify_bi_isometry(model, trials=25)
-        assert rep.verdict == "pass"
+def randomized_check(model, trials=50, seed=7):
+    """Oracle for verify_bi_isometry: the worst relative V-isometry,
+    W-isometry and commutation residuals over random window vectors."""
+    rng = np.random.default_rng(seed)
+    worst_v = worst_w = worst_comm = 0.0
+    for _ in range(trials):
+        vec = bimodel.random_vector(model, rng)
+        nrm = np.sqrt(bimodel.vector_norm_sq(model, vec))
+        if nrm == 0:
+            continue
+        v_iso = abs(np.sqrt(bimodel.vector_norm_sq(model, bimodel.apply_V(model, vec))) - nrm) / nrm
+        w_iso = abs(np.sqrt(bimodel.vector_norm_sq(model, bimodel.apply_W(model, vec))) - nrm) / nrm
+        vw = bimodel.apply_V(model, bimodel.apply_W(model, vec))
+        wv = bimodel.apply_W(model, bimodel.apply_V(model, vec))
+        diff = bimodel.ModelVector(vw.f - wv.f, vw.g - wv.g)
+        comm = np.sqrt(bimodel.vector_norm_sq(model, diff)) / nrm
+        worst_v, worst_w = max(worst_v, v_iso), max(worst_w, w_iso)
+        worst_comm = max(worst_comm, comm)
+    return worst_v, worst_w, worst_comm
 
-    def test_random_contractive_symbol_passes(self, rng):
-        theta = contractive_matpoly(rng, 2, 2, 2, norm=0.9)
-        model = bimodel.build_model(theta, grid=256, degree=24)
-        rep = bimodel.verify_bi_isometry(model, trials=25)
+
+def oracle_verdict(model) -> str:
+    return "pass" if max(randomized_check(model)) <= 1e-10 else "fail"
+
+
+def verify_cases():
+    """Models by name: the standard scalar symbols, a random 2 x 2
+    contractive symbol and a constant 2 x 2 one."""
+    rng = np.random.default_rng(20260810)
+    standard = {
+        "zero": MatPoly.zero(1, 1),
+        "inner-shift": shift_symbol(1),
+        "half-shift": MatPoly(np.stack([np.zeros((1, 1)), 0.5 * np.eye(1)])),
+    }
+    cases = {name: bimodel.build_model(theta, grid=128, degree=16) for name, theta in standard.items()}
+    theta = contractive_matpoly(rng, 2, 2, 2, norm=0.9)
+    cases["random-2x2"] = bimodel.build_model(theta, grid=256, degree=24)
+    # a constant symbol evaluates on the grid as a read-only broadcast
+    cases["constant-2x2"] = bimodel.build_model(MatPoly.constant(np.diag([0.5, 1.0])), grid=32, degree=4)
+    return cases
+
+
+CASES = verify_cases()
+
+
+class TestVerify:
+    @pytest.mark.parametrize("name", ["zero", "inner-shift", "half-shift"])
+    def test_standard_symbols_pass(self, name):
+        rep = bimodel.verify_bi_isometry(CASES[name])
         assert rep.verdict == "pass"
-        assert rep.extras["commutation_residual"] <= 1e-10
+        assert set(rep.tolerances) == {"tol"}
+
+    def test_random_contractive_symbol_passes(self):
+        rep = bimodel.verify_bi_isometry(CASES["random-2x2"])
+        assert rep.verdict == "pass"
+        assert rep.extras["pythagoras_residual"] <= 1e-10
+        assert rep.extras["defect_range_residual"] <= 1e-10
+
+
+class TestRandomizedOracle:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_oracle_agrees_with_the_identities(self, name):
+        model = CASES[name]
+        assert oracle_verdict(model) == bimodel.verify_bi_isometry(model).verdict == "pass"
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5])
+    def test_w_isometry_defect_is_bounded_by_the_pythagoras_residual(self, rng, scale):
+        model = CASES["random-2x2"]
+        model = dataclasses.replace(model, delta=scale * model.delta)
+        r1 = bimodel.verify_bi_isometry(model).extras["pythagoras_residual"]
+        for _ in range(20):
+            v = bimodel.random_vector(model, rng)
+            gap = bimodel.vector_norm_sq(model, bimodel.apply_W(model, v)) - bimodel.vector_norm_sq(model, v)
+            assert abs(gap) <= r1 * np.sum(np.abs(v.f) ** 2) + 1e-12
+
+    @pytest.mark.parametrize("name", ["zero", "random-2x2"])
+    def test_halved_defect_fails_both(self, name):
+        model = CASES[name]
+        model = dataclasses.replace(model, delta=0.5 * model.delta)
+        rep = bimodel.verify_bi_isometry(model)
+        assert rep.verdict == "fail"
+        assert rep.extras["pythagoras_residual"] > 1e-10
+        assert oracle_verdict(model) == "fail"
+
+    def test_projector_missing_the_defect_range_fails(self):
+        model = CASES["random-2x2"]
+        model = dataclasses.replace(model, range_projectors=np.zeros_like(model.range_projectors))
+        rep = bimodel.verify_bi_isometry(model)
+        assert rep.verdict == "fail"
+        assert rep.extras["defect_range_residual"] > 1e-10
+        assert rep.extras["pythagoras_residual"] <= 1e-10

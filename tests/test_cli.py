@@ -138,12 +138,19 @@ def test_lift_assembles_the_schur_symbol_once(tmp_path, rng, monkeypatch):
     assert len(calls) == 1
 
 
-def test_bimodel_runs_on_the_default_seed(tmp_path, rng):
+def test_bimodel_report_does_not_depend_on_the_seed(tmp_path, rng):
     path = write_json(tmp_path / "symbol.json", symbol_doc(rng))
     out = tmp_path / "report.json"
-    assert cli.main(["bimodel", "--input", path, "--grid", "64", "--degree", "8", "--out", str(out)]) == 0
-    doc = json.loads(out.read_bytes())
-    assert doc["reports"][0]["tolerances"]["seed"] == doc["config"]["seed"] == 0
+    docs = []
+    for seed in (0, 5):
+        argv = ["bimodel", "--input", path, "--grid", "64", "--degree", "8", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        docs.append(json.loads(out.read_bytes()))
+    for doc, seed in zip(docs, (0, 5)):
+        assert doc["config"].pop("seed") == seed
+        tolerances = doc["reports"][0]["tolerances"]
+        assert "seed" not in tolerances and "trials" not in tolerances
+    assert docs[0] == docs[1]
 
 
 def read_csv(path) -> list:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,37 @@ class TestOuter:
         rhs = np.mean(np.log(np.abs(vals)))
         assert abs(lhs - rhs) <= 1e-8
         assert res.poly(0.0)[0, 0].real > 0
+
+
+def loop_series_exp(coeffs, degree):
+    """Reference loop n b_n = sum_{k=1..n} k l_k b_{n-k}, one arange,
+    product and sum per coefficient."""
+    l = np.zeros(degree + 1, dtype=complex)
+    src = np.asarray(coeffs, dtype=complex).reshape(-1)
+    l[: min(len(src), degree + 1)] = src[: degree + 1]
+    b = np.zeros(degree + 1, dtype=complex)
+    b[0] = np.exp(l[0])
+    for n in range(1, degree + 1):
+        b[n] = np.sum(np.arange(1, n + 1) * l[1 : n + 1] * b[n - 1 :: -1][:n]) / n
+    return b
+
+
+class TestSeriesExp:
+    @pytest.mark.parametrize("terms, degree", [(1, 0), (2, 1), (40, 16), (700, 2047), (3000, 2047)])
+    def test_matches_the_loop(self, rng, terms, degree):
+        # log-series coefficients decaying like those of a smooth modulus
+        k = np.arange(terms)
+        l = (rng.standard_normal(terms) + 1j * rng.standard_normal(terms)) / (1 + k) ** 2
+        ref = loop_series_exp(l, degree)
+        got = h2.series_exp_scalar(l, degree)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_exp_of_a_line(self):
+        # exp(a z) = sum a^n z^n / n!
+        a, degree = 0.7 - 0.2j, 30
+        expected = np.array([a**n / math.factorial(n) for n in range(degree + 1)])
+        np.testing.assert_allclose(h2.series_exp_scalar([0.0, a], degree), expected, rtol=1e-13, atol=1e-300)
 
 
 class TestRadialChainIdentities:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from liftlab import bimodel, cli, clt, coiso, criteria, h2, linalg, serialize
 
+from test_bimodel import oracle_verdict, shift_symbol
 from test_cli import COMMANDS
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
@@ -44,6 +45,9 @@ def test_every_layer_records_a_span(tmp_path, rng, monkeypatch):
             out = tmp_path / "report.json"
             assert cli.main([*argv, "--out", str(out)]) == 0
             assert json.loads(out.read_bytes())["matched"] is True
+        # verify_bi_isometry draws no vectors: random_vector and apply_W
+        # are called by the randomized oracle the bimodel tests keep
+        assert oracle_verdict(bimodel.build_model(shift_symbol(1), grid=16, degree=4)) == "pass"
     assert h2.resolvent_apply_grid is original
     spanned = {name for name, *_ in tracer.spans}
     assert {layer.name for layer in layertrace.LAYERS} <= spanned
