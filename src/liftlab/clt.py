@@ -10,7 +10,8 @@ lifting Y = [X; Gamma(.) D_X] of X into the minimal isometric lifting
 space of T'.
 
 All defect-space quantities are stored in orthonormal coordinate bases
-of the numerical ranges of D_X and D_{T'}.
+of the numerical ranges of D_X and D_{T'}.  ``lift`` streams the rows
+Gamma_n D_X of Y straight into Y; no coefficient of Gamma is stored.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -367,7 +368,7 @@ def assemble_schur_W(ld: LiftingData, r: MatPoly | None, tol: float = 1e-8) -> M
     coeffs[0] += ld.omega_bar
     w = MatPoly(coeffs)
     if w.in_dim:
-        grid = max(64, 2 * w.degree + 1)
+        grid = max(64, 2 * w.degree + 1) if w.degree else 1  # a constant: one node
         vals = h2.eval_circle_grid(w, 1.0, grid)
         sup = max(np.linalg.norm(v, 2) for v in vals)
         if sup > 1.0 + tol:
@@ -383,7 +384,6 @@ class Lifting:
     data: LiftingData
     free_parameter: MatPoly
     w: MatPoly
-    gamma: MatPoly
     y: np.ndarray
     minimal: MinimalLifting
 
@@ -412,22 +412,24 @@ def lift(
 ) -> Lifting:
     """Build the contractive intertwining lifting for a free parameter.
 
-    Y h = X h + Gamma(.) D_X h with Gamma built from the assembled
-    Schur parameter; the series part lives in defect coordinates over
-    degree slots 0..degree.
+    Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
+    assembled Schur parameter W = [B; A]; slot n of the series part, in
+    defect coordinates, is the B rows of term n of ``h2.resolvent_terms``.
     """
     if ld is None:
         ld = build_omega(p)
     if r is None:
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
     w = assemble_schur_W(ld, r)
-    b, a = w.block_rows(ld.basis_tprime.dim)
-    gamma = h2.polymul(b, h2.neumann_inverse(a, degree), degree)
+    r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
     coords = ld.basis_x.columns.conj().T @ ld.d_x
-    series = h2.pad_coeffs(gamma, degree).coeffs @ coords
-    y = np.vstack([p.x, series.reshape(-1, p.t.dim)])
+    y = np.empty((h_dim + (degree + 1) * r_prime, p.t.dim), dtype=complex)
+    y[:h_dim] = p.x
+    series = y[h_dim:].reshape(degree + 1, r_prime, p.t.dim)
+    for slot, term in zip(series, h2.resolvent_terms(w.coeffs, slice(r_prime, None), coords)):
+        slot[:] = term[:r_prime]
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
-    return Lifting(p, ld, r, w, gamma, y, ml)
+    return Lifting(p, ld, r, w, y, ml)
 
 
 @dataclass(frozen=True)

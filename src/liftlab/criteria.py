@@ -10,7 +10,9 @@ decision, never an extrapolation.  The rules are
   stuck above threshold fails; a non-monotone ladder is inconclusive;
 * a Taylor trace passes when it stays below its threshold from the
   half-way index on, fails when the tail has not decayed to within a
-  factor 0.1 of the head, and is inconclusive in between;
+  factor 0.1 of the head, and is inconclusive in between; while
+  inconclusive it doubles its degree up to TAYLOR_DEGREE_CAP times the
+  requested `degree`, recording `degree_used` and `degree_cap`;
 * boundary-mass statements compare against the probe norm at the
   largest radius.
 
@@ -37,6 +39,7 @@ RSS from 132 to 180 MB.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -51,6 +54,9 @@ TOL_MASS = 1e-2
 TOL_REMAINDER = 1e-2
 N_PROBES = 4
 PROBE_SEED = 1
+# a Taylor trace is extended by doubling up to this multiple of its degree
+TAYLOR_DEGREE_CAP = 8
+TRACE_CHUNK = 64  # Taylor terms whose norms are taken in one call
 
 
 class CriteriaError(ValueError):
@@ -163,12 +169,30 @@ def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: 
     return RadialSample(d, _norms_sq(d), np.sum(wd_sq, axis=1), np.sum(wd_sq[:, :a_rows], axis=1))
 
 
-def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int) -> np.ndarray:
-    """Largest probe norm of each Taylor coefficient 0..degree of
-    (I - z A(z))^(-1) applied to the probes."""
-    j = h2.neumann_inverse(a, degree)
-    norms = np.linalg.norm(j.coeffs @ probes, axis=1)
-    return np.max(norms, axis=1) if norms.size else np.zeros(degree + 1)
+def _max_norms(blocks: np.ndarray) -> np.ndarray:
+    """Largest column norm of each block of a (count, dim, m) stack."""
+    return np.max(np.linalg.norm(blocks, axis=1), axis=1) if blocks.size else np.zeros(len(blocks))
+
+
+def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> np.ndarray:
+    """Largest probe norm of each Taylor coefficient of (I - z A(z))^(-1)
+    applied to the probes, through `degree` doubled while the verdict at
+    `tol` is inconclusive, up to TAYLOR_DEGREE_CAP * degree."""
+    terms = h2.resolvent_terms(a.coeffs, slice(None), probes)
+    trace = _max_norms(probes[None])
+    target, cap = degree, TAYLOR_DEGREE_CAP * degree
+    while True:
+        while len(trace) <= target:
+            chunk = np.stack(list(islice(terms, min(TRACE_CHUNK, target + 1 - len(trace)))))
+            trace = np.concatenate([trace, _max_norms(chunk)])
+        if target >= cap or taylor_verdict(trace, tol) != "inconclusive":
+            return trace
+        target *= 2
+
+
+def _isometry_tolerances(tol_int: float, tol_taylor: float, taylor_max: np.ndarray, degree: int, grid: int) -> dict:
+    return {"tol_int": tol_int, "tol_taylor": tol_taylor, "degree": degree, "degree_used": len(taylor_max) - 1,
+            "degree_cap": TAYLOR_DEGREE_CAP * degree, "grid": grid, "n_probes": N_PROBES, "seed": PROBE_SEED}
 
 
 def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
@@ -216,7 +240,7 @@ def radial_isometry_check(
         weighted_ladder.append(float((1.0 - rho) * np.max(np.mean(s.dn2, axis=0))))
         a_def = np.mean(s.dn2 - s.an2, axis=0)
         a_defect_dev.append(float(np.max(np.abs(a_def - nd2))))
-    taylor_max = taylor_trace(a, probes, degree)
+    taylor_max = taylor_trace(a, probes, degree, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(taylor_max, tol_taylor)
     verdict = combine_verdicts(v_ladder, v_taylor)
@@ -225,14 +249,7 @@ def radial_isometry_check(
         verdict=verdict,
         rho_ladder=list(zip(ladder, defect_ladder)),
         taylor_trace=list(enumerate(taylor_max)),
-        tolerances={
-            "tol_int": tol_int,
-            "tol_taylor": tol_taylor,
-            "degree": degree,
-            "grid": grid,
-            "n_probes": N_PROBES,
-            "seed": PROBE_SEED,
-        },
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, taylor_max, degree, grid),
         notes=f"defect ladder: {v_ladder}; taylor decay: {v_taylor}",
         extras={
             # the weighted resolvent ladder has an intrinsic (1-rho)||d||^2
@@ -362,7 +379,7 @@ def lifting_isometry_check(
         chain_residual = max(chain_residual, worst)
         # free this rung's grid-sized blocks before the next rung's solve
         del s, u_vals, r_vals, om_vals
-    taylor_max = taylor_trace(a, probes, degree)
+    taylor_max = taylor_trace(a, probes, degree, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(taylor_max, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"
@@ -373,14 +390,7 @@ def lifting_isometry_check(
         verdict=combine_verdicts(v_ladder, v_taylor),
         rho_ladder=list(zip(ladder, defect_ladder)),
         taylor_trace=list(enumerate(taylor_max)),
-        tolerances={
-            "tol_int": tol_int,
-            "tol_taylor": tol_taylor,
-            "degree": degree,
-            "grid": grid,
-            "n_probes": N_PROBES,
-            "seed": PROBE_SEED,
-        },
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, taylor_max, degree, grid),
         notes=notes,
         extras={"defect_chain_residual": chain_residual},
     )

@@ -1,24 +1,26 @@
 """Truncated Taylor series on the unit disc and their circle-grid numerics.
 
 A ``MatPoly`` is a matrix-valued polynomial sum(P_k z^k) standing in for
-an analytic operator function; a ``VecPoly`` is the vector-valued
-analogue.  Degrees and grid sizes are explicit everywhere: limits
-toward the boundary are replaced by evaluations on rho-circles, and a
-K-point uniform grid integrates trigonometric polynomials of degree
-< K exactly, so every Parseval-type statement below is exact once
-K >= 2*degree + 1.  A constant evaluates on a grid as a read-only
-broadcast of its one coefficient, with no FFT.
+an analytic operator function.  Degrees and grid sizes are explicit
+everywhere: limits toward the boundary are replaced by evaluations on
+rho-circles, and a K-point uniform grid integrates trigonometric
+polynomials of degree < K exactly, so every Parseval-type statement
+below is exact once K >= 2*degree + 1.  A constant evaluates on a grid
+as a read-only broadcast of its one coefficient, with no FFT.
 
-Series layer.  Every inverse goes through one kernel for
-(I - z S(z))^(-1): ``neumann_inverse`` hands it A, ``series_inverse``
-normalises P = P_0 (I - z S) once.  The kernel picks its algorithm by
-shape alone: for an S with `terms` coefficients of size dim x dim,
-inverted through `degree`, Newton doubling (Brent & Kung, "Fast
-algorithms for manipulating formal power series", JACM 1978) runs when
-min(terms, degree) >= NEWTON_TERMS_PER_DIM * dim, the convolution
-recursion otherwise.  ``polymul`` sums term by term unless both
-truncated factors have FFT_MIN_TERMS coefficients or more.  Measured
-on a 2-core Xeon at degree 1024, recursion / Newton in ms:
+Series layer.  The convolution recursion is written once, in
+``resolvent_terms``, which streams W (I - z A)^(-1) applied to a few
+columns; the criteria, ``clt.lift`` and the Hardy norms pull terms from
+it and never form d x d coefficients.  Dense inverses go through one
+kernel for (I - z S(z))^(-1): ``neumann_inverse`` hands it A,
+``series_inverse`` normalises P = P_0 (I - z S) once.  For an S with
+`terms` coefficients of size dim x dim, inverted through `degree`,
+Newton doubling (Brent & Kung, "Fast algorithms for manipulating formal
+power series", JACM 1978) runs when min(terms, degree) >=
+NEWTON_TERMS_PER_DIM * dim, the recursion on the identity otherwise.
+``polymul`` sums term by term unless both truncated factors have
+FFT_MIN_TERMS coefficients or more.  Measured on a 2-core Xeon at
+degree 1024, recursion / Newton in ms:
 
     dim  terms   recursion  Newton
       1      1       4.2      0.7
@@ -42,7 +44,9 @@ against 0.3 ms FFT at dim 1, 219 against 5.9 ms at dim 3.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -121,27 +125,6 @@ class MatPoly:
         return MatPoly(c.reshape(-1, 1, 1))
 
 
-@dataclass(frozen=True)
-class VecPoly:
-    """Vector-valued polynomial; coeffs[k] is the degree-k coefficient."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if c.ndim != 2:
-            raise H2Error("coeffs must have shape (degree+1, dim)")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
-
 def eval_circle_grid(p: MatPoly, rho: float, grid: int) -> np.ndarray:
     """Evaluate P at the nodes rho*exp(2*pi*i*k/grid), k = 0..grid-1.
 
@@ -215,14 +198,6 @@ def _fft_product(p_hat: np.ndarray, q_hat: np.ndarray, lo: int, hi: int) -> np.n
     return np.fft.ifft(p_hat @ q_hat, axis=0)[lo:hi]
 
 
-def apply_to_vector(p: MatPoly, d) -> VecPoly:
-    """The vector polynomial z -> P(z) d for a constant vector d."""
-    d = np.asarray(d, dtype=complex).reshape(-1)
-    if d.shape[0] != p.in_dim:
-        raise H2Error("vector dimension does not match")
-    return VecPoly(np.einsum("nij,j->ni", p.coeffs, d))
-
-
 def neumann_inverse(a: MatPoly, degree: int) -> MatPoly:
     """Expansion of (I - z*A(z))^(-1) through the requested degree.
 
@@ -232,21 +207,6 @@ def neumann_inverse(a: MatPoly, degree: int) -> MatPoly:
     if a.out_dim != a.in_dim:
         raise NotSquare("A(z) must be square")
     return MatPoly(_neumann_coeffs(a.coeffs, degree))
-
-
-def gamma_from_W(w: MatPoly, degree: int) -> MatPoly:
-    """B(z) (I - z A(z))^(-1) for W = [A; B] with the square A block on top."""
-    split = w.in_dim
-    if w.out_dim < split:
-        raise NotSquare("W has fewer rows than its square top block needs")
-    a, b = w.block_rows(split)
-    j = neumann_inverse(a, degree)
-    return polymul(b, j, degree)
-
-
-def hardy_norm_sq(v: VecPoly) -> float:
-    """Squared H^2 norm: the sum of squared coefficient norms."""
-    return float(np.sum(np.abs(v.coeffs) ** 2))
 
 
 def resolvent_apply_grid(a: MatPoly, d, rho: float, grid: int) -> np.ndarray:
@@ -386,15 +346,27 @@ def _neumann_coeffs(s: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients 0..degree of (I - z S(z))^(-1), s[k] = S_k."""
     if _newton_pays(s.shape[0], s.shape[1], degree):
         return _newton_inverse(s, degree)
-    dim = s.shape[1]
-    out = np.zeros((degree + 1, dim, dim), dtype=complex)
-    out[0] = np.eye(dim)
-    for n in range(1, degree + 1):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for k in range(1, min(n, s.shape[0]) + 1):
-            acc += s[k - 1] @ out[n - k]
-        out[n] = acc
-    return out
+    eye = np.eye(s.shape[1], dtype=complex)
+    return np.stack([eye, *islice(resolvent_terms(s, slice(None), eye), degree)])
+
+
+def resolvent_terms(w: np.ndarray, a_rows: slice, block):
+    """The endless coefficients Y_0, Y_1, ... of W (I - z A)^(-1) block.
+
+    w[j] = W_j, A = W[a_rows] is square, block is (dim, m) or a vector.
+    With X_0 = block and X_(n+1) = Y_n[a_rows], Y_n = sum over
+    j <= min(n, deg W) of W_j X_(n-j): the X_n are the coefficients of
+    (I - z A)^(-1) block, the other rows of Y_n those of B (I - z A)^(-1)
+    block.  Holds the last deg W + 1 X blocks; an empty w gives Y_n = 0.
+    """
+    block = np.asarray(block, dtype=complex)
+    history = deque([block], maxlen=max(w.shape[0], 1))
+    while True:
+        y = np.zeros(w.shape[1:2] + block.shape[1:], dtype=complex)
+        for wj, x in zip(w, history):
+            y += wj @ x
+        yield y
+        history.appendleft(y[a_rows])
 
 
 def _newton_inverse(s: np.ndarray, degree: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from liftlab import clt, h2, linalg
 from liftlab.h2 import MatPoly
 
-from conftest import random_contraction, random_isometry, random_unitary
+from conftest import contractive_matpoly, random_contraction, random_isometry, random_unitary
 
 
 def window_vectors(problem, rng, count):
@@ -308,6 +308,23 @@ class TestLift:
         got = lifting.residuals()
         for key, value in want.items():
             assert abs(got[key] - value) <= 1e-12, key
+
+    @pytest.mark.parametrize("degree", [8, 1024])
+    @pytest.mark.parametrize("r_degree", [0, 2])
+    def test_y_matches_the_gamma_oracle(self, rng, degree, r_degree):
+        # oracle: Gamma = B J with J = (I - zA)^(-1) as dense coefficients
+        p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
+        ld = clt.build_omega(p)
+        shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
+        r = contractive_matpoly(rng, *shape, r_degree, norm=0.9)
+        lifting = clt.lift(p, r, degree, ld=ld)
+        b, a = lifting.w.block_rows(ld.basis_tprime.dim)
+        gamma = h2.polymul(b, h2.neumann_inverse(a, degree), degree)
+        coords = ld.basis_x.columns.conj().T @ ld.d_x
+        series = h2.pad_coeffs(gamma, degree).coeffs @ coords
+        want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
+        assert lifting.y.shape == want.shape
+        assert np.max(np.abs(lifting.y - want)) <= 1e-12
 
     def test_residuals_memory_does_not_grow_with_lifted_dim_squared(self, rng):
         # at degree 1024 the lifted space has 2 + 2 * 1025 dimensions:

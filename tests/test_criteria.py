@@ -72,6 +72,49 @@ class TestRadialIsometry:
             assert (weighted == "pass") == (a_form == "pass")
 
 
+class TestTaylorTrace:
+    @pytest.mark.parametrize("dim, deg", [(1, 0), (4, 0), (3, 2), (2, 6)])
+    def test_matches_the_neumann_oracle(self, rng, dim, deg):
+        a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
+        probes = criteria.probe_matrix(dim)
+        n = 128
+        trace = criteria.taylor_trace(a, probes, n, criteria.TOL_TAYLOR)
+        j = h2.neumann_inverse(a, n)
+        want = np.max(np.linalg.norm(j.coeffs @ probes, axis=1), axis=1)
+        assert len(trace) >= n + 1
+        assert np.max(np.abs(trace[: n + 1] - want)) <= 1e-12
+
+    @staticmethod
+    def column(c: float) -> MatPoly:
+        """The isometric column [c; sqrt(1 - c^2)]: trace c^n, ladder 0."""
+        return MatPoly.constant([[c], [np.sqrt(1 - c**2)]])
+
+    def test_slow_decay_stays_inconclusive_at_the_cap(self):
+        # 0.9^n: the tail max is 0.034 of the head at degree 64 and still
+        # 1.9e-12 > tol at the cap, 8 * 64
+        rep = criteria.radial_isometry_check(self.column(0.9), grid=128, degree=64, tol_taylor=1e-13)
+        assert "taylor decay: inconclusive" in rep.notes
+        assert rep.verdict == "inconclusive"
+        assert rep.tolerances["degree"] == 64
+        assert rep.tolerances["degree_cap"] == rep.tolerances["degree_used"] == 8 * 64
+        assert len(rep.taylor_trace) == 8 * 64 + 1
+
+    def test_decaying_trace_stops_at_the_requested_degree(self):
+        for c in (0.5, 1.0):
+            rep = criteria.radial_isometry_check(self.column(c), grid=128, degree=64)
+            assert rep.verdict == ("pass" if c < 1 else "fail")
+            assert rep.tolerances["degree_used"] == 64
+            assert len(rep.taylor_trace) == 65
+
+    def test_doubling_stops_once_decided(self):
+        # 0.8^n is inconclusive at degrees 32 and 64 and below 1e-6 from 64 on
+        rep = criteria.radial_isometry_check(self.column(0.8), grid=128, degree=32)
+        assert rep.verdict == "pass"
+        assert rep.tolerances["degree_used"] == 128
+        trace = np.array([v for _, v in rep.taylor_trace])
+        np.testing.assert_allclose(trace, 0.8 ** np.arange(129), rtol=1e-12)
+
+
 class TestConstantSymbol:
     def test_stable_isometric_column_passes(self):
         rep = criteria.constant_symbol_check(np.array([[0.0], [1.0]]))
@@ -161,10 +204,10 @@ class TestLiftingIsometry:
         assert rep.verdict == "fail"
 
 
-def einsum_oracle(lifting, ladder, grid):
+def einsum_oracle(lifting, ladder, grid, degree):
     """The parameter defect ladder, the defect chain residual and the
-    Taylor trace of lifting_isometry_check, with every product written
-    as an einsum and every resolvent solved node by node."""
+    Taylor trace through `degree` of lifting_isometry_check, with every
+    product written as an einsum and every resolvent solved node by node."""
     ld, r, w = lifting.data, lifting.free_parameter, lifting.w
     r_prime = ld.basis_tprime.dim
     probes = criteria.probe_matrix(ld.defect_dim)
@@ -187,7 +230,7 @@ def einsum_oracle(lifting, ladder, grid):
         e1 = norms_sq(d) - norms_sq(np.einsum("nij,njm->nim", w_vals, d))
         e2 = norms_sq(d) - norms_sq(np.einsum("ij,njm->nim", ld.omega_bar, d)) - norms_sq(ru)
         residual = max(residual, float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term))))
-    j = h2.neumann_inverse(MatPoly(w.coeffs[:, r_prime:]), lifting.minimal.degree)
+    j = h2.neumann_inverse(MatPoly(w.coeffs[:, r_prime:]), degree)
     taylor = np.max(np.linalg.norm(np.einsum("nij,jm->nim", j.coeffs, probes), axis=1), axis=1)
     return ladder_values, residual, taylor
 
@@ -206,7 +249,8 @@ class TestLiftingIsometryOracle:
         lifting = clt.lift(p, r, 64, ld=ld)
         ladder, grid = (0.9, 0.99), 128
         rep = criteria.lifting_isometry_check(lifting, ladder=ladder, grid=grid)
-        want_ladder, want_residual, want_taylor = einsum_oracle(lifting, ladder, grid)
+        assert rep.tolerances["degree"] == 64
+        want_ladder, want_residual, want_taylor = einsum_oracle(lifting, ladder, grid, rep.tolerances["degree_used"])
         assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
         assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
         assert np.max(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor)) <= 1e-12

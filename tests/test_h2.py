@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import h2, linalg
-from liftlab.h2 import MatPoly, VecPoly
+from itertools import islice
+
+from liftlab import cli, h2, linalg
+from liftlab.h2 import MatPoly
 
 from conftest import contractive_matpoly, random_matpoly, random_unitary
 
@@ -102,36 +104,74 @@ class TestNeumannInverse:
             assert np.max(np.abs(residual)) <= 1e-12
 
 
+def stream(w: MatPoly, a_rows: slice, block, count: int) -> np.ndarray:
+    """The first `count` terms of h2.resolvent_terms, stacked."""
+    return np.stack(list(islice(h2.resolvent_terms(w.coeffs, a_rows, block), count)))
+
+
+def gamma_terms(w: MatPoly, block, count: int) -> np.ndarray:
+    """Coefficients of B (I - zA)^(-1) block for W = [A; B]."""
+    return stream(w, slice(0, w.in_dim), block, count)[:, w.in_dim :]
+
+
+class TestResolventTerms:
+    """The streamed recursion against a neumann_inverse oracle."""
+
+    @pytest.mark.parametrize("dim, deg, m", [(1, 0, 1), (3, 0, 5), (3, 2, 2), (4, 5, 7)])
+    @pytest.mark.parametrize("a_on_top", [True, False])
+    def test_matches_the_neumann_oracle(self, rng, dim, deg, m, a_on_top):
+        a = contractive_matpoly(rng, dim, dim, deg, norm=0.9)
+        b = random_matpoly(rng, 2, dim, deg)
+        block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+        n = 96
+        j = h2.neumann_inverse(a, n).coeffs @ block
+        gamma = h2.polymul(b, MatPoly(j), n).coeffs
+        if a_on_top:
+            w, a_rows, b_rows = h2.vstack_polys(a, b), slice(0, dim), slice(dim, None)
+        else:
+            w, a_rows, b_rows = h2.vstack_polys(b, a), slice(2, None), slice(0, 2)
+        got = stream(w, a_rows, block, n + 1)
+        assert got.shape == (n + 1, dim + 2, m)
+        # Y_n[a_rows] = X_(n+1), the next coefficient of (I - zA)^(-1) block
+        assert np.max(np.abs(got[:-1, a_rows] - j[1:])) <= 1e-12
+        assert np.max(np.abs(got[:, b_rows] - gamma)) <= 1e-12
+
+    def test_vector_block(self, rng):
+        a = contractive_matpoly(rng, 3, 3, 1, norm=0.9)
+        d = rng.standard_normal(3)
+        got = stream(a, slice(None), d, 33)
+        assert got.shape == (33, 3)
+        assert np.max(np.abs(got - stream(a, slice(None), d[:, None], 33)[..., 0])) == 0
+
+
 class TestGamma:
     def test_constant_isometry_column(self):
-        w = MatPoly.constant([[0.0], [1.0]])
-        g = h2.gamma_from_W(w, 6)
-        np.testing.assert_allclose(g.coeffs[0], [[1.0]], atol=1e-15)
-        assert np.linalg.norm(g.coeffs[1:].ravel()) == 0
+        g = gamma_terms(MatPoly.constant([[0.0], [1.0]]), [1.0], 7)
+        np.testing.assert_allclose(g[0], [1.0], atol=1e-15)
+        assert np.linalg.norm(g[1:].ravel()) == 0
 
     def test_scalar_half_geometric(self):
         w = MatPoly.constant([[0.5], [0.5]])
-        g = h2.gamma_from_W(w, 64)
-        expected = 0.5 ** (np.arange(65) + 1)
-        np.testing.assert_allclose(g.coeffs[:, 0, 0], expected, atol=1e-15)
-        gd = h2.apply_to_vector(g, [1.0])
-        assert abs(h2.hardy_norm_sq(gd) - 1.0 / 3.0) <= 1e-9
+        g = gamma_terms(w, [1.0], 65)
+        np.testing.assert_allclose(g[:, 0], 0.5 ** (np.arange(65) + 1), atol=1e-15)
+        assert abs(cli.gamma_norms_sq(w, [1.0], 64) - 1.0 / 3.0) <= 1e-9
 
     def test_zero_bottom_block(self, rng):
         a = contractive_matpoly(rng, 2, 2, 2, norm=0.8)
         w = h2.vstack_polys(a, MatPoly.zero(1, 2, a.degree))
-        g = h2.gamma_from_W(w, 16)
-        assert np.max(np.abs(g.coeffs)) <= 1e-14
+        assert np.max(np.abs(gamma_terms(w, np.eye(2), 17))) <= 1e-14
 
 
 class TestHardyNorm:
     def test_constant(self):
-        v = VecPoly(np.array([[3.0, 4.0]], dtype=complex))
-        assert h2.hardy_norm_sq(v) == pytest.approx(25.0)
+        # A = 0 and B = [3; 4]: Gamma d is the constant (3, 4)
+        w = MatPoly.constant([[0.0], [3.0], [4.0]])
+        assert cli.gamma_norms_sq(w, [1.0], 8) == pytest.approx(25.0)
 
     def test_orthonormal_coefficients(self):
-        v = VecPoly(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex))
-        assert h2.hardy_norm_sq(v) == pytest.approx(2.0)
+        # A = 0 and B(z) = e_1 + e_2 z: two orthonormal coefficients
+        w = MatPoly(np.array([[[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]]]))
+        assert cli.gamma_norms_sq(w, [1.0], 8) == pytest.approx(2.0)
 
 
 class TestResolventGrid:
@@ -322,13 +362,11 @@ class TestRadialChainIdentities:
     def test_coefficient_tail_bound(self, rng):
         # partial sums of the output coefficients never exceed the input norm
         w = contractive_matpoly(rng, 4, 2, 3, norm=0.95)
-        a, _ = w.block_rows(2)
         n = 64
-        g = h2.gamma_from_W(w, n)
-        j = h2.neumann_inverse(a, n)
         d = rng.standard_normal(2)
-        dn = np.einsum("nij,j->ni", j.coeffs, d)
-        gn = np.einsum("nij,j->ni", g.coeffs, d)
+        terms = stream(w, slice(0, 2), d, n + 1)
+        dn = np.concatenate([d[None], terms[:-1, :2]])
+        gn = terms[:, 2:]
         nd2 = np.sum(np.abs(d) ** 2)
         for k in range(1, n + 1):
             lhs = np.sum(np.abs(dn[k]) ** 2) + np.sum(np.abs(gn[:k]) ** 2)
@@ -391,6 +429,12 @@ def well_conditioned_series(rng, dim, terms):
 class TestSeriesKernel:
     """series_inverse, neumann_inverse and polymul on both sides of the
     measured crossovers."""
+
+    def test_constant_polynomial_inverts_to_a_constant(self):
+        q = h2.series_inverse(MatPoly.constant(2.0 * np.eye(3)), 6)
+        assert q.degree == 6
+        np.testing.assert_array_equal(q.coeffs[0], 0.5 * np.eye(3))
+        assert not np.any(q.coeffs[1:])
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([1, 2, 3]),

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from liftlab import bimodel, cli, clt, coiso, criteria, h2, linalg, serialize
+from liftlab.h2 import MatPoly
 
 from test_bimodel import oracle_verdict, shift_symbol
 from test_cli import COMMANDS
@@ -48,6 +49,8 @@ def test_every_layer_records_a_span(tmp_path, rng, monkeypatch):
         # verify_bi_isometry draws no vectors: random_vector and apply_W
         # are called by the randomized oracle the bimodel tests keep
         assert oracle_verdict(bimodel.build_model(shift_symbol(1), grid=16, degree=4)) == "pass"
+        # the commands stream their series; the dense inverse serves Herglotz data
+        h2.herglotz_from_A(MatPoly.constant([[0.5]]), 8)
     assert h2.resolvent_apply_grid is original
     spanned = {name for name, *_ in tracer.spans}
     assert {layer.name for layer in layertrace.LAYERS} <= spanned
