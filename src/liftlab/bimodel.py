@@ -70,12 +70,15 @@ class ModelVector:
         object.__setattr__(self, "g", np.asarray(self.g, dtype=complex))
 
 
-def build_model(theta: MatPoly, grid: int, degree: int, tol: float = 1e-9) -> ThetaModel:
+def build_model(theta: MatPoly, grid: int, degree: int) -> ThetaModel:
     """Sample the symbol and its defect on the circle grid.
 
     The grid must resolve quadratic quantities of the truncation
     (grid >= 2*(degree + deg theta) + 1), so that coefficient norms and
     grid means agree exactly and the isometry identities are exact.
+    The symbol must be contractive on the grid within CLASSIFY_TOL; the
+    range projector of each node's defect keeps the eigenvalues that
+    ``linalg.rank_mask`` keeps.
     """
     if theta.out_dim != theta.in_dim:
         raise BimodelError("model symbol must be square")
@@ -84,11 +87,11 @@ def build_model(theta: MatPoly, grid: int, degree: int, tol: float = 1e-9) -> Th
         raise BimodelError(f"grid {grid} too coarse for degree {degree}: need {need}")
     vals = h2.eval_circle_grid(theta, 1.0, grid)
     sup = np.linalg.norm(vals, 2, axis=(1, 2)).max()
-    if sup > 1.0 + tol:
+    if sup > 1.0 + linalg.CLASSIFY_TOL:
         raise NotContractiveOnGrid(f"symbol grid norm {sup:.6g} exceeds 1 + tol")
     delta = linalg.defect_batch(vals)
     w, v = np.linalg.eigh(delta)
-    keep = w > linalg.RANK_TOL
+    keep = linalg.rank_mask(w)
     proj = (v * keep[:, None, :]) @ linalg.adjoint_batch(v)
     return ThetaModel(theta, grid, degree, vals, delta, proj)
 
@@ -194,8 +197,9 @@ def verify_bi_isometry(model: ThetaModel) -> CriterionReport:
     defect feed Delta f-hat must lie in the range of Delta, which
     r2 = max_z ||Delta(z) - P(z) Delta(z)||_2 measures, P(z) being the
     stored range projector.  defect_batch zeroes the eigenvalues of
-    I - Theta* Theta below 1e-13, so every nonzero eigenvalue of Delta
-    is at least sqrt(1e-13) > RANK_TOL and r2 reads rounding unless P
+    I - Theta* Theta below DEFECT_FLOOR = 1e-13, so every nonzero
+    eigenvalue of Delta is at least sqrt(1e-13), above the cut of
+    ``linalg.rank_mask`` that P keeps, and r2 reads rounding unless P
     and Delta disagree.  The verdict passes iff r1 and r2 are both at
     most 1e-10.
     """

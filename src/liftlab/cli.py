@@ -4,15 +4,16 @@ Subcommands: `examples` replays the bundled worked scenarios and exits
 0 iff every expected verdict and value matched; `lift` runs the full
 lifting pipeline on a problem file plus a free-parameter file;
 `bimodel`, `coiso`, and `dims` delegate to the respective modules.
-`--seed` seeds only `examples` and `coiso`: it draws the random problems
-of the `examples` scenarios that use any (prop4_6), and `coiso` with a
-nonzero seed twists the extension's fills by random unitaries, while
+Each subcommand takes only the flags it reads (``COMMANDS``); any
+other flag is a usage error.  `--seed` draws the random problems of the
+`examples` scenarios that use any (prop4_6), and `coiso` with a nonzero
+seed twists the extension's fills by random unitaries, while
 `coiso --seed 0` (the default) builds the basis-aligned extension.
 `bimodel` draws nothing: its verdict is read off pointwise identities
-of the symbol, so its report does not depend on the seed.
-`--degree` and `--grid` take integers of at least 1; each command has
-its own default for the flag left out, and the report's `config`
-records null for it.
+of the symbol.  `--degree` and `--grid` take integers of at least 1;
+each command has its own default for the flag left out, and the
+report's `config` records null for it.  The `config` echo lists every
+RunConfig field, at its default where the command takes no such flag.
 Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
@@ -87,6 +88,27 @@ def _given(value, default):
     return default if value is None else value
 
 
+FLAG_OPTIONS = {
+    "out": {"help": "write the JSON report here"},
+    "csv": {"help": "prefix for ladder/trace CSV files"},
+    "degree": {"type": positive_int, "help": "truncation degree"},
+    "grid": {"type": positive_int, "help": "circle grid size"},
+    "ladder": {"type": parse_ladder, "default": criteria.DEFAULT_LADDER},
+    "tol-int": {"type": float, "default": criteria.TOL_INT},
+    "tol-taylor": {"type": float, "default": criteria.TOL_TAYLOR},
+    "seed": {"type": int, "default": 0},
+}
+# subcommand: (help, help of its --input file, the flags it reads and takes)
+COMMANDS = {
+    "examples": ("replay a bundled worked scenario", None, tuple(FLAG_OPTIONS)),
+    "lift": ("run the lifting pipeline on a problem file", "problem JSON",
+             ("out", "csv", "degree", "grid", "ladder", "tol-int", "tol-taylor")),
+    "bimodel": ("verify the two-isometry model for a symbol", "symbol polynomial JSON", ("out", "degree", "grid")),
+    "coiso": ("test and build a coisometric extension", "extension problem JSON", ("out", "seed")),
+    "dims": ("kernel/defect dimension report for a problem", "problem JSON", ("out",)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -95,55 +117,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"liftlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--csv", help="prefix for ladder/trace CSV files")
-        p.add_argument("--degree", type=positive_int, help="truncation degree")
-        p.add_argument("--grid", type=positive_int, help="circle grid size")
-        p.add_argument("--ladder", type=parse_ladder, default=criteria.DEFAULT_LADDER)
-        p.add_argument("--tol-int", type=float, default=criteria.TOL_INT)
-        p.add_argument("--tol-taylor", type=float, default=criteria.TOL_TAYLOR)
-        p.add_argument("--seed", type=int, default=0)
-
-    p_ex = sub.add_parser("examples", help="replay a bundled worked scenario")
-    p_ex.add_argument("scenario", choices=SCENARIOS)
-    common(p_ex)
-
-    p_lift = sub.add_parser("lift", help="run the lifting pipeline on a problem file")
-    p_lift.add_argument("--input", required=True, help="problem JSON")
-    p_lift.add_argument("--schur", help="free-parameter polynomial JSON (default zero)")
-    common(p_lift)
-
-    p_bi = sub.add_parser("bimodel", help="verify the two-isometry model for a symbol")
-    p_bi.add_argument("--input", required=True, help="symbol polynomial JSON")
-    common(p_bi)
-
-    p_co = sub.add_parser("coiso", help="test and build a coisometric extension")
-    p_co.add_argument("--input", required=True, help="extension problem JSON")
-    common(p_co)
-
-    p_dims = sub.add_parser("dims", help="kernel/defect dimension report for a problem")
-    p_dims.add_argument("--input", required=True, help="problem JSON")
-    common(p_dims)
+    for name, (help_text, input_help, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if input_help is None:
+            p.add_argument("scenario", choices=SCENARIOS)
+        else:
+            p.add_argument("--input", required=True, help=input_help)
+        if name == "lift":
+            p.add_argument("--schur", help="free-parameter polynomial JSON (default zero)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAG_OPTIONS[flag])
     return parser
 
 
 def config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        scenario=getattr(args, "scenario", None),
-        input=getattr(args, "input", None),
-        schur=getattr(args, "schur", None),
-        out=args.out,
-        csv=args.csv,
-        degree=args.degree,
-        grid=args.grid,
-        ladder=args.ladder,
-        tol_int=args.tol_int,
-        tol_taylor=args.tol_taylor,
-        seed=args.seed,
-    )
+    """Every parsed value lands in the RunConfig field of its name; a
+    flag the command does not take keeps the field's default."""
+    return RunConfig(**vars(args))
 
 
 def _load_json(path: str):

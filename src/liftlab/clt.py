@@ -10,7 +10,10 @@ lifting Y = [X; Gamma(.) D_X] of X into the minimal isometric lifting
 space of T'.
 
 All defect-space quantities are stored in orthonormal coordinate bases
-of the numerical ranges of D_X and D_{T'}.  ``lift`` streams the rows
+of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
+of those ranges, of the coupling's kernels and inside its
+pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
+inverts exactly what the kernels leave out.  ``lift`` streams the rows
 Gamma_n D_X of Y straight into Y; no coefficient of Gamma is stored.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
@@ -26,14 +29,16 @@ being no larger than D_X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import h2, linalg
 from .h2 import MatPoly
-from .linalg import RANK_TOL, SubspaceBasis
+from .linalg import SubspaceBasis
+
+TOL = 1e-8  # default tolerance for contractivity, window isometry and intertwining
 
 
 class CLTError(ValueError):
@@ -163,7 +168,7 @@ class CLTProblem:
     t: OperatorSpec
     t_prime: np.ndarray
     x: np.ndarray
-    tol: float = 1e-8
+    tol: float = TOL
     window_override: int | None = None
 
     @cached_property
@@ -175,7 +180,7 @@ class CLTProblem:
         return self.window_override if self.window_override is not None else self.t.window_dim
 
 
-def build_problem(t, t_prime, x, tol: float = 1e-8, window: int | None = None) -> CLTProblem:
+def build_problem(t, t_prime, x, tol: float = TOL, window: int | None = None) -> CLTProblem:
     """Validate shapes, contractivity, window isometry and intertwining.
 
     `window` overrides the window dimension derived from the operator
@@ -233,7 +238,7 @@ def minimal_isometric_lifting(
     t_prime,
     degree: int,
     basis: SubspaceBasis | None = None,
-    tol: float = 1e-8,
+    tol: float = TOL,
 ) -> MinimalLifting:
     """U'(h' + f) = T'h' + (D_{T'}h' shifted into the series slots).
 
@@ -267,19 +272,21 @@ class LiftingData:
         return self.basis_x.dim
 
 
-def build_omega(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
+def build_omega(p: CLTProblem) -> LiftingData:
     """Definitional construction of the coupling partial isometry.
 
     Solves D_X T h -> D_{T'} X h + D_X h on the window and extends by
-    zero on the orthogonal complement of the closure of D_X T H.
+    zero on the orthogonal complement of the closure of D_X T H.  The
+    pseudo-inverse of g = D_X T (window columns, D_X coordinates) and
+    the kernel of g* share the rank_mask rank, so rank Omega + dim ker
+    Omega is the defect dimension r and Omega is a partial isometry.
     """
     tm = p.t_matrix
     k = p.window_dim
     d_x = linalg.defect(p.x, p.tol)
     d_tp = linalg.defect(p.t_prime, p.tol)
-    qx = linalg.range_basis(d_x, rank_tol)
-    qp = linalg.range_basis(d_tp, rank_tol)
-    r, r_prime = qx.dim, qp.dim
+    qx = linalg.range_basis(d_x)
+    qp = linalg.range_basis(d_tp)
     g = (qx.columns.conj().T @ d_x @ tm)[:, :k]
     v = np.vstack(
         [
@@ -287,42 +294,31 @@ def build_omega(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
             (qx.columns.conj().T @ d_x)[:, :k],
         ]
     )
-    if r:
-        omega = v @ np.linalg.pinv(g, rcond=rank_tol)
-    else:
-        omega = np.zeros((r_prime, 0), dtype=complex)
-    ker = linalg.kernel_basis(g.conj().T, rank_tol) if r else SubspaceBasis.empty(0)
-    ker_star = linalg.kernel_basis(v.conj().T, rank_tol)
+    omega = v @ linalg.pinv(g)
+    ker = linalg.kernel_basis(g.conj().T)
+    ker_star = linalg.kernel_basis(v.conj().T)
     return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
 
 
-def _hermitian_pinv(h: np.ndarray, rank_tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(linalg.hermitian_part(h))
-    cut = rank_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    inv = np.where(np.abs(w) > cut, 1.0 / np.where(np.abs(w) > cut, w, 1.0), 0.0)
-    return (v * inv) @ v.conj().T
-
-
-def build_omega_explicit(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingData:
+def build_omega_explicit(p: CLTProblem) -> LiftingData:
     """Closed-form coupling for invertible D_X.
 
     Uses D_X T (T* D_X^2 T)^+ T* D_X and companions; the pseudo-inverse
     (rather than a plain inverse) also covers truncated shifts, whose
     dropped top degree makes T* D_X^2 T singular while leaving the
     window action intact.  The partial-isometry property is verified.
+    D_X counts as invertible when rank_mask keeps all its singular values.
     """
     tm = p.t_matrix
     d_x = linalg.defect(p.x, p.tol)
     d_tp = linalg.defect(p.t_prime, p.tol)
-    smin = float(np.min(np.linalg.eigvalsh(linalg.hermitian_part(d_x))))
-    if smin < rank_tol:
-        raise DefectSingular(f"smallest singular value of D_X is {smin:.3e}")
-    core = _hermitian_pinv(tm.conj().T @ d_x @ d_x @ tm, rank_tol)
-    reach = core @ tm.conj().T @ d_x
+    qx = linalg.range_basis(d_x)
+    if qx.dim < d_x.shape[0]:
+        raise DefectSingular(f"D_X has numerical rank {qx.dim} < {d_x.shape[0]}")
+    qp = linalg.range_basis(d_tp)
+    reach = linalg.pinv(tm.conj().T @ d_x @ d_x @ tm) @ tm.conj().T @ d_x
     omega_full_matrix = np.vstack([d_tp @ p.x @ reach, d_x @ reach])
     omsq = d_x @ tm @ reach
-    qx = linalg.range_basis(d_x, rank_tol)
-    qp = linalg.range_basis(d_tp, rank_tol)
     hp_dim = p.t_prime.shape[0]
     omega = np.vstack(
         [
@@ -336,8 +332,8 @@ def build_omega_explicit(p: CLTProblem, rank_tol: float = RANK_TOL) -> LiftingDa
     prod = qx.columns.conj().T @ omsq @ qx.columns
     if np.linalg.norm(prod - omega.conj().T @ omega, 2) > 1e-8:
         raise CLTError("coupling gram formula disagrees with the assembled operator")
-    ker = linalg.kernel_basis(omega, rank_tol)
-    ker_star = linalg.kernel_basis(omega.conj().T, rank_tol)
+    ker = linalg.kernel_basis(omega)
+    ker_star = linalg.kernel_basis(omega.conj().T)
     return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
 
 
@@ -350,12 +346,12 @@ def omega_full(ld: LiftingData) -> np.ndarray:
     return np.vstack([top, bottom]) @ qx.conj().T
 
 
-def assemble_schur_W(ld: LiftingData, r: MatPoly | None, tol: float = 1e-8) -> MatPoly:
+def assemble_schur_W(ld: LiftingData, r: MatPoly | None) -> MatPoly:
     """Extend the coupling by a free contractive parameter on its kernel.
 
     W(z) agrees with the coupling on the orthogonal complement of its
     kernel and acts as ker -> ker* through r(z); the result is checked
-    to be contractive on a circle grid.
+    to be contractive, within TOL, on a circle grid.
     """
     k, k_star = ld.ker_omega.dim, ld.ker_omega_star.dim
     if r is None:
@@ -371,7 +367,7 @@ def assemble_schur_W(ld: LiftingData, r: MatPoly | None, tol: float = 1e-8) -> M
         grid = max(64, 2 * w.degree + 1) if w.degree else 1  # a constant: one node
         vals = h2.eval_circle_grid(w, 1.0, grid)
         sup = max(np.linalg.norm(v, 2) for v in vals)
-        if sup > 1.0 + tol:
+        if sup > 1.0 + TOL:
             raise NotContractiveOnGrid(f"grid sup norm {sup:.6g} exceeds 1 + tol")
     return w
 
@@ -457,19 +453,14 @@ class DimsReport:
 
     def to_dict(self) -> dict:
         return {
-            "dim_ker": self.dim_ker,
-            "dim_ker_star": self.dim_ker_star,
-            "dim_defect_tprime": self.dim_defect_tprime,
-            "dim_defect_tstar": self.dim_defect_tstar,
-            "dim_meet_left": self.dim_meet_left,
-            "dim_meet_right": self.dim_meet_right,
+            **asdict(self),
             "kernel_inequality": self.kernel_inequality,
             "defect_inequality": self.defect_inequality,
             "meet_inequality": self.meet_inequality,
         }
 
 
-def dims_report(ld: LiftingData, p: CLTProblem, rank_tol: float = RANK_TOL) -> DimsReport:
+def dims_report(ld: LiftingData, p: CLTProblem) -> DimsReport:
     """Dimension counts behind the lifting obstructions.
 
     meet_left / meet_right are the dimensions of range D_X meet
@@ -479,12 +470,9 @@ def dims_report(ld: LiftingData, p: CLTProblem, rank_tol: float = RANK_TOL) -> D
     tm = p.t_matrix
     d_tstar = linalg.defect_adjoint(tm, max(p.tol, 1e-6))
     d_xstar = linalg.defect_adjoint(p.x, p.tol)
-    rng_tstar = linalg.range_basis(d_tstar, rank_tol)
-    rng_xstar = linalg.range_basis(d_xstar, rank_tol)
-    left = linalg.subspace_intersection(linalg.range_basis(ld.d_x, rank_tol), rng_tstar, rank_tol)
-    right = linalg.subspace_intersection(
-        linalg.range_basis(ld.d_tprime, rank_tol), rng_xstar, rank_tol
-    )
+    rng_tstar = linalg.range_basis(d_tstar)
+    left = linalg.subspace_intersection(ld.basis_x, rng_tstar)
+    right = linalg.subspace_intersection(ld.basis_tprime, linalg.range_basis(d_xstar))
     return DimsReport(
         dim_ker=ld.ker_omega.dim,
         dim_ker_star=ld.ker_omega_star.dim,
@@ -501,7 +489,7 @@ def shift_intertwining_problem(
     degree: int,
     t_prime,
     x_norm: float = 0.9,
-    tol: float = 1e-8,
+    tol: float = TOL,
 ) -> CLTProblem:
     """Random valid problem with a truncated-shift T.
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import RANK_TOL, SubspaceBasis
+from .linalg import SubspaceBasis
 
 
 class CoisoError(ValueError):
@@ -53,7 +53,7 @@ class ExtensionProblem:
             )
         if linalg.operator_norm(c) > 1.0 + self.tol:
             raise CoisoError("C is not a contraction")
-        if self.m.dim and linalg.range_basis(c, RANK_TOL).dim < self.m.dim:
+        if self.m.dim and linalg.range_basis(c).dim < self.m.dim:
             raise NotDenseRange("C does not have full numerical rank onto M")
 
 
@@ -84,7 +84,7 @@ def can_extend(p: ExtensionProblem) -> ExtensionFeasibility:
     room = p.h_prime_dim - p.m_prime.dim
     complement = p.h_dim - p.m.dim
     dcs = linalg.defect_adjoint(p.c, p.tol)
-    rank_dcs = linalg.range_basis(dcs, RANK_TOL).dim
+    rank_dcs = linalg.range_basis(dcs).dim
     return ExtensionFeasibility(room >= complement + rank_dcs, room, complement, rank_dcs)
 
 
@@ -106,7 +106,7 @@ def build_extension(p: ExtensionProblem, rng: np.random.Generator | None = None)
     m_perp = linalg.orth_complement(p.m)
     mp_perp = linalg.orth_complement(p.m_prime)
     dcs = linalg.defect_adjoint(p.c, p.tol)
-    e = linalg.range_basis(dcs, RANK_TOL)
+    e = linalg.range_basis(dcs)
     q = e.dim
     y_dim = m_perp.dim
     x_cols = mp_perp.columns[:, :q]

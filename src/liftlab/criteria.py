@@ -57,6 +57,10 @@ PROBE_SEED = 1
 # a Taylor trace is extended by doubling up to this multiple of its degree
 TAYLOR_DEGREE_CAP = 8
 TRACE_CHUNK = 64  # Taylor terms whose norms are taken in one call
+LADDER_SLACK = 1e-9  # relative rise a monotone ladder may show between rungs
+# terms of the power-norm traces and backward orbits of the constant-symbol
+# and obstruction checks
+POWER_TERMS = 64
 
 
 class CriteriaError(ValueError):
@@ -89,7 +93,7 @@ class CriterionReport:
         }
 
 
-def ladder_verdict(values, tol: float, slack: float = 1e-9) -> str:
+def ladder_verdict(values, tol: float) -> str:
     """Final rung below threshold plus monotone decrease is a pass; a
     final rung at or above threshold is a fail (whatever the shape); a
     non-monotone ladder that still ends below threshold is inconclusive."""
@@ -98,7 +102,7 @@ def ladder_verdict(values, tol: float, slack: float = 1e-9) -> str:
         return "pass"
     if vals[-1] >= tol:
         return "fail"
-    mono = all(b <= a + slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
+    mono = all(b <= a + LADDER_SLACK * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
     return "pass" if mono else "inconclusive"
 
 
@@ -263,9 +267,11 @@ def radial_isometry_check(
     )
 
 
-def constant_symbol_check(w0, tol: float = linalg.CLASSIFY_TOL, trace_len: int = 64) -> CriterionReport:
+def constant_symbol_check(w0) -> CriterionReport:
     """Constant-symbol special case: pass iff the block column is an
-    isometry and its square top block has spectral radius below one."""
+    isometry and its square top block has spectral radius below one,
+    both within CLASSIFY_TOL."""
+    tol = linalg.CLASSIFY_TOL
     m = linalg.as_matrix(w0)
     a0 = m[: m.shape[1], :]
     classes = linalg.classify(m, tol)
@@ -274,7 +280,7 @@ def constant_symbol_check(w0, tol: float = linalg.CLASSIFY_TOL, trace_len: int =
     stable = rho_a < 1.0 - tol
     powers = []
     p = np.eye(a0.shape[0], dtype=complex)
-    for n in range(trace_len):
+    for n in range(POWER_TERMS):
         powers.append((n, float(np.linalg.norm(p, 2))))
         p = p @ a0
     parts = []
@@ -396,22 +402,19 @@ def lifting_isometry_check(
     )
 
 
-def obstruction_search(
-    ld: LiftingData,
-    r0,
-    n_max: int = 64,
-    tol: float = linalg.CLASSIFY_TOL,
-) -> CriterionReport:
+def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
     """Search for a bounded backward orbit obstructing isometric lifting.
 
     For a constant isometric parameter, the adjoint of the assembled
     symbol's top block admits a bounded nonzero backward orbit exactly
     when it has a unimodular eigenvalue; such an orbit rules out an
     isometric lifting, so a found witness is a fail verdict and an
-    empty search is a pass.
+    empty search is a pass.  Eigenvalues count as unimodular within
+    CLASSIFY_TOL, and orbits are traced for POWER_TERMS steps.
     """
+    tol, n_max = linalg.CLASSIFY_TOL, POWER_TERMS
     r0 = linalg.as_matrix(r0)
-    if r0.size and "isometry" not in linalg.classify(r0, max(tol, 1e-8)):
+    if r0.size and "isometry" not in linalg.classify(r0, 1e-8):
         raise NotIsometricR0("the constant free parameter must be isometric")
     if (r0.shape[0], r0.shape[1]) != (ld.ker_omega_star.dim, ld.ker_omega.dim):
         raise NotIsometricR0("free parameter does not match the kernel shapes")

@@ -438,11 +438,11 @@ class OuterResult:
     log_coeffs: np.ndarray = field(default=None, repr=False)
 
 
-def outer_from_boundary_modulus(samples, degree: int, floor: float = LOG_FLOOR) -> OuterResult:
+def outer_from_boundary_modulus(samples, degree: int) -> OuterResult:
     """Outer function b with |b| matching the given boundary samples.
 
     samples are nonnegative values of the target modulus on the uniform
-    K-point grid.  Values below ``floor`` are clamped (and counted) so
+    K-point grid.  Values below LOG_FLOOR are clamped (and counted) so
     the log stays integrable.  b(0) = exp(mean log m) > 0, and with
     degree >= K/2 the grid moduli are reproduced to rounding.
     """
@@ -450,10 +450,10 @@ def outer_from_boundary_modulus(samples, degree: int, floor: float = LOG_FLOOR) 
     if np.any(m < 0):
         raise H2Error("boundary modulus samples must be nonnegative")
     grid = m.shape[0]
-    clamped = int(np.sum(m < floor))
+    clamped = int(np.sum(m < LOG_FLOOR))
     if clamped == grid:
         raise AllZeroModulus("every sample is below the clamping floor")
-    m = np.maximum(m, floor)
+    m = np.maximum(m, LOG_FLOOR)
     hat = np.fft.fft(np.log(m)) / grid
     half = grid // 2
     l = np.zeros(degree + 1, dtype=complex)

@@ -1,10 +1,17 @@
 """Dense complex linear algebra with tolerance-aware classification.
 
 Everything operates on plain complex ``numpy`` arrays.  Matrices are
-immutable by convention (no function mutates its inputs) and all
-decisions that depend on floating point noise take an explicit
-tolerance, with library-wide defaults ``CLASSIFY_TOL`` for operator
-classification and ``RANK_TOL`` for numerical rank.
+immutable by convention (no function mutates its inputs).  Operator
+classification takes a tolerance, by default ``CLASSIFY_TOL``.
+
+Two decisions about floating point noise are made in one place each:
+
+* the rank rule: ``rank_mask`` keeps a singular value (or an eigenvalue
+  of a positive semidefinite matrix) iff it is at least
+  ``RANK_TOL * max(1, largest)``.  ``kernel_basis``, ``range_basis`` and
+  ``pinv`` cut there, and so does every numerical rank in the package;
+* the clamp: ``defect_batch`` zeroes the eigenvalues of I - M*M below
+  ``DEFECT_FLOOR`` before the square root, for one matrix or a stack.
 """
 
 from __future__ import annotations
@@ -15,6 +22,9 @@ import numpy as np
 
 CLASSIFY_TOL = 1e-9
 RANK_TOL = 1e-7
+# eigenvalues of I - M*M below this are zeroed: sqrt would amplify 1e-16
+# noise to 1e-8, and the defect of an exact isometry would not vanish
+DEFECT_FLOOR = 1e-13
 
 
 class LinalgError(ValueError):
@@ -55,28 +65,6 @@ def spectral_radius(m) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def hermitian_part(m) -> np.ndarray:
-    a = as_matrix(m)
-    return 0.5 * (a + a.conj().T)
-
-
-def psd_sqrt(h) -> np.ndarray:
-    """Square root of a Hermitian matrix, clamping negative eigenvalues at 0.
-
-    Eigenvalues below rounding noise (1e-13 relative) are zeroed before
-    the square root; otherwise sqrt would amplify 1e-16 noise to 1e-8
-    and the defect of an exact isometry would not vanish.
-    """
-    a = hermitian_part(h)
-    if a.size == 0:
-        return a
-    w, v = np.linalg.eigh(a)
-    floor = 1e-13 * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    w = np.where(w < floor, 0.0, w)
-    w = np.sqrt(w)
-    return (v * w) @ v.conj().T
-
-
 def adjoint_batch(values: np.ndarray) -> np.ndarray:
     """Conjugate transposes of a stack of matrices, (..., rows, cols) to
     (..., cols, rows)."""
@@ -84,20 +72,19 @@ def adjoint_batch(values: np.ndarray) -> np.ndarray:
 
 
 def defect_batch(values: np.ndarray) -> np.ndarray:
-    """Pointwise defects (I - M*M)^(1/2) for a stack of matrices.
+    """Defects (I - M*M)^(1/2) of one matrix or of a stack of matrices.
 
     values has shape (..., rows, cols); the result has shape
     (..., cols, cols).  No contraction check: callers evaluating a
     contractive function on a grid may overshoot 1 by rounding, which
-    the eigenvalue clamp absorbs.
+    the eigenvalue clamp at DEFECT_FLOOR absorbs.
     """
     a = np.asarray(values, dtype=complex)
     gram = adjoint_batch(a) @ a
     n = gram.shape[-1]
     gram = 0.5 * (gram + adjoint_batch(gram))
     w, v = np.linalg.eigh(np.eye(n) - gram)
-    floor = 1e-13
-    w = np.sqrt(np.where(w < floor, 0.0, w))
+    w = np.sqrt(np.where(w < DEFECT_FLOOR, 0.0, w))
     return (v * w[..., None, :]) @ adjoint_batch(v)
 
 
@@ -106,14 +93,13 @@ class SubspaceBasis:
     """Orthonormal columns spanning a subspace of C^ambient_dim."""
 
     columns: np.ndarray
-    tol: float = RANK_TOL
 
     def __post_init__(self):
         cols = as_matrix(self.columns)
         object.__setattr__(self, "columns", cols)
         gram = cols.conj().T @ cols
-        if gram.size and np.linalg.norm(gram - np.eye(cols.shape[1]), 2) > max(self.tol, 1e-10):
-            raise LinalgError("columns are not orthonormal within tol")
+        if gram.size and np.linalg.norm(gram - np.eye(cols.shape[1]), 2) > RANK_TOL:
+            raise LinalgError("columns are not orthonormal within RANK_TOL")
 
     @property
     def ambient_dim(self) -> int:
@@ -139,14 +125,13 @@ def defect(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
     """Defect operator (I - M*M)^(1/2) of a contraction M.
 
     Raises NotAContraction when the largest singular value exceeds
-    1 + tol; inside the tolerance band, eigenvalues of I - M*M that
-    round below zero are clamped to 0 before the square root.
+    1 + tol; inside the tolerance band, defect_batch's clamp zeroes the
+    eigenvalues of I - M*M that round below zero.
     """
     a = as_matrix(m)
     if operator_norm(a) > 1.0 + tol:
         raise NotAContraction(f"norm {operator_norm(a):.6g} exceeds 1 + tol")
-    n = a.shape[1]
-    return psd_sqrt(np.eye(n) - a.conj().T @ a)
+    return defect_batch(a)
 
 
 def defect_adjoint(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
@@ -186,57 +171,82 @@ def classify(m, tol: float = CLASSIFY_TOL) -> frozenset:
     return frozenset(out)
 
 
-def kernel_basis(m, tol: float = RANK_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the numerical kernel (singular values < tol)."""
+def rank_mask(values) -> np.ndarray:
+    """The rank rule: which of the values along the last axis count.
+
+    values are singular values, or eigenvalues of a positive
+    semidefinite matrix; those at least RANK_TOL * max(1, largest) are
+    kept, and rounding noise below zero never is.  Every numerical rank
+    in the package is the count of this mask.
+    """
+    v = np.asarray(values, dtype=float)
+    top = np.max(v, axis=-1, keepdims=True, initial=0.0)
+    return v >= RANK_TOL * np.maximum(1.0, top)
+
+
+def kernel_basis(m) -> SubspaceBasis:
+    """Orthonormal basis of the numerical kernel: the right singular
+    vectors whose singular values rank_mask drops."""
     a = as_matrix(m)
     if a.shape[1] == 0:
         return SubspaceBasis.empty(0)
     if a.shape[0] == 0:
         return SubspaceBasis.full(a.shape[1])
     _, s, vh = np.linalg.svd(a)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s >= cut))
-    return SubspaceBasis(vh[rank:].conj().T, tol)
+    rank = int(np.sum(rank_mask(s)))
+    return SubspaceBasis(vh[rank:].conj().T)
 
 
-def range_basis(m, tol: float = RANK_TOL) -> SubspaceBasis:
+def range_basis(m) -> SubspaceBasis:
     """Orthonormal basis of the numerical range (column space)."""
     a = as_matrix(m)
     if a.shape[1] == 0 or a.shape[0] == 0:
         return SubspaceBasis.empty(a.shape[0])
     u, s, _ = np.linalg.svd(a)
-    cut = tol * max(1.0, s[0] if s.size else 0.0)
-    rank = int(np.sum(s >= cut))
-    return SubspaceBasis(u[:, :rank], tol)
+    rank = int(np.sum(rank_mask(s)))
+    return SubspaceBasis(u[:, :rank])
+
+
+def pinv(m) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse, inverting exactly the singular
+    values rank_mask keeps, so it agrees with kernel_basis and
+    range_basis on the rank.  The arithmetic is numpy's own
+    pseudo-inverse (an SVD of the conjugate), whose results it
+    reproduces bit for bit wherever the two cuts agree; an empty
+    (rows, cols) input gives an empty (cols, rows) result, as there."""
+    a = as_matrix(m).conj()
+    if a.size == 0:
+        return np.zeros(a.shape[::-1], dtype=complex)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=rank_mask(s))
+    return vt.T @ (inv[:, None] * u.T)
 
 
 def orth_complement(basis: SubspaceBasis) -> SubspaceBasis:
     """Orthogonal complement within the ambient space."""
-    n = basis.ambient_dim
-    if basis.dim == 0:
-        return SubspaceBasis.full(n)
-    return kernel_basis(basis.columns.conj().T, basis.tol)
+    return kernel_basis(basis.columns.conj().T)
 
 
-def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis, tol: float = RANK_TOL) -> SubspaceBasis:
+def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     """Intersection of two subspaces via principal angles.
 
-    Directions whose principal-angle cosine is at least 1 - tol are
-    kept.  Compare results through projectors, not through the returned
-    column vectors, which are basis dependent.
+    Directions whose principal-angle cosine is at least 1 - RANK_TOL
+    are kept; this cut is its own decision, not the rank rule.  Compare
+    results through projectors, not through the returned column
+    vectors, which are basis dependent.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
     if u.dim == 0 or v.dim == 0:
         return SubspaceBasis.empty(u.ambient_dim)
     uu, ss, _ = np.linalg.svd(u.columns.conj().T @ v.columns)
-    keep = np.sum(ss >= 1.0 - tol)
+    keep = np.sum(ss >= 1.0 - RANK_TOL)
     if keep == 0:
         return SubspaceBasis.empty(u.ambient_dim)
     raw = u.columns @ uu[:, :keep]
     # re-orthonormalize; cosines slightly below 1 leave the columns a hair off
     q, _ = np.linalg.qr(raw)
-    return SubspaceBasis(q[:, :keep], tol)
+    return SubspaceBasis(q[:, :keep])
 
 
 def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):

@@ -35,9 +35,12 @@ def decode_complex(obj, path: str = "$") -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SchemaError(path, "complex scalar must be a [re, im] pair")
     try:
-        return complex(float(obj[0]), float(obj[1]))
+        z = complex(float(obj[0]), float(obj[1]))
     except (TypeError, ValueError):
         raise SchemaError(path, "complex scalar entries must be numbers")
+    if not np.isfinite(z):
+        raise SchemaError(path, "complex scalar entries must be finite")
+    return z
 
 
 def encode_matrix(m) -> list:
@@ -106,19 +109,28 @@ def decode_operator_spec(obj, path: str = "$"):
         raise SchemaError(path, "operator spec must have exactly one tag")
     tag, body = next(iter(obj.items()))
     if tag == "dense":
-        return clt.DenseOp(decode_matrix(body, f"{path}.dense"))
+        m = decode_matrix(body, f"{path}.dense")
+        if m.shape[0] != m.shape[1]:
+            raise SchemaError(f"{path}.dense", f"T must be square, got shape {m.shape}")
+        return clt.DenseOp(m)
     if tag == "shift":
         try:
-            return clt.TruncatedShift(int(body["mult"]), int(body["degree"]))
+            mult, degree = int(body["mult"]), int(body["degree"])
         except (KeyError, TypeError, ValueError):
             raise SchemaError(f"{path}.shift", 'needs integer "mult" and "degree"')
+        if mult < 1 or degree < 0:
+            raise SchemaError(f"{path}.shift", '"mult" must be at least 1 and "degree" at least 0')
+        return clt.TruncatedShift(mult, degree)
     if tag == "mult_op":
         try:
             degree = int(body["degree"])
         except (KeyError, TypeError, ValueError):
             raise SchemaError(f"{path}.mult_op", 'needs integer "degree"')
         symbol = decode_matpoly(body.get("symbol"), f"{path}.mult_op.symbol")
-        return clt.MultOp(symbol, degree)
+        try:
+            return clt.MultOp(symbol, degree)
+        except clt.CLTError as exc:
+            raise SchemaError(f"{path}.mult_op", str(exc))
     raise SchemaError(path, f'unknown operator tag "{tag}"')
 
 

@@ -125,19 +125,42 @@ def test_lift_assembles_the_schur_symbol_once(tmp_path, rng, monkeypatch):
     assert len(calls) == 1
 
 
-def test_bimodel_report_does_not_depend_on_the_seed(tmp_path, rng):
+def test_bimodel_report_does_not_depend_on_the_seed(tmp_path, rng, capsys):
+    """bimodel draws nothing, so it takes no --seed; the report echoes
+    the default seed and records no randomized trials."""
     path = write_json(tmp_path / "symbol.json", symbol_doc(rng))
     out = tmp_path / "report.json"
-    docs = []
-    for seed in (0, 5):
-        argv = ["bimodel", "--input", path, "--grid", "64", "--degree", "8", "--seed", str(seed), "--out", str(out)]
-        assert cli.main(argv) == 0
-        docs.append(json.loads(out.read_bytes()))
-    for doc, seed in zip(docs, (0, 5)):
-        assert doc["config"].pop("seed") == seed
-        tolerances = doc["reports"][0]["tolerances"]
-        assert "seed" not in tolerances and "trials" not in tolerances
-    assert docs[0] == docs[1]
+    argv = ["bimodel", "--input", path, "--grid", "64", "--degree", "8", "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert cli.main(argv) == 0
+    doc = json.loads(out.read_bytes())
+    assert doc["config"]["seed"] == 0
+    tolerances = doc["reports"][0]["tolerances"]
+    assert "seed" not in tolerances and "trials" not in tolerances
+
+
+FLAG_VALUES = {
+    "--csv": "traces", "--degree": "8", "--grid": "64", "--ladder": "0.5,0.9",
+    "--tol-int": "1e-3", "--tol-taylor": "1e-6", "--seed": "5",
+}
+# flags a subcommand does not read; each is a usage error there
+DROPPED_FLAGS = [
+    ("lift", "--seed"),
+    *[("bimodel", f) for f in ("--csv", "--ladder", "--tol-int", "--tol-taylor", "--seed")],
+    *[("coiso", f) for f in ("--csv", "--degree", "--grid", "--ladder", "--tol-int", "--tol-taylor")],
+    *[("dims", f) for f in ("--csv", "--degree", "--grid", "--ladder", "--tol-int", "--tol-taylor", "--seed")],
+]
+
+
+@pytest.mark.parametrize("command,flag", DROPPED_FLAGS)
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--input", "problem.json", flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def read_csv(path) -> list:
@@ -165,6 +188,26 @@ def with_field(doc: dict, key: str, value) -> dict:
     return {**doc, key: value}
 
 
+def with_entry(doc: dict, key: str, value) -> dict:
+    """doc with doc[key][0][0] replaced by value."""
+    rows = [list(row) for row in doc[key]]
+    rows[0][0] = value
+    return {**doc, key: rows}
+
+
+def with_t(rng, spec: dict) -> dict:
+    """A valid shift problem with its T replaced by spec."""
+    return with_field(shift_problem_doc(rng), "T", spec)
+
+
+def symbol_poly(*coeffs) -> dict:
+    return {"coeffs": [serialize.encode_matrix(c) for c in coeffs]}
+
+
+# a shift on the zero space: lift crashed on it instead of rejecting it
+EMPTY_SHIFT_DOC = {"T": {"shift": {"mult": 0, "degree": 4}}, "T_prime": [[[0.5, 0.0]]], "X": [[]]}
+
+
 MALFORMED = {
     "bimodel_array": ("bimodel", lambda rng: [[1.0, 0.0]], "at $:"),
     "bimodel_bad_symbol": ("bimodel", lambda rng: {"symbol": {"coeffs": "x"}}, "at $.symbol.coeffs:"),
@@ -172,6 +215,23 @@ MALFORMED = {
     "dims_tol": ("dims", lambda rng: with_field(shift_problem_doc(rng), "tol", [1e-8]), "at $.tol:"),
     "lift_window": ("lift", lambda rng: with_field(shift_problem_doc(rng), "window", "wide"), "at $.window:"),
     "coiso_tol": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", "tight"), "at $.tol:"),
+    "lift_shift_mult_zero": ("lift", lambda rng: EMPTY_SHIFT_DOC, "at $.T.shift:"),
+    "dims_shift_degree_negative": ("dims", lambda rng: with_t(rng, {"shift": {"mult": 1, "degree": -2}}), "at $.T.shift:"),
+    "lift_mult_op_not_square": (
+        "lift", lambda rng: with_t(rng, {"mult_op": {"symbol": symbol_poly([[1.0, 0.0]]), "degree": 4}}),
+        "at $.T.mult_op:",
+    ),
+    # a degree-2 symbol cannot act on series truncated at degree 1
+    "lift_mult_op_too_short": (
+        "lift", lambda rng: with_t(rng, {"mult_op": {"symbol": symbol_poly([[0.0]], [[0.0]], [[1.0]]), "degree": 1}}),
+        "at $.T.mult_op:",
+    ),
+    "lift_dense_not_square": (
+        "lift", lambda rng: with_t(rng, {"dense": serialize.encode_matrix(rng.standard_normal((5, 6)))}),
+        "at $.T.dense:",
+    ),
+    "lift_nan_entry": ("lift", lambda rng: with_entry(shift_problem_doc(rng), "X", ["nan", 0.0]), "at $.X[0][0]:"),
+    "coiso_infinite_entry": ("coiso", lambda rng: with_entry(extension_doc(rng, 5), "C", [0.0, "inf"]), "at $.C[0][0]:"),
 }
 
 

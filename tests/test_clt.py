@@ -138,7 +138,7 @@ class TestMinimalLifting:
         for _ in range(ml.degree + 1):
             current = oracle @ current
             blocks.append(current)
-        span = linalg.range_basis(np.hstack(blocks), linalg.RANK_TOL)
+        span = linalg.range_basis(np.hstack(blocks))
         assert span.dim == lifted_dim(ml)
 
 
@@ -181,6 +181,23 @@ class TestBuildOmega:
             p = random_shift_problem(rng, mult=mult, degree=6)
             ld = clt.build_omega(p)
             assert ld.ker_omega.dim == mult
+
+    def test_pseudo_inverse_and_kernel_share_the_rank(self):
+        """D_X T on the window has one singular value, 8e-8, below the
+        rank cut: the coupling must treat it as kernel in its
+        pseudo-inverse too, or Omega stops being a partial isometry."""
+        c = 1e-7
+        s = np.sqrt(1.0 - c * c)
+        u = np.array([[s, -c], [c, s]])
+        t_prime = np.array([[s, 0.0], [0.6 * c, 0.5]])
+        p = clt.build_problem(u, t_prime, np.diag([1.0, 0.6]), window=1)
+        ld = clt.build_omega(p)
+        om = ld.omega_bar
+        assert np.linalg.norm(om @ om.conj().T @ om - om, 2) <= 1e-12
+        assert linalg.range_basis(om).dim + ld.ker_omega.dim == ld.defect_dim
+        r0 = np.eye(ld.ker_omega_star.dim, ld.ker_omega.dim)
+        w0 = clt.assemble_schur_W(ld, MatPoly.constant(r0)).coeffs[0]
+        assert np.linalg.norm(w0.conj().T @ w0 - np.eye(ld.defect_dim), 2) <= 1e-12
 
 
 class TestBuildOmegaExplicit:

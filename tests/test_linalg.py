@@ -120,10 +120,64 @@ class TestKernelBasis:
         assert np.linalg.norm(m @ basis.columns) < 1e-10
 
 
+class TestRankRule:
+    def test_mask_cuts_relative_to_max_one_and_the_largest(self):
+        tol = la.RANK_TOL
+        assert la.rank_mask([0.5, tol, 0.99 * tol, 0.0]).tolist() == [True, True, False, False]
+        assert la.rank_mask([10.0, 10 * tol, 9.9 * tol]).tolist() == [True, True, False]
+        assert la.rank_mask(np.zeros(0)).shape == (0,)
+        # rounding noise below zero never counts
+        assert la.rank_mask([1.0, -1e-17]).tolist() == [True, False]
+
+    def test_masks_each_row_of_a_stack(self):
+        got = la.rank_mask([[20.0, 1e-6], [0.5, 1e-6]])
+        assert got.tolist() == [[True, False], [True, True]]
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_pinv_of_an_empty_matrix(self, shape):
+        got = la.pinv(np.zeros(shape))
+        assert got.shape == shape[::-1]
+
+
+def planted_matrix(rng, rows, cols, values):
+    """rows x cols matrix with the given singular values."""
+    u = random_unitary(rng, rows)[:, : len(values)]
+    v = random_unitary(rng, cols)[:, : len(values)]
+    return (u * np.asarray(values)) @ v.conj().T
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_rank_and_pinv_agree_on_planted_values(seed, kept, dropped, extra, largest):
+    """Singular values planted on both sides of the cut, with the
+    largest below and above 1: range + kernel dimensions fill the
+    columns, and pinv inverts exactly the kept part."""
+    rng = np.random.default_rng(seed)
+    cut = la.RANK_TOL * max(1.0, largest)
+    high = [largest] + list(rng.uniform(3.0, 100.0, kept - 1) * cut)
+    low = list(rng.uniform(0.0, 0.3, dropped) * cut)
+    rows, cols = kept + dropped + extra, kept + dropped + int(rng.integers(0, 3))
+    m = planted_matrix(rng, rows, cols, high + low)
+    assert la.range_basis(m).dim == kept
+    assert la.range_basis(m).dim + la.kernel_basis(m).dim == cols
+    u, s, vh = np.linalg.svd(m)
+    kept_part = (u[:, :kept] * s[:kept]) @ vh[:kept]
+    np.testing.assert_allclose(m @ la.pinv(m) @ m, kept_part, atol=1e-12 * largest)
+
+
 def _intersection_oracle(pu, pv, ambient):
-    """Null space of the stacked projector complements."""
+    """Null space of the stacked projector complements, cut at 1e-8 by
+    the oracle's own SVD."""
     stacked = np.vstack([pu - np.eye(ambient), pv - np.eye(ambient)])
-    return la.kernel_basis(stacked, tol=1e-8)
+    _, s, vh = np.linalg.svd(stacked)
+    rank = int(np.sum(s >= 1e-8 * max(1.0, s[0])))
+    return la.SubspaceBasis(vh[rank:].conj().T)
 
 
 class TestSubspaceIntersection:
@@ -143,7 +197,7 @@ class TestSubspaceIntersection:
         for _ in range(5):
             u = la.range_basis(random_contraction(rng, 3, 2))
             v = la.range_basis(random_contraction(rng, 3, 2))
-            got = la.subspace_intersection(u, v, tol=1e-7)
+            got = la.subspace_intersection(u, v)
             oracle = _intersection_oracle(u.projector(), v.projector(), 3)
             assert got.dim == oracle.dim == 1
             np.testing.assert_allclose(got.projector(), oracle.projector(), atol=1e-6)
