@@ -20,26 +20,41 @@ Statements quantified over a whole space are probed on the standard
 basis plus N_PROBES random unit vectors drawn from PROBE_SEED; both are
 recorded in the tolerances.
 
-Each rung of a radial ladder is one ``radial_sample``: it solves
-(I - z A(z)) d = probe on the rho-circle once, through
-``h2.resolvent_apply_grid`` (the only place that evaluates A), evaluates
-W once, and returns d with the squared column norms of d, of W d and of
-the first rows of W d.  When A is the top block of W, those rows are
-A d, so A is never evaluated a second time.  Every product over the
-nodes is a batched ``@``, one BLAS gemm per node, and a constant W, A
-or free parameter evaluates as a broadcast of its one coefficient.
-W d is reduced to norms inside the helper, which each criterion calls
-afresh inside its own loop over the ladder, and the lifting check
-frees a rung's blocks before the next rung's solve.  Memory is why: on
-the lifting benchmark (512 nodes, ~50 x 54 complex blocks of ~22 MB
-each) keeping one rung's blocks alive into the next solve raises peak
-RSS from 132 to 180 MB.
+Each rung of a radial ladder in ``radial_isometry_check`` and
+``boundary_measure_check``, and in ``lifting_isometry_check`` for a
+polynomial W, is one ``radial_sample``: it solves (I - z A(z)) d =
+probe on every node of the rho-circle once, through
+``h2.resolvent_apply_grid`` (the only place that evaluates A),
+evaluates W once, and returns d with the squared column norms of d, of
+W d and of the first rows of W d.  When A is the top block of W, those
+rows are A d, so A is never evaluated a second time.  Every product
+over the nodes is a batched ``@``, one BLAS gemm per node, and a
+constant W, A or free parameter evaluates as a broadcast of its one
+coefficient.
+
+A constant W needs no node at all in ``lifting_isometry_check``.  On
+the G-point rho-circle z^G = rho^G, and (I - zA) sum_(k<G) z^k A^k =
+I - z^G A^G, so with X_k = A^k P (P the probes) and M_rho =
+I - rho^G A^G the resolvent is d(z) = sum_(k<G) z^k M_rho^(-1) X_k at
+every node, and exact discrete Parseval gives, for every constant L
+and probe column c, with w = exp(2 pi i / G),
+
+    mean_j ||L d(rho w^j) c||^2 = sum_(k<G) rho^(2k) ||L M_rho^(-1) X_k c||^2.
+
+The X_k are the orbit terms the Taylor trace streams anyway, so a rung
+needs only the (dim ker) x dim matrix U_rho = K* M_rho^(-1) (K the
+kernel basis of the coupling) and R U_rho, and the defect chain identity,
+which holds for every vector, is checked once on X_0 .. X_(G-1)
+rather than on every node of every rung.  ``clt.assemble_schur_W`` holds
+||W|| <= 1 + clt.TOL and A is a block of W, so ||rho^G A^G|| <= q =
+(rho (1 + TOL))^G and kappa(M_rho) <= (1 + q) / (1 - q): for G >= 1
+never worse than the same bound on the I - zA systems it replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -178,19 +193,29 @@ def _max_norms(blocks: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.norm(blocks, axis=1), axis=1) if blocks.size else np.zeros(len(blocks))
 
 
+def resolvent_orbit(a: MatPoly, probes: np.ndarray):
+    """The endless Taylor coefficients X_0 = probes, X_1, ... of
+    (I - z A(z))^(-1) probes, streamed from ``h2.resolvent_terms``."""
+    return chain([probes], h2.resolvent_terms(a.coeffs, slice(None), probes))
+
+
 def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> np.ndarray:
     """Largest probe norm of each Taylor coefficient of (I - z A(z))^(-1)
     applied to the probes, through `degree` doubled while the verdict at
     `tol` is inconclusive, up to TAYLOR_DEGREE_CAP * degree."""
-    terms = h2.resolvent_terms(a.coeffs, slice(None), probes)
-    trace = _max_norms(probes[None])
+    return _extend_trace(resolvent_orbit(a, probes), np.zeros(0), degree, tol)
+
+
+def _extend_trace(orbit, trace: np.ndarray, degree: int, tol: float) -> np.ndarray:
+    """``taylor_trace`` on an orbit whose first len(trace) terms were
+    already read, their largest probe norms being `trace`."""
     target, cap = degree, TAYLOR_DEGREE_CAP * degree
     while True:
         while len(trace) <= target:
-            chunk = np.stack(list(islice(terms, min(TRACE_CHUNK, target + 1 - len(trace)))))
+            chunk = np.stack(list(islice(orbit, min(TRACE_CHUNK, target + 1 - len(trace)))))
             trace = np.concatenate([trace, _max_norms(chunk)])
-        if target >= cap or taylor_verdict(trace, tol) != "inconclusive":
-            return trace
+        if target >= cap or taylor_verdict(trace[: target + 1], tol) != "inconclusive":
+            return trace[: target + 1]
         target *= 2
 
 
@@ -350,6 +375,60 @@ def boundary_measure_check(
     )
 
 
+def _defect_chain(ld: LiftingData, d: np.ndarray, dn2: np.ndarray, wn2: np.ndarray, r: np.ndarray):
+    """The parameter defect ||K* d||^2 - ||R K* d||^2 of each column of
+    a (count, dim, m) stack d, and the worst gap between the three forms
+    ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2 = that
+    defect, given dn2 = ||d||^2 and wn2 = ||W d||^2; r is R or its
+    values on the nodes."""
+    u_vals = ld.ker_omega.columns.conj().T @ d
+    r_vals = r @ u_vals
+    term = _norms_sq(u_vals) - _norms_sq(r_vals)
+    e1 = dn2 - wn2
+    e2 = dn2 - _norms_sq(ld.omega_bar @ d) - _norms_sq(r_vals)
+    worst = max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term)))) if e1.size else 0.0
+    return term, worst
+
+
+def _sampled_lifting_ladder(lifting: Lifting, a: MatPoly, probes: np.ndarray, ladder, grid: int):
+    """Parameter defect ladder and chain residual of a polynomial W, one
+    ``radial_sample`` per rung and the residual over every node."""
+    defect_ladder, chain_residual = [], 0.0
+    for rho in ladder:
+        s = radial_sample(lifting.w, a, probes, rho, grid)
+        r_vals = h2.eval_circle_grid(lifting.free_parameter, rho, grid)
+        term, worst = _defect_chain(lifting.data, s.d, s.dn2, s.wn2, r_vals)
+        defect_ladder.append(float(np.max(np.mean(term, axis=0))) if term.size else 0.0)
+        chain_residual = max(chain_residual, worst)
+        # free this rung's grid-sized blocks before the next rung's solve
+        del s, term
+    return defect_ladder, chain_residual
+
+
+def _orbit_lifting_ladder(lifting: Lifting, a: MatPoly, probes: np.ndarray, orbit, ladder, grid: int):
+    """Parameter defect ladder and chain residual of a constant W from
+    the orbit terms X_0 .. X_(grid-1), read in chunks, by discrete
+    Parseval (module docstring); also returns their largest probe norms,
+    the head of the Taylor trace."""
+    ld, w0, r0 = lifting.data, lifting.w.coeffs[0], lifting.free_parameter.coeffs[0]
+    a_grid = np.linalg.matrix_power(a.coeffs[0], grid)
+    u_rho = []  # U_rho = K* M_rho^(-1), solved as M_rho* U_rho* = K
+    for rho in ladder:
+        m_rho = np.eye(a.in_dim) - h2.check_radius(rho) ** grid * a_grid
+        u_rho.append(np.linalg.solve(m_rho.conj().T, ld.ker_omega.columns).conj().T)
+    sums, trace, chain_residual = np.zeros((len(ladder), probes.shape[1])), np.zeros(0), 0.0
+    for start in range(0, grid, TRACE_CHUNK):
+        x = np.stack(list(islice(orbit, min(TRACE_CHUNK, grid - start))))
+        trace = np.concatenate([trace, _max_norms(x)])
+        n = np.arange(start, start + len(x))
+        for i, (rho, u) in enumerate(zip(ladder, u_rho)):
+            v = u @ x
+            sums[i] += rho ** (2 * n) @ (_norms_sq(v) - _norms_sq(r0 @ v))
+        _, worst = _defect_chain(ld, x, _norms_sq(x), _norms_sq(w0 @ x), r0)
+        chain_residual = max(chain_residual, worst)
+    return [float(np.max(v)) if v.size else 0.0 for v in sums], chain_residual, trace
+
+
 def lifting_isometry_check(
     lifting: Lifting,
     ladder=DEFAULT_LADDER,
@@ -364,28 +443,27 @@ def lifting_isometry_check(
     free-parameter defect integral over the kernel component of the
     resolvent (vacuous for a trivial kernel) and the Taylor decay of
     the resolvent coefficients.  The three equivalent forms of the
-    pointwise defect identity are cross-checked on every node and the
-    worst residual reported.
+    pointwise defect identity are cross-checked and the worst residual
+    reported as `defect_chain_residual`.
+
+    A constant W (``w.degree == 0``) solves nothing node by node: each
+    rung is a weighted sum over the orbit terms X_k = A^k probes, k <
+    grid, that the Taylor trace streams anyway, through the
+    (dim ker) x dim matrix K* (I - rho^G A^G)^(-1); the chain residual is taken on
+    those X_k.  A polynomial W samples every node of every rung
+    through ``radial_sample`` and takes the residual there.  The module
+    docstring gives the identity and the conditioning.
     """
-    ld, r, w, degree = lifting.data, lifting.free_parameter, lifting.w, lifting.minimal.degree
-    _, a = w.block_rows(ld.basis_tprime.dim)
+    ld, degree = lifting.data, lifting.minimal.degree
+    _, a = lifting.w.block_rows(ld.basis_tprime.dim)
     probes = probe_matrix(ld.defect_dim)
-    kker_h = ld.ker_omega.columns.conj().T
-    defect_ladder, chain_residual = [], 0.0
-    for rho in ladder:
-        s = radial_sample(w, a, probes, rho, grid)
-        u_vals = kker_h @ s.d
-        r_vals = h2.eval_circle_grid(r, rho, grid) @ u_vals
-        term = _norms_sq(u_vals) - _norms_sq(r_vals)
-        defect_ladder.append(float(np.max(np.mean(term, axis=0))) if term.size else 0.0)
-        om_vals = ld.omega_bar @ s.d
-        e1 = s.dn2 - s.wn2
-        e2 = s.dn2 - _norms_sq(om_vals) - _norms_sq(r_vals)
-        worst = max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term)))) if e1.size else 0.0
-        chain_residual = max(chain_residual, worst)
-        # free this rung's grid-sized blocks before the next rung's solve
-        del s, u_vals, r_vals, om_vals
-    taylor_max = taylor_trace(a, probes, degree, tol_taylor)
+    orbit = resolvent_orbit(a, probes)
+    if lifting.w.degree == 0:
+        defect_ladder, chain_residual, trace = _orbit_lifting_ladder(lifting, a, probes, orbit, ladder, grid)
+    else:
+        defect_ladder, chain_residual = _sampled_lifting_ladder(lifting, a, probes, ladder, grid)
+        trace = np.zeros(0)
+    taylor_max = _extend_trace(orbit, trace, degree, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(taylor_max, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"

@@ -125,6 +125,13 @@ class MatPoly:
         return MatPoly(c.reshape(-1, 1, 1))
 
 
+def check_radius(rho: float) -> float:
+    """rho itself, once it is known to lie in (0, 1]."""
+    if not (0.0 < rho <= 1.0):
+        raise H2Error("rho must lie in (0, 1]")
+    return rho
+
+
 def eval_circle_grid(p: MatPoly, rho: float, grid: int) -> np.ndarray:
     """Evaluate P at the nodes rho*exp(2*pi*i*k/grid), k = 0..grid-1.
 
@@ -134,8 +141,7 @@ def eval_circle_grid(p: MatPoly, rho: float, grid: int) -> np.ndarray:
     constant takes the same value at every node and is returned as a
     read-only broadcast of its one coefficient, without an FFT.
     """
-    if not (0.0 < rho <= 1.0):
-        raise H2Error("rho must lie in (0, 1]")
+    check_radius(rho)
     if grid < 2 * p.degree + 1:
         raise GridTooCoarse(f"grid {grid} < 2*degree+1 = {2 * p.degree + 1}")
     if p.degree == 0:

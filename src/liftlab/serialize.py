@@ -81,17 +81,24 @@ def decode_matpoly(obj, path: str = "$") -> MatPoly:
     return MatPoly(np.stack(mats))
 
 
-def _optional_number(obj: dict, key: str, cast, default, path: str):
-    """obj[key] converted by cast (float or int), or default when the
-    key is absent or null."""
+def _optional_float(obj: dict, key: str, default, path: str):
+    """obj[key] as a float, or default when the key is absent or null."""
     value = obj.get(key)
     if value is None:
         return default
     try:
-        return cast(value)
+        return float(value)
     except (TypeError, ValueError):
-        kind = "an integer" if cast is int else "a number"
-        raise SchemaError(f"{path}.{key}", f"must be {kind}")
+        raise SchemaError(f"{path}.{key}", "must be a number")
+
+
+def _integer(obj, key: str, path: str) -> int:
+    """obj[key] when it is a JSON integer, not a bool, a fraction or a
+    string; otherwise a SchemaError at `path`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SchemaError(path, f'"{key}" must be an integer')
+    return int(value)
 
 
 def encode_operator_spec(spec) -> dict:
@@ -114,18 +121,12 @@ def decode_operator_spec(obj, path: str = "$"):
             raise SchemaError(f"{path}.dense", f"T must be square, got shape {m.shape}")
         return clt.DenseOp(m)
     if tag == "shift":
-        try:
-            mult, degree = int(body["mult"]), int(body["degree"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{path}.shift", 'needs integer "mult" and "degree"')
+        mult, degree = _integer(body, "mult", f"{path}.shift"), _integer(body, "degree", f"{path}.shift")
         if mult < 1 or degree < 0:
             raise SchemaError(f"{path}.shift", '"mult" must be at least 1 and "degree" at least 0')
         return clt.TruncatedShift(mult, degree)
     if tag == "mult_op":
-        try:
-            degree = int(body["degree"])
-        except (KeyError, TypeError, ValueError):
-            raise SchemaError(f"{path}.mult_op", 'needs integer "degree"')
+        degree = _integer(body, "degree", f"{path}.mult_op")
         symbol = decode_matpoly(body.get("symbol"), f"{path}.mult_op.symbol")
         try:
             return clt.MultOp(symbol, degree)
@@ -143,8 +144,8 @@ def decode_problem(obj, path: str = "$") -> clt.CLTProblem:
     spec = decode_operator_spec(obj["T"], f"{path}.T")
     t_prime = decode_matrix(obj["T_prime"], f"{path}.T_prime")
     x = decode_matrix(obj["X"], f"{path}.X")
-    tol = _optional_number(obj, "tol", float, 1e-8, path)
-    window = _optional_number(obj, "window", int, None, path)
+    tol = _optional_float(obj, "tol", 1e-8, path)
+    window = None if obj.get("window") is None else _integer(obj, "window", f"{path}.window")
     try:
         return clt.build_problem(spec, t_prime, x, tol, window)
     except clt.CLTError as exc:
@@ -169,11 +170,8 @@ def decode_extension_problem(obj, path: str = "$") -> coiso.ExtensionProblem:
     for key in ("H_dim", "H_prime_dim", "M", "M_prime", "C"):
         if key not in obj:
             raise SchemaError(path, f'extension problem is missing "{key}"')
-    try:
-        h_dim = int(obj["H_dim"])
-        hp_dim = int(obj["H_prime_dim"])
-    except (TypeError, ValueError):
-        raise SchemaError(path, "space dimensions must be integers")
+    h_dim = _integer(obj, "H_dim", f"{path}.H_dim")
+    hp_dim = _integer(obj, "H_prime_dim", f"{path}.H_prime_dim")
     m_cols = decode_matrix(obj["M"], f"{path}.M")
     mp_cols = decode_matrix(obj["M_prime"], f"{path}.M_prime")
     c = decode_matrix(obj["C"], f"{path}.C")
@@ -182,7 +180,7 @@ def decode_extension_problem(obj, path: str = "$") -> coiso.ExtensionProblem:
     # spanning columns are orthonormalized on load
     m = linalg.range_basis(m_cols)
     mp = linalg.range_basis(mp_cols)
-    tol = _optional_number(obj, "tol", float, 1e-8, path)
+    tol = _optional_float(obj, "tol", 1e-8, path)
     try:
         return coiso.ExtensionProblem(h_dim, hp_dim, m, mp, c, tol)
     except coiso.CoisoError as exc:

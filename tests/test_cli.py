@@ -76,12 +76,25 @@ def symbol_doc(rng) -> dict:
     return serialize.encode_matpoly(contractive_matpoly(rng, 2, 2, 2, norm=0.9))
 
 
+def lift_with_schur(rng, tmp) -> list:
+    """lift with a degree-2 free parameter of sup norm 0.9 on the coupling
+    kernel: a strict contraction, so the lifting is not an isometry."""
+    doc = shift_problem_doc(rng, {"lifting_isometry": "fail"})
+    ld = clt.build_omega(serialize.decode_problem(doc))
+    r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, 2, norm=0.9)
+    return [
+        "lift", "--input", write_json(tmp / "lift.json", doc),
+        "--schur", write_json(tmp / "schur.json", serialize.encode_matpoly(r)),
+    ]
+
+
 COMMANDS = {
     # no --schur file: the zero free parameter is not isometric on the
     # coupling kernel, so the lifting is not an isometry
     "lift": lambda rng, tmp: [
         "lift", "--input", write_json(tmp / "lift.json", shift_problem_doc(rng, {"lifting_isometry": "fail"})),
     ],
+    "lift_schur": lift_with_schur,
     "dims": lambda rng, tmp: [
         "dims", "--input",
         write_json(tmp / "dims.json", shift_problem_doc(rng, {"dim_defect_tprime": 2, "dim_defect_tstar": 1})),
@@ -229,6 +242,20 @@ MALFORMED = {
     "lift_dense_not_square": (
         "lift", lambda rng: with_t(rng, {"dense": serialize.encode_matrix(rng.standard_normal((5, 6)))}),
         "at $.T.dense:",
+    ),
+    # sizes are JSON integers: no fraction, bool or string is rounded or parsed
+    "lift_shift_fractions": ("lift", lambda rng: with_t(rng, {"shift": {"mult": 1.9, "degree": 4.7}}), "at $.T.shift:"),
+    "lift_shift_mult_bool": ("lift", lambda rng: with_t(rng, {"shift": {"mult": True, "degree": 4}}), "at $.T.shift:"),
+    "dims_shift_degree_string": ("dims", lambda rng: with_t(rng, {"shift": {"mult": 1, "degree": "4"}}), "at $.T.shift:"),
+    "lift_mult_op_degree_fraction": (
+        "lift", lambda rng: with_t(rng, {"mult_op": {"symbol": symbol_poly([[0.0]], [[1.0]]), "degree": 4.5}}),
+        "at $.T.mult_op:",
+    ),
+    "lift_window_fraction": ("lift", lambda rng: with_field(shift_problem_doc(rng), "window", 2.9), "at $.window:"),
+    "dims_window_string": ("dims", lambda rng: with_field(shift_problem_doc(rng), "window", "2"), "at $.window:"),
+    "coiso_h_dim_fraction": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "H_dim", 3.0), "at $.H_dim:"),
+    "coiso_h_prime_dim_string": (
+        "coiso", lambda rng: with_field(extension_doc(rng, 5), "H_prime_dim", "5"), "at $.H_prime_dim:",
     ),
     "lift_nan_entry": ("lift", lambda rng: with_entry(shift_problem_doc(rng), "X", ["nan", 0.0]), "at $.X[0][0]:"),
     "coiso_infinite_entry": ("coiso", lambda rng: with_entry(extension_doc(rng, 5), "C", [0.0, "inf"]), "at $.C[0][0]:"),

@@ -207,7 +207,10 @@ class TestLiftingIsometry:
 def einsum_oracle(lifting, ladder, grid, degree):
     """The parameter defect ladder, the defect chain residual and the
     Taylor trace through `degree` of lifting_isometry_check, with every
-    product written as an einsum and every resolvent solved node by node."""
+    product written as an einsum and every resolvent solved node by node.
+    For a constant W the chain residual is taken, as the check takes it,
+    on the orbit X_k = A^k probes, k < grid, here read off the
+    coefficients of neumann_inverse; for a polynomial W on every node."""
     ld, r, w = lifting.data, lifting.free_parameter, lifting.w
     r_prime = ld.basis_tprime.dim
     probes = criteria.probe_matrix(ld.defect_dim)
@@ -216,6 +219,15 @@ def einsum_oracle(lifting, ladder, grid, degree):
     def norms_sq(v):
         return np.sum(np.abs(v) ** 2, axis=1)
 
+    def chain_residual(d, w_vals, r_vals):
+        u = np.einsum("ji,njm->nim", kker.conj(), d)
+        ru = np.einsum("nij,njm->nim", r_vals, u)
+        term = norms_sq(u) - norms_sq(ru)
+        e1 = norms_sq(d) - norms_sq(np.einsum("nij,njm->nim", w_vals, d))
+        e2 = norms_sq(d) - norms_sq(np.einsum("ij,njm->nim", ld.omega_bar, d)) - norms_sq(ru)
+        return term, max(float(np.max(np.abs(e1 - e2), initial=0.0)), float(np.max(np.abs(e2 - term), initial=0.0)))
+
+    a = MatPoly(w.coeffs[:, r_prime:])
     ladder_values, residual = [], 0.0
     for rho in ladder:
         z = h2.circle_nodes(rho, grid)
@@ -223,16 +235,32 @@ def einsum_oracle(lifting, ladder, grid, degree):
         r_vals = np.stack([r(zk) for zk in z])
         eye = np.eye(w.in_dim)
         d = np.stack([np.linalg.solve(eye - zk * wk[r_prime:], probes) for zk, wk in zip(z, w_vals)])
-        u = np.einsum("ji,njm->nim", kker.conj(), d)
-        ru = np.einsum("nij,njm->nim", r_vals, u)
-        term = norms_sq(u) - norms_sq(ru)
-        ladder_values.append(float(np.max(np.mean(term, axis=0))))
-        e1 = norms_sq(d) - norms_sq(np.einsum("nij,njm->nim", w_vals, d))
-        e2 = norms_sq(d) - norms_sq(np.einsum("ij,njm->nim", ld.omega_bar, d)) - norms_sq(ru)
-        residual = max(residual, float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term))))
-    j = h2.neumann_inverse(MatPoly(w.coeffs[:, r_prime:]), degree)
-    taylor = np.max(np.linalg.norm(np.einsum("nij,jm->nim", j.coeffs, probes), axis=1), axis=1)
+        term, node_residual = chain_residual(d, w_vals, r_vals)
+        ladder_values.append(float(np.max(np.mean(term, axis=0), initial=0.0)))
+        if w.degree:
+            residual = max(residual, node_residual)
+    if not w.degree:
+        orbit = np.einsum("nij,jm->nim", h2.neumann_inverse(a, grid - 1).coeffs, probes)
+        _, residual = chain_residual(orbit, np.broadcast_to(w.coeffs[0], (grid,) + w.coeffs.shape[1:]),
+                                     np.broadcast_to(r.coeffs[0], (grid,) + r.coeffs.shape[1:]))
+    j = h2.neumann_inverse(a, degree)
+    taylor = np.max(np.linalg.norm(np.einsum("nij,jm->nim", j.coeffs, probes), axis=1), axis=1, initial=0.0)
     return ladder_values, residual, taylor
+
+
+def assert_matches_the_oracle(lifting, ladder, grid):
+    rep = criteria.lifting_isometry_check(lifting, ladder=ladder, grid=grid)
+    want_ladder, want_residual, want_taylor = einsum_oracle(lifting, ladder, grid, rep.tolerances["degree_used"])
+    assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
+    assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
+    assert np.max(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor)) <= 1e-12
+    return rep
+
+
+def trivial_kernel_problem(rng):
+    """T unitary and X = 0: the coupling kernel is trivial."""
+    u = random_unitary(rng, 2)
+    return clt.build_problem(u, 0.5 * random_unitary(rng, 2), np.zeros((2, 2)))
 
 
 class TestLiftingIsometryOracle:
@@ -246,14 +274,62 @@ class TestLiftingIsometryOracle:
             r = contractive_matpoly(rng, *shape, r_degree, norm=0.9)
         else:
             r = MatPoly.constant(random_isometry(rng, *shape))
-        lifting = clt.lift(p, r, 64, ld=ld)
-        ladder, grid = (0.9, 0.99), 128
-        rep = criteria.lifting_isometry_check(lifting, ladder=ladder, grid=grid)
+        rep = assert_matches_the_oracle(clt.lift(p, r, 64, ld=ld), (0.9, 0.99), 128)
         assert rep.tolerances["degree"] == 64
-        want_ladder, want_residual, want_taylor = einsum_oracle(lifting, ladder, grid, rep.tolerances["degree_used"])
-        assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
-        assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
-        assert np.max(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor)) <= 1e-12
+
+    # name: (problem, free parameter, lifting degree, ladder, grid)
+    CONSTANT_CASES = {
+        "trivial_kernel": ("trivial", "zero", 64, (0.9, 0.99), 128),
+        # the Taylor trace stops inside the orbit the ladder reads
+        "degree_below_grid": ("shift", "zero", 16, (0.9, 0.99), 256),
+        # the Taylor trace streams on past the orbit the ladder reads
+        "degree_above_grid": ("shift", "isometric", 256, (0.9, 0.99), 32),
+        "rung_at_0.9999": ("shift", "isometric", 64, (0.9, 0.9999), 128),
+        "zero_at_0.9999": ("shift", "zero", 64, (0.99, 0.9999), 64),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_constant_symbol_matches_the_einsum_oracle(self, rng, name):
+        kind, parameter, degree, ladder, grid = self.CONSTANT_CASES[name]
+        p = trivial_kernel_problem(rng) if kind == "trivial" else shift_problem(rng, mult=2, degree=6)
+        ld = clt.build_omega(p)
+        assert (ld.ker_omega.dim == 0) == (kind == "trivial")
+        r = None
+        if parameter == "isometric":
+            r = MatPoly.constant(random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim))
+        lifting = clt.lift(p, r, degree, ld=ld)
+        assert lifting.w.degree == 0
+        rep = assert_matches_the_oracle(lifting, ladder, grid)
+        assert (rep.tolerances["degree_used"] < grid) == (degree < grid)
+
+
+class TestLiftingIsometryPaths:
+    """A constant W is checked from the Taylor orbit with no node solved
+    or evaluated; a polynomial W still samples every rung."""
+
+    @pytest.mark.parametrize("parameter, sampled", [("zero", False), ("isometric", False), ("degree2", True)])
+    def test_only_a_polynomial_symbol_samples_the_circle(self, rng, monkeypatch, parameter, sampled):
+        p = shift_problem(rng, mult=1, degree=6)
+        ld = clt.build_omega(p)
+        shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
+        r = {"zero": None, "isometric": MatPoly.constant(random_isometry(rng, *shape)),
+             "degree2": contractive_matpoly(rng, *shape, 2, norm=0.9)}[parameter]
+        lifting = clt.lift(p, r, 64, ld=ld)
+        calls = []
+        for name in ("resolvent_apply_grid", "eval_circle_grid"):
+            original = getattr(h2, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            # every module that binds the function, as the benchmark's tracer does
+            for module in (h2, clt, criteria):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        criteria.lifting_isometry_check(lifting, ladder=(0.9, 0.99), grid=128)
+        assert ("resolvent_apply_grid" in calls) == sampled
+        assert ("eval_circle_grid" in calls) == sampled
 
 
 class TestObstructionSearch:
