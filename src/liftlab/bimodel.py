@@ -99,8 +99,8 @@ def build_model(theta: MatPoly, grid: int, degree: int) -> ThetaModel:
 def vector_norm_sq(model: ThetaModel, v: ModelVector) -> float:
     """Coefficient norm on the first layer, grid-mean tensor coefficient
     norm on the second."""
-    first = float(np.sum(np.abs(v.f) ** 2))
-    second = float(np.sum(np.abs(v.g) ** 2) / model.grid)
+    first = float(np.sum(linalg.sq_norms(v.f, axis=())))
+    second = float(np.sum(linalg.sq_norms(v.g, axis=())) / model.grid)
     return first + second
 
 

@@ -186,9 +186,11 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
 def gamma_norms_sq(w: MatPoly, block, degree: int) -> np.ndarray:
     """Squared H^2 norms through `degree` of B (I - zA)^(-1) block for
     W = [A; B], A square: one per column of block, a scalar for a vector."""
-    rows = w.in_dim
-    terms = h2.resolvent_terms(w.coeffs, slice(0, rows), block)
-    return np.sum(np.abs(np.stack([y[rows:] for y in islice(terms, degree + 1)])) ** 2, axis=(0, 1))
+    rows, block = w.in_dim, np.asarray(block, dtype=complex)
+    terms = h2.resolvent_terms(w.coeffs, slice(0, rows), block.reshape(rows, -1))
+    blocks = list(islice(terms, -(-(degree + 1) // h2.TERM_BLOCK)))
+    norms = linalg.sq_norms(np.concatenate(blocks, axis=1)[rows:, : degree + 1], axis=(0, 1))
+    return norms if block.ndim == 2 else norms[0]
 
 
 def _scenario_ex3_2(cfg: RunConfig) -> int:
@@ -197,7 +199,7 @@ def _scenario_ex3_2(cfg: RunConfig) -> int:
     w = MatPoly.constant([[0.5], [0.5]])
     a, _ = w.block_rows(1)
     d_vals = h2.resolvent_apply_grid(a, [1.0], 1.0, grid)
-    integrand = (1.0 - 0.25) * np.abs(d_vals[:, 0]) ** 2
+    integrand = (1.0 - 0.25) * linalg.sq_norms(d_vals[:, 0], axis=())
     poisson = float(np.mean(integrand))
     hardy = float(gamma_norms_sq(w, [1.0], degree))
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
@@ -232,7 +234,7 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
     u = h2.herglotz_from_measure(mu, degree)
     a = h2.herglotz_to_symbol(u, degree)
     a_vals = h2.eval_circle_grid(a, rho, grid)[:, 0, 0]
-    m = np.sqrt(np.clip(1.0 - np.abs(a_vals) ** 2, 0.0, None))
+    m = np.sqrt(np.clip(1.0 - linalg.sq_norms(a_vals, axis=()), 0.0, None))
     # degree capped so the stacked symbol stays resolvable on this grid
     outer = h2.outer_from_boundary_modulus(m, grid // 2 - 1)
     b_vals = np.exp(h2.unit_circle_values(outer.log_coeffs, grid))
@@ -246,7 +248,8 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
     for point in (0.0, np.pi):
         delta = np.abs((theta - point + np.pi) % (2 * np.pi) - np.pi)
         safe &= delta >= spacing * (1 - 1e-12)
-    pythagoras = float(np.max(np.abs(np.abs(a_vals[safe]) ** 2 + np.abs(b_vals[safe]) ** 2 - 1.0)))
+    moduli_sq = linalg.sq_norms(a_vals[safe], axis=()) + linalg.sq_norms(b_vals[safe], axis=())
+    pythagoras = float(np.max(np.abs(moduli_sq - 1.0)))
     # density probes go through the symbol, whose coefficients decay;
     # the Herglotz series itself has non-decaying coefficients (the atom)
     # and cannot be summed accurately this close to the boundary

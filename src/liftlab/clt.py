@@ -410,7 +410,8 @@ def lift(
 
     Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
     assembled Schur parameter W = [B; A]; slot n of the series part, in
-    defect coordinates, is the B rows of term n of ``h2.resolvent_terms``.
+    defect coordinates, is the B rows of term n of ``h2.resolvent_terms``,
+    copied one block of terms at a time.
     """
     if ld is None:
         ld = build_omega(p)
@@ -422,8 +423,10 @@ def lift(
     y = np.empty((h_dim + (degree + 1) * r_prime, p.t.dim), dtype=complex)
     y[:h_dim] = p.x
     series = y[h_dim:].reshape(degree + 1, r_prime, p.t.dim)
-    for slot, term in zip(series, h2.resolvent_terms(w.coeffs, slice(r_prime, None), coords)):
-        slot[:] = term[:r_prime]
+    blocks = h2.resolvent_terms(w.coeffs, slice(r_prime, None), coords)
+    for start, block in zip(range(0, degree + 1, h2.TERM_BLOCK), blocks):
+        stop = min(start + h2.TERM_BLOCK, degree + 1)
+        series[start:stop] = np.moveaxis(block[:r_prime, : stop - start], 1, 0)
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
     return Lifting(p, ld, r, w, y, ml)
 

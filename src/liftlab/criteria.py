@@ -49,12 +49,22 @@ rather than on every node of every rung.  ``clt.assemble_schur_W`` holds
 ||W|| <= 1 + clt.TOL and A is a block of W, so ||rho^G A^G|| <= q =
 (rho (1 + TOL))^G and kappa(M_rho) <= (1 + q) / (1 - q): for G >= 1
 never worse than the same bound on the I - zA systems it replaces.
+
+Every Taylor orbit is read in blocks: ``resolvent_orbit`` hands out the
+X_n in blocks of h2.TERM_BLOCK = C consecutive terms, each a (dim, C, m)
+array that reshapes to one matrix C * m columns wide, with the W X_n
+of the same terms.  The lifting check streams W = [B; A] itself, whose
+A rows are X_(n+1), so ||W X_n||^2 comes with the block, and each of
+the U_rho, R, K* and Omega products is one gemm per block.  Squared
+norms go through ``linalg.sq_norms``.  A trace or ladder that ends
+inside a block leaves the rest of it unread by that statement: the
+ladder sums k < G only, the trace keeps what it read for its next
+doubling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 
 import numpy as np
 
@@ -71,7 +81,6 @@ N_PROBES = 4
 PROBE_SEED = 1
 # a Taylor trace is extended by doubling up to this multiple of its degree
 TAYLOR_DEGREE_CAP = 8
-TRACE_CHUNK = 64  # Taylor terms whose norms are taken in one call
 LADDER_SLACK = 1e-9  # relative rise a monotone ladder may show between rungs
 # terms of the power-norm traces and backward orbits of the constant-symbol
 # and obstruction checks
@@ -163,11 +172,6 @@ def _top_block(w: MatPoly) -> MatPoly:
     return w.block_rows(w.in_dim)[0]
 
 
-def _norms_sq(values: np.ndarray) -> np.ndarray:
-    """Squared column norms of a (grid, dim, m) stack -> (grid, m)."""
-    return np.sum(np.abs(values) ** 2, axis=1)
-
-
 @dataclass(frozen=True)
 class RadialSample:
     """One rung of a radial ladder: d = (I - z A(z))^(-1) probes on the
@@ -184,36 +188,45 @@ class RadialSample:
 def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int, a_rows: int = 0) -> RadialSample:
     """Solve the resolvent once and evaluate W once on the rho-circle."""
     d = h2.resolvent_apply_grid(a, probes, rho, grid)
-    wd_sq = np.abs(h2.eval_circle_grid(w, rho, grid) @ d) ** 2
-    return RadialSample(d, _norms_sq(d), np.sum(wd_sq, axis=1), np.sum(wd_sq[:, :a_rows], axis=1))
+    wd = h2.eval_circle_grid(w, rho, grid) @ d
+    an2 = linalg.sq_norms(wd[:, :a_rows])
+    return RadialSample(d, linalg.sq_norms(d), an2 + linalg.sq_norms(wd[:, a_rows:]), an2)
 
 
-def _max_norms(blocks: np.ndarray) -> np.ndarray:
-    """Largest column norm of each block of a (count, dim, m) stack."""
-    return np.max(np.linalg.norm(blocks, axis=1), axis=1) if blocks.size else np.zeros(len(blocks))
+def _max_norms(dn2: np.ndarray) -> np.ndarray:
+    """Largest column norm of each term from the (C, m) squared column
+    norms of an orbit block."""
+    return np.sqrt(np.max(dn2, axis=1, initial=0.0))
 
 
-def resolvent_orbit(a: MatPoly, probes: np.ndarray):
+def resolvent_orbit(w: np.ndarray, a_rows: slice, probes: np.ndarray):
     """The endless Taylor coefficients X_0 = probes, X_1, ... of
-    (I - z A(z))^(-1) probes, streamed from ``h2.resolvent_terms``."""
-    return chain([probes], h2.resolvent_terms(a.coeffs, slice(None), probes))
+    (I - z A(z))^(-1) probes, A = W[a_rows], in blocks (x, wx) of
+    h2.TERM_BLOCK = C terms: x of shape (dim, C, m) holds the X_n of the
+    block, wx of shape (rows, C, m) the W X_n, as ``h2.resolvent_terms``
+    streams them.  The A rows of W X_n are X_(n+1), so x is the previous
+    block's last X followed by all but the last of these."""
+    x_next = probes
+    for wx in h2.resolvent_terms(w, a_rows, probes):
+        yield np.concatenate([x_next[:, None], wx[a_rows, :-1]], axis=1), wx
+        x_next = wx[a_rows, -1]
 
 
 def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> np.ndarray:
     """Largest probe norm of each Taylor coefficient of (I - z A(z))^(-1)
     applied to the probes, through `degree` doubled while the verdict at
     `tol` is inconclusive, up to TAYLOR_DEGREE_CAP * degree."""
-    return _extend_trace(resolvent_orbit(a, probes), np.zeros(0), degree, tol)
+    return _extend_trace(resolvent_orbit(a.coeffs, slice(None), probes), np.zeros(0), degree, tol)
 
 
 def _extend_trace(orbit, trace: np.ndarray, degree: int, tol: float) -> np.ndarray:
-    """``taylor_trace`` on an orbit whose first len(trace) terms were
-    already read, their largest probe norms being `trace`."""
+    """``taylor_trace`` on a ``resolvent_orbit`` whose first len(trace)
+    terms were already read, their largest probe norms being `trace`."""
     target, cap = degree, TAYLOR_DEGREE_CAP * degree
     while True:
         while len(trace) <= target:
-            chunk = np.stack(list(islice(orbit, min(TRACE_CHUNK, target + 1 - len(trace)))))
-            trace = np.concatenate([trace, _max_norms(chunk)])
+            x, _ = next(orbit)
+            trace = np.concatenate([trace, _max_norms(linalg.sq_norms(x, axis=0))])
         if target >= cap or taylor_verdict(trace[: target + 1], tol) != "inconclusive":
             return trace[: target + 1]
         target *= 2
@@ -261,7 +274,7 @@ def radial_isometry_check(
     """
     a = _top_block(w)
     probes = probe_matrix(a.in_dim)
-    nd2 = np.sum(np.abs(probes) ** 2, axis=0)
+    nd2 = linalg.sq_norms(probes)
     defect_ladder, weighted_ladder, a_defect_dev = [], [], []
     for rho in ladder:
         s = radial_sample(w, a, probes, rho, grid, a.out_dim)
@@ -341,7 +354,7 @@ def boundary_measure_check(
     """
     a = _top_block(w)
     probes = probe_matrix(a.in_dim)
-    nd2 = np.sum(np.abs(probes) ** 2, axis=0)
+    nd2 = linalg.sq_norms(probes)
     mass_ladder, mass_dev, k_ladder = [], [], []
     for rho in ladder:
         mask = included_nodes(grid, rho, exclusions)
@@ -377,15 +390,15 @@ def boundary_measure_check(
 
 def _defect_chain(ld: LiftingData, d: np.ndarray, dn2: np.ndarray, wn2: np.ndarray, r: np.ndarray):
     """The parameter defect ||K* d||^2 - ||R K* d||^2 of each column of
-    a (count, dim, m) stack d, and the worst gap between the three forms
-    ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2 = that
-    defect, given dn2 = ||d||^2 and wn2 = ||W d||^2; r is R or its
-    values on the nodes."""
+    d, a (dim, count) matrix or a (count, dim, m) stack, and the worst
+    gap between the three forms ||d||^2 - ||W d||^2 = ||d||^2 -
+    ||Omega d||^2 - ||R K* d||^2 = that defect, given dn2 = ||d||^2 and
+    wn2 = ||W d||^2; r is R or its values on the nodes."""
     u_vals = ld.ker_omega.columns.conj().T @ d
     r_vals = r @ u_vals
-    term = _norms_sq(u_vals) - _norms_sq(r_vals)
+    term = linalg.sq_norms(u_vals) - linalg.sq_norms(r_vals)
     e1 = dn2 - wn2
-    e2 = dn2 - _norms_sq(ld.omega_bar @ d) - _norms_sq(r_vals)
+    e2 = dn2 - linalg.sq_norms(ld.omega_bar @ d) - linalg.sq_norms(r_vals)
     worst = max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term)))) if e1.size else 0.0
     return term, worst
 
@@ -405,28 +418,36 @@ def _sampled_lifting_ladder(lifting: Lifting, a: MatPoly, probes: np.ndarray, la
     return defect_ladder, chain_residual
 
 
-def _orbit_lifting_ladder(lifting: Lifting, a: MatPoly, probes: np.ndarray, orbit, ladder, grid: int):
+def _orbit_lifting_ladder(lifting: Lifting, probes: np.ndarray, orbit, ladder, grid: int):
     """Parameter defect ladder and chain residual of a constant W from
-    the orbit terms X_0 .. X_(grid-1), read in chunks, by discrete
-    Parseval (module docstring); also returns their largest probe norms,
-    the head of the Taylor trace."""
-    ld, w0, r0 = lifting.data, lifting.w.coeffs[0], lifting.free_parameter.coeffs[0]
-    a_grid = np.linalg.matrix_power(a.coeffs[0], grid)
+    the orbit terms X_0 .. X_(grid-1) by discrete Parseval (module
+    docstring), read from the blocks of a ``resolvent_orbit`` of W
+    itself; also returns the largest probe norms of every term read,
+    the head of the Taylor trace.  A block is one matrix C * m columns
+    wide, so each product is one gemm per block, and ||W X_n||^2 is read
+    off the block the stream yields."""
+    ld, r0 = lifting.data, lifting.free_parameter.coeffs[0]
+    dim, m = probes.shape
+    a_grid = np.linalg.matrix_power(lifting.w.coeffs[0][ld.basis_tprime.dim :], grid)
     u_rho = []  # U_rho = K* M_rho^(-1), solved as M_rho* U_rho* = K
     for rho in ladder:
-        m_rho = np.eye(a.in_dim) - h2.check_radius(rho) ** grid * a_grid
+        m_rho = np.eye(dim) - h2.check_radius(rho) ** grid * a_grid
         u_rho.append(np.linalg.solve(m_rho.conj().T, ld.ker_omega.columns).conj().T)
-    sums, trace, chain_residual = np.zeros((len(ladder), probes.shape[1])), np.zeros(0), 0.0
-    for start in range(0, grid, TRACE_CHUNK):
-        x = np.stack(list(islice(orbit, min(TRACE_CHUNK, grid - start))))
-        trace = np.concatenate([trace, _max_norms(x)])
-        n = np.arange(start, start + len(x))
+    sums, trace, chain_residual = np.zeros((len(ladder), m)), [], 0.0
+    for start in range(0, grid, h2.TERM_BLOCK):
+        x, wx = next(orbit)
+        dn2 = linalg.sq_norms(x, axis=0)
+        trace.append(_max_norms(dn2))
+        used = min(x.shape[1], grid - start)  # the last block may run past the grid
+        x = x[:, :used].reshape(dim, used * m)
+        n = np.arange(start, start + used)
         for i, (rho, u) in enumerate(zip(ladder, u_rho)):
             v = u @ x
-            sums[i] += rho ** (2 * n) @ (_norms_sq(v) - _norms_sq(r0 @ v))
-        _, worst = _defect_chain(ld, x, _norms_sq(x), _norms_sq(w0 @ x), r0)
+            sums[i] += rho ** (2 * n) @ (linalg.sq_norms(v) - linalg.sq_norms(r0 @ v)).reshape(used, m)
+        wn2 = linalg.sq_norms(wx[:, :used].reshape(len(wx), used * m))
+        _, worst = _defect_chain(ld, x, dn2[:used].reshape(used * m), wn2, r0)
         chain_residual = max(chain_residual, worst)
-    return [float(np.max(v)) if v.size else 0.0 for v in sums], chain_residual, trace
+    return [float(np.max(v)) if v.size else 0.0 for v in sums], chain_residual, np.concatenate(trace)
 
 
 def lifting_isometry_check(
@@ -457,9 +478,9 @@ def lifting_isometry_check(
     ld, degree = lifting.data, lifting.minimal.degree
     _, a = lifting.w.block_rows(ld.basis_tprime.dim)
     probes = probe_matrix(ld.defect_dim)
-    orbit = resolvent_orbit(a, probes)
+    orbit = resolvent_orbit(lifting.w.coeffs, slice(ld.basis_tprime.dim, None), probes)
     if lifting.w.degree == 0:
-        defect_ladder, chain_residual, trace = _orbit_lifting_ladder(lifting, a, probes, orbit, ladder, grid)
+        defect_ladder, chain_residual, trace = _orbit_lifting_ladder(lifting, probes, orbit, ladder, grid)
     else:
         defect_ladder, chain_residual = _sampled_lifting_ladder(lifting, a, probes, ladder, grid)
         trace = np.zeros(0)

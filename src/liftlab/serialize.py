@@ -81,15 +81,16 @@ def decode_matpoly(obj, path: str = "$") -> MatPoly:
     return MatPoly(np.stack(mats))
 
 
-def _optional_float(obj: dict, key: str, default, path: str):
-    """obj[key] as a float, or default when the key is absent or null."""
-    value = obj.get(key)
+def _optional_tol(obj: dict, default: float, path: str) -> float:
+    """obj["tol"] when it is a finite, non-negative JSON number, default
+    when it is absent or null.  No string, bool, NaN or infinity is
+    parsed: a tol of inf or nan would switch off every check against it."""
+    value = obj.get("tol")
     if value is None:
         return default
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{path}.{key}", "must be a number")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value) or value < 0:
+        raise SchemaError(f"{path}.tol", "must be a finite, non-negative number")
+    return float(value)
 
 
 def _integer(obj, key: str, path: str) -> int:
@@ -144,7 +145,7 @@ def decode_problem(obj, path: str = "$") -> clt.CLTProblem:
     spec = decode_operator_spec(obj["T"], f"{path}.T")
     t_prime = decode_matrix(obj["T_prime"], f"{path}.T_prime")
     x = decode_matrix(obj["X"], f"{path}.X")
-    tol = _optional_float(obj, "tol", 1e-8, path)
+    tol = _optional_tol(obj, 1e-8, path)
     window = None if obj.get("window") is None else _integer(obj, "window", f"{path}.window")
     try:
         return clt.build_problem(spec, t_prime, x, tol, window)
@@ -180,7 +181,7 @@ def decode_extension_problem(obj, path: str = "$") -> coiso.ExtensionProblem:
     # spanning columns are orthonormalized on load
     m = linalg.range_basis(m_cols)
     mp = linalg.range_basis(mp_cols)
-    tol = _optional_float(obj, "tol", 1e-8, path)
+    tol = _optional_tol(obj, 1e-8, path)
     try:
         return coiso.ExtensionProblem(h_dim, hp_dim, m, mp, c, tol)
     except coiso.CoisoError as exc:

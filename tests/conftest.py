@@ -20,6 +20,20 @@ def contractive_matpoly(rng, out_dim, in_dim, degree, norm=0.95, probe_grid=None
     return MatPoly(p.coeffs * (norm / sup))
 
 
+def per_term_series(w: np.ndarray, a_rows: slice, block, count: int) -> np.ndarray:
+    """Reference: the first `count` coefficients Y_n of W (I - zA)^(-1)
+    block, A = W[a_rows], one term at a time by Y_n = sum_j W_j X_(n-j)
+    and X_(n+1) = Y_n[a_rows], X_0 = block, stacked on a leading axis."""
+    xs, ys = [np.asarray(block, dtype=complex)], []
+    for n in range(count):
+        y = np.zeros(w.shape[1:2] + xs[0].shape[1:], dtype=complex)
+        for j in range(min(n + 1, w.shape[0])):
+            y += w[j] @ xs[n - j]
+        ys.append(y)
+        xs.append(y[a_rows])
+    return np.stack(ys)
+
+
 def random_contraction(rng, rows, cols, norm=1.0):
     m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     s = np.linalg.norm(m, 2)

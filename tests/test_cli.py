@@ -226,6 +226,20 @@ MALFORMED = {
     "bimodel_bad_symbol": ("bimodel", lambda rng: {"symbol": {"coeffs": "x"}}, "at $.symbol.coeffs:"),
     "lift_tol": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", "tight"), "at $.tol:"),
     "dims_tol": ("dims", lambda rng: with_field(shift_problem_doc(rng), "tol", [1e-8]), "at $.tol:"),
+    # tol is a finite, non-negative JSON number: an inf or nan tol would pass every check
+    "lift_tol_inf_string": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", "inf"), "at $.tol:"),
+    "lift_tol_nan_string": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", "nan"), "at $.tol:"),
+    "lift_tol_numeric_string": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", "1e-3"), "at $.tol:"),
+    "lift_tol_bool": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", True), "at $.tol:"),
+    "lift_tol_bare_nan": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", float("nan")), "at $.tol:"),
+    "dims_tol_bare_infinity": ("dims", lambda rng: with_field(shift_problem_doc(rng), "tol", float("inf")), "at $.tol:"),
+    "lift_tol_negative": ("lift", lambda rng: with_field(shift_problem_doc(rng), "tol", -1e-8), "at $.tol:"),
+    "coiso_tol_inf_string": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", "inf"), "at $.tol:"),
+    "coiso_tol_numeric_string": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", "1e-3"), "at $.tol:"),
+    "coiso_tol_bool": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", True), "at $.tol:"),
+    "coiso_tol_bare_nan": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", float("nan")), "at $.tol:"),
+    "coiso_tol_bare_infinity": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", float("-inf")), "at $.tol:"),
+    "coiso_tol_negative": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", -1e-3), "at $.tol:"),
     "lift_window": ("lift", lambda rng: with_field(shift_problem_doc(rng), "window", "wide"), "at $.window:"),
     "coiso_tol": ("coiso", lambda rng: with_field(extension_doc(rng, 5), "tol", "tight"), "at $.tol:"),
     "lift_shift_mult_zero": ("lift", lambda rng: EMPTY_SHIFT_DOC, "at $.T.shift:"),

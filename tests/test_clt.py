@@ -6,7 +6,7 @@ import pytest
 from liftlab import clt, h2, linalg
 from liftlab.h2 import MatPoly
 
-from conftest import contractive_matpoly, random_contraction, random_isometry, random_unitary
+from conftest import contractive_matpoly, per_term_series, random_contraction, random_isometry, random_unitary
 
 
 def window_vectors(problem, rng, count):
@@ -339,6 +339,22 @@ class TestLift:
         gamma = h2.polymul(b, h2.neumann_inverse(a, degree), degree)
         coords = ld.basis_x.columns.conj().T @ ld.d_x
         series = h2.pad_coeffs(gamma, degree).coeffs @ coords
+        want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
+        assert lifting.y.shape == want.shape
+        assert np.max(np.abs(lifting.y - want)) <= 1e-12
+
+    @pytest.mark.parametrize("r_degree", [0, 2])
+    def test_y_off_a_block_boundary_matches_the_per_term_series(self, rng, r_degree):
+        # degree 100: the 101 series slots end inside the stream's seventh block
+        degree = 100
+        assert (degree + 1) % h2.TERM_BLOCK
+        p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
+        ld = clt.build_omega(p)
+        r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=0.9)
+        lifting = clt.lift(p, r, degree, ld=ld)
+        r_prime = ld.basis_tprime.dim
+        coords = ld.basis_x.columns.conj().T @ ld.d_x
+        series = per_term_series(lifting.w.coeffs, slice(r_prime, None), coords, degree + 1)[:, :r_prime]
         want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
         assert lifting.y.shape == want.shape
         assert np.max(np.abs(lifting.y - want)) <= 1e-12

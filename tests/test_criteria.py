@@ -277,20 +277,24 @@ class TestLiftingIsometryOracle:
         rep = assert_matches_the_oracle(clt.lift(p, r, 64, ld=ld), (0.9, 0.99), 128)
         assert rep.tolerances["degree"] == 64
 
-    # name: (problem, free parameter, lifting degree, ladder, grid)
+    # name: (problem, free parameter, lifting degree, ladder, grid, degree used)
     CONSTANT_CASES = {
-        "trivial_kernel": ("trivial", "zero", 64, (0.9, 0.99), 128),
+        "trivial_kernel": ("trivial", "zero", 64, (0.9, 0.99), 128, 64),
         # the Taylor trace stops inside the orbit the ladder reads
-        "degree_below_grid": ("shift", "zero", 16, (0.9, 0.99), 256),
+        "degree_below_grid": ("shift", "zero", 16, (0.9, 0.99), 256, 64),
         # the Taylor trace streams on past the orbit the ladder reads
-        "degree_above_grid": ("shift", "isometric", 256, (0.9, 0.99), 32),
-        "rung_at_0.9999": ("shift", "isometric", 64, (0.9, 0.9999), 128),
-        "zero_at_0.9999": ("shift", "zero", 64, (0.99, 0.9999), 64),
+        "degree_above_grid": ("shift", "isometric", 256, (0.9, 0.99), 32, 2048),
+        "rung_at_0.9999": ("shift", "isometric", 64, (0.9, 0.9999), 128, 64),
+        "zero_at_0.9999": ("shift", "zero", 64, (0.99, 0.9999), 64, 64),
+        # targets 20, 40 and 80 all end inside a block of the stream
+        "doubling_off_block": ("shift", "zero", 20, (0.9, 0.99), 256, 80),
+        # the ladder stops 4 terms into a block whose rest the trace reads
+        "grid_off_block": ("shift", "isometric", 300, (0.9, 0.99), 100, 2400),
     }
 
     @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
     def test_constant_symbol_matches_the_einsum_oracle(self, rng, name):
-        kind, parameter, degree, ladder, grid = self.CONSTANT_CASES[name]
+        kind, parameter, degree, ladder, grid, degree_used = self.CONSTANT_CASES[name]
         p = trivial_kernel_problem(rng) if kind == "trivial" else shift_problem(rng, mult=2, degree=6)
         ld = clt.build_omega(p)
         assert (ld.ker_omega.dim == 0) == (kind == "trivial")
@@ -300,7 +304,8 @@ class TestLiftingIsometryOracle:
         lifting = clt.lift(p, r, degree, ld=ld)
         assert lifting.w.degree == 0
         rep = assert_matches_the_oracle(lifting, ladder, grid)
-        assert (rep.tolerances["degree_used"] < grid) == (degree < grid)
+        assert rep.tolerances["degree_used"] == degree_used
+        assert (degree_used < grid) == (degree < grid)
 
 
 class TestLiftingIsometryPaths:

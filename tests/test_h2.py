@@ -10,7 +10,7 @@ from itertools import islice
 from liftlab import cli, h2, linalg
 from liftlab.h2 import MatPoly
 
-from conftest import contractive_matpoly, random_matpoly, random_unitary
+from conftest import contractive_matpoly, per_term_series, random_matpoly, random_unitary
 
 
 class TestEval:
@@ -105,8 +105,10 @@ class TestNeumannInverse:
 
 
 def stream(w: MatPoly, a_rows: slice, block, count: int) -> np.ndarray:
-    """The first `count` terms of h2.resolvent_terms, stacked."""
-    return np.stack(list(islice(h2.resolvent_terms(w.coeffs, a_rows, block), count)))
+    """The first `count` terms of h2.resolvent_terms, read in blocks and
+    stacked along a leading term axis."""
+    blocks = islice(h2.resolvent_terms(w.coeffs, a_rows, block), -(-count // h2.TERM_BLOCK))
+    return np.concatenate([np.moveaxis(b, 1, 0) for b in blocks])[:count]
 
 
 def gamma_terms(w: MatPoly, block, count: int) -> np.ndarray:
@@ -142,6 +144,72 @@ class TestResolventTerms:
         got = stream(a, slice(None), d, 33)
         assert got.shape == (33, 3)
         assert np.max(np.abs(got - stream(a, slice(None), d[:, None], 33)[..., 0])) == 0
+
+
+class TestResolventBlocks:
+    """Blocks of TERM_BLOCK terms against the per-term recursion: bit for
+    bit where the stream runs it, within 1e-12 relative per term where a
+    constant W takes a whole block in one W A^(C-1) product."""
+
+    C = h2.TERM_BLOCK
+
+    @staticmethod
+    def lifting_shaped(rng) -> tuple:
+        """A constant isometric W = [B; A]: 3 B rows over a 50 x 50 A."""
+        return random_unitary(rng, 53)[:, :50][None], slice(3, None)
+
+    def test_blocks_are_one_matrix_c_terms_wide(self, rng):
+        w, a_rows = self.lifting_shaped(rng)
+        probes = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
+        blocks = h2.resolvent_terms(w, a_rows, probes)
+        for _ in range(3):
+            y = next(blocks)
+            assert y.shape == (53, self.C, 54) and y.flags.c_contiguous
+        assert next(h2.resolvent_terms(w[:, 3:], slice(None), probes[:, 0])).shape == (50, self.C)
+
+    @pytest.mark.parametrize("dim, deg, rows, m", [(50, 0, 3, 54), (4, 0, 0, 7), (3, 2, 2, 5), (4, 5, 0, 1)])
+    def test_first_block_and_polynomial_blocks_equal_the_recursion_bit_for_bit(self, rng, dim, deg, rows, m):
+        a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
+        w = h2.vstack_polys(random_matpoly(rng, rows, dim, deg), a) if rows else a
+        block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+        count = 5 * self.C if deg else self.C
+        got = stream(w, slice(rows, None), block, count)
+        assert got.tobytes() == per_term_series(w.coeffs, slice(rows, None), block, count).tobytes()
+
+    @pytest.mark.parametrize("shape", ["lifting", "w_is_a", "vector"])
+    def test_constant_symbol_agrees_per_term_within_1e_12_relative(self, rng, shape):
+        if shape == "lifting":
+            w, a_rows = self.lifting_shaped(rng)
+            block = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
+        else:
+            # a 0.999-scaled unitary keeps all 4096 terms above 1% of the first
+            dim = 25 if shape == "w_is_a" else 7
+            w, a_rows = 0.999 * random_unitary(rng, dim)[None], slice(None)
+            block = rng.standard_normal((dim, 29) if shape == "w_is_a" else dim) + 0j
+        got = stream(MatPoly(w), a_rows, block, 4096)
+        want = per_term_series(w, a_rows, block, 4096)
+        axes = tuple(range(1, want.ndim))
+        size = np.sqrt(np.sum(np.abs(want) ** 2, axis=axes))
+        # no term sinks to rounding level, where a relative bound means nothing
+        assert np.min(size) > 1e-12 * size[0]
+        assert np.max(np.sqrt(np.sum(np.abs(got - want) ** 2, axis=axes)) / size) <= 1e-12
+
+    def test_a_constant_symbol_steps_term_by_term_through_one_block_only(self, rng):
+        w, a_rows = self.lifting_shaped(rng)
+        probes = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
+        steps = []
+
+        class Counted(np.ndarray):
+            """W coefficients that count the products taken with one term."""
+
+            def __matmul__(self, other):
+                if np.shape(other) == probes.shape:
+                    steps.append(1)
+                return np.asarray(self) @ other
+
+        blocks = list(islice(h2.resolvent_terms(w.view(Counted), a_rows, probes), 4096 // self.C))
+        assert len(blocks) * blocks[0].shape[1] == 4096
+        assert len(steps) == self.C
 
 
 class TestGamma:
@@ -397,7 +465,8 @@ class TestRadialChainIdentities:
 
 def loop_neumann(a_coeffs, degree):
     """Reference loop J_n = sum_{k=1..n} A_{k-1} J_{n-k}; the kernel's
-    recursion path must reproduce it bit for bit."""
+    recursion path must reproduce it bit for bit wherever the stream
+    steps term by term."""
     dim = a_coeffs.shape[1]
     out = np.zeros((degree + 1, dim, dim), dtype=complex)
     out[0] = np.eye(dim)
@@ -469,7 +538,12 @@ class TestSeriesKernel:
     def test_neumann_short_symbols_bitwise_equal_loop(self, rng, dim, deg, n):
         a = contractive_matpoly(rng, dim, dim, deg, norm=0.99)
         assert not h2._newton_pays(a.degree + 1, dim, n)
-        assert h2.neumann_inverse(a, n).coeffs.tobytes() == loop_neumann(a.coeffs, n).tobytes()
+        got, want = h2.neumann_inverse(a, n).coeffs, loop_neumann(a.coeffs, n)
+        # a constant symbol runs the loop's arithmetic through the stream's
+        # first block only, then one W A^(C-1) product per block
+        exact = n + 1 if deg else h2.TERM_BLOCK + 1
+        assert got[:exact].tobytes() == want[:exact].tobytes()
+        assert all(np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w) for g, w in zip(got, want))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 4)] * 3),
