@@ -10,10 +10,11 @@ other flag is a usage error.  `--seed` draws the random problems of the
 seed twists the extension's fills by random unitaries, while
 `coiso --seed 0` (the default) builds the basis-aligned extension.
 `bimodel` draws nothing: its verdict is read off pointwise identities
-of the symbol.  `--degree` and `--grid` take integers of at least 1;
-each command has its own default for the flag left out, and the
-report's `config` records null for it.  The `config` echo lists every
-RunConfig field, at its default where the command takes no such flag.
+of the symbol.  `--degree` and `--grid` take integers of at least 1,
+`--tol-int` and `--tol-taylor` finite, non-negative numbers; each
+command has its own default for the flag left out, and the report's
+`config` records null for it.  The `config` echo lists every RunConfig
+field, at its default where the command takes no such flag.
 Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
@@ -83,6 +84,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    """A threshold flag: a finite, non-negative number, as `tol` in problem files."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 <= value < np.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite, non-negative number, got {text!r}")
+    return value
+
+
 def _given(value, default):
     """The flag's value when it was given, else the command's default."""
     return default if value is None else value
@@ -94,8 +106,8 @@ FLAG_OPTIONS = {
     "degree": {"type": positive_int, "help": "truncation degree"},
     "grid": {"type": positive_int, "help": "circle grid size"},
     "ladder": {"type": parse_ladder, "default": criteria.DEFAULT_LADDER},
-    "tol-int": {"type": float, "default": criteria.TOL_INT},
-    "tol-taylor": {"type": float, "default": criteria.TOL_TAYLOR},
+    "tol-int": {"type": tolerance, "default": criteria.TOL_INT},
+    "tol-taylor": {"type": tolerance, "default": criteria.TOL_TAYLOR},
     "seed": {"type": int, "default": 0},
 }
 # subcommand: (help, help of its --input file, the flags it reads and takes)

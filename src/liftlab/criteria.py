@@ -8,11 +8,11 @@ decision, never an extrapolation.  The rules are
 * a radial ladder passes when it decreases monotonically (within
   slack) and its final value is below its threshold; a monotone ladder
   stuck above threshold fails; a non-monotone ladder is inconclusive;
-* a Taylor trace passes when it stays below its threshold from the
-  half-way index on, fails when the tail has not decayed to within a
-  factor 0.1 of the head, and is inconclusive in between; while
-  inconclusive it doubles its degree up to TAYLOR_DEGREE_CAP times the
-  requested `degree`, recording `degree_used` and `degree_cap`;
+* a Taylor trace is a list of (n, value) pairs, n increasing; its tail
+  is the entries with 2n >= n_last and its head the rest.  It passes
+  when the tail stays below its threshold, fails when the tail has not
+  decayed to within a factor 0.1 of the head, and is inconclusive in
+  between; on n = 0 .. D the tail starts at the half-way index;
 * boundary-mass statements compare against the probe norm at the
   largest radius.
 
@@ -20,50 +20,49 @@ Statements quantified over a whole space are probed on the standard
 basis plus N_PROBES random unit vectors drawn from PROBE_SEED; both are
 recorded in the tolerances.
 
-Each rung of a radial ladder in ``radial_isometry_check`` and
-``boundary_measure_check``, and in ``lifting_isometry_check`` for a
-polynomial W, is one ``radial_sample``: it solves (I - z A(z)) d =
-probe on every node of the rho-circle once, through
-``h2.resolvent_apply_grid`` (the only place that evaluates A),
-evaluates W once, and returns d with the squared column norms of d, of
-W d and of the first rows of W d.  When A is the top block of W, those
-rows are A d, so A is never evaluated a second time.  Every product
-over the nodes is a batched ``@``, one BLAS gemm per node, and a
-constant W, A or free parameter evaluates as a broadcast of its one
-coefficient.
+A rung of a radial ladder of a polynomial W, and of every W in
+``boundary_measure_check`` (its exclusion masks are not Parseval sums),
+is one ``radial_sample`` of the nodes of the rho-circle.
 
-A constant W needs no node at all in ``lifting_isometry_check``.  On
-the G-point rho-circle z^G = rho^G, and (I - zA) sum_(k<G) z^k A^k =
-I - z^G A^G, so with X_k = A^k P (P the probes) and M_rho =
-I - rho^G A^G the resolvent is d(z) = sum_(k<G) z^k M_rho^(-1) X_k at
-every node, and exact discrete Parseval gives, for every constant L
-and probe column c, with w = exp(2 pi i / G),
+A constant W needs no node.  On the G-point rho-circle z^G = rho^G, and
+(I - zA) sum_(k<G) z^k A^k = I - z^G A^G, so with M_rho = I - (rho A)^G,
+which commutes with A, d(z) = sum_(k<G) z^k A^k v at every node, v =
+M_rho^(-1) c for a probe column c.  Exact discrete Parseval gives, for
+every constant L with N = L*L and w = exp(2 pi i / G),
 
-    mean_j ||L d(rho w^j) c||^2 = sum_(k<G) rho^(2k) ||L M_rho^(-1) X_k c||^2.
+    mean_j ||L d(rho w^j)||^2 = sum_(k<G) rho^(2k) ||L A^k v||^2 = v* S v,
 
-The X_k are the orbit terms the Taylor trace streams anyway, so a rung
-needs only the (dim ker) x dim matrix U_rho = K* M_rho^(-1) (K the
-kernel basis of the coupling) and R U_rho, and the defect chain identity,
-which holds for every vector, is checked once on X_0 .. X_(G-1)
-rather than on every node of every rung.  ``clt.assemble_schur_W`` holds
-||W|| <= 1 + clt.TOL and A is a block of W, so ||rho^G A^G|| <= q =
-(rho (1 + TOL))^G and kappa(M_rho) <= (1 + q) / (1 - q): for G >= 1
-never worse than the same bound on the I - zA systems it replaces.
+S = sum_(k<G) (b^k)* N b^k, b = rho A, the Stein sum that
+``linalg.stein_sum`` doubles in log2 G steps, S_(2m) = S_m + (b^m)* S_m
+b^m, with b^G for M_rho.  N is I - W*W, I and I - A*A for the radial
+defect, weighted and defect-of-A ladders (one stacked sum per rung), and
+K (I - R*R) K* for the lifting parameter defect (K the kernel basis of
+the coupling, R the free parameter).  ``clt.assemble_schur_W`` holds
+||W|| <= 1 + clt.TOL, so ||b^G|| <= q = (rho (1 + TOL))^G and
+kappa(M_rho) <= (1 + q) / (1 - q).  The lifting's defect chain holds for
+every vector, so for a constant W it is checked as the matrix identities
+W*W = Omega*Omega + K R*R K* and I = Omega*Omega + K K*.
 
-Every Taylor orbit is read in blocks: ``resolvent_orbit`` hands out the
-X_n in blocks of h2.TERM_BLOCK = C consecutive terms, each a (dim, C, m)
-array that reshapes to one matrix C * m columns wide, with the W X_n
-of the same terms.  The lifting check streams W = [B; A] itself, whose
-A rows are X_(n+1), so ||W X_n||^2 comes with the block, and each of
-the U_rho, R, K* and Omega products is one gemm per block.  Squared
-norms go through ``linalg.sq_norms``.  A trace or ladder that ends
-inside a block leaves the rest of it unread by that statement: the
-ladder sums k < G only, the trace keeps what it read for its next
-doubling.
+The Taylor trace of a constant A records ||A^n c|| at n = 0, 1, 2, 4,
+... by repeated squaring, until the verdict is a pass or after
+TAYLOR_SQUARINGS squarings.  The cap comes from CLASSIFY_TOL, inside
+which ``obstruction_search`` and ``constant_symbol_check`` count an
+eigenvalue as unimodular: for spectral radius 1 - delta and a normal A,
+||A^n|| <= exp(-delta n), and the tail of a trace ending at the cap
+starts at n = 2^(cap - 1), so the least cap with 2^(cap - 1)
+CLASSIFY_TOL >= ln(1 / TOL_TAYLOR), 35, passes every delta >
+CLASSIFY_TOL.  Trace and search differ only where 1 - CLASSIFY_TOL <=
+rho(A) < 1 - ln(1 / tol_taylor) / 2^34, 1 - 8.0e-10 at the default:
+there the search finds a witness and the trace passes.  A non-normal A
+exceeds exp(-delta n) by up to its eigenvector condition number, which
+narrows the band; a tol_taylor below 3.5e-8 turns it round.  A squaring
+doubles the relative rounding error of A^(2^k), to 2^35 * 1.1e-16 = 4e-6
+at the cap: a unimodular eigenvalue's trace stays flat and fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +78,10 @@ TOL_MASS = 1e-2
 TOL_REMAINDER = 1e-2
 N_PROBES = 4
 PROBE_SEED = 1
-# a Taylor trace is extended by doubling up to this multiple of its degree
+# the Taylor trace of a polynomial symbol doubles up to this multiple of its degree
 TAYLOR_DEGREE_CAP = 8
+# squarings of a constant symbol's dyadic Taylor trace: 35 (module docstring)
+TAYLOR_SQUARINGS = 1 + math.ceil(math.log2(math.log(1 / TOL_TAYLOR) / linalg.CLASSIFY_TOL))
 LADDER_SLACK = 1e-9  # relative rise a monotone ladder may show between rungs
 # terms of the power-norm traces and backward orbits of the constant-symbol
 # and obstruction checks
@@ -130,13 +131,12 @@ def ladder_verdict(values, tol: float) -> str:
     return "pass" if mono else "inconclusive"
 
 
-def taylor_verdict(values, tol: float) -> str:
-    vals = [float(v) for v in values]
-    if not vals:
-        return "pass"
-    half = len(vals) // 2
-    tail = vals[half:] if vals[half:] else vals[-1:]
-    head = vals[:half] if vals[:half] else vals
+def taylor_verdict(trace, tol: float) -> str:
+    """Verdict on (n, value) pairs, n increasing: the tail is the entries
+    with 2n >= n_last, the head the rest, or the tail if none is left."""
+    last = trace[-1][0]
+    tail = [float(v) for n, v in trace if 2 * n >= last]
+    head = [float(v) for n, v in trace if 2 * n < last] or tail
     if max(tail) < tol:
         return "pass"
     if max(tail) > 0.1 * max(head):
@@ -186,55 +186,57 @@ class RadialSample:
 
 
 def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int, a_rows: int = 0) -> RadialSample:
-    """Solve the resolvent once and evaluate W once on the rho-circle."""
+    """Solve the resolvent once and evaluate W once on the rho-circle; when
+    A tops W, its first a_rows rows give A d, so A is not evaluated again."""
     d = h2.resolvent_apply_grid(a, probes, rho, grid)
     wd = h2.eval_circle_grid(w, rho, grid) @ d
     an2 = linalg.sq_norms(wd[:, :a_rows])
     return RadialSample(d, linalg.sq_norms(d), an2 + linalg.sq_norms(wd[:, a_rows:]), an2)
 
 
-def _max_norms(dn2: np.ndarray) -> np.ndarray:
-    """Largest column norm of each term from the (C, m) squared column
-    norms of an orbit block."""
-    return np.sqrt(np.max(dn2, axis=1, initial=0.0))
+def parseval_means(a0: np.ndarray, probes: np.ndarray, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
+    """mean_j ||L d(rho w^j) c||^2 of the constant A = a0 for each rung,
+    weight N = L*L of an (s, dim, dim) stack and probe column c."""
+    out = np.zeros((len(ladder), len(weights), probes.shape[1]))
+    for i, rho in enumerate(ladder):
+        s, top = linalg.stein_sum(h2.check_radius(rho) * a0, weights, grid)
+        v = np.linalg.solve(np.eye(len(a0)) - top, probes)
+        out[i] = np.sum(v.conj() * (s @ v), axis=-2).real
+    return out
 
 
-def resolvent_orbit(w: np.ndarray, a_rows: slice, probes: np.ndarray):
-    """The endless Taylor coefficients X_0 = probes, X_1, ... of
-    (I - z A(z))^(-1) probes, A = W[a_rows], in blocks (x, wx) of
-    h2.TERM_BLOCK = C terms: x of shape (dim, C, m) holds the X_n of the
-    block, wx of shape (rows, C, m) the W X_n, as ``h2.resolvent_terms``
-    streams them.  The A rows of W X_n are X_(n+1), so x is the previous
-    block's last X followed by all but the last of these."""
-    x_next = probes
-    for wx in h2.resolvent_terms(w, a_rows, probes):
-        yield np.concatenate([x_next[:, None], wx[a_rows, :-1]], axis=1), wx
-        x_next = wx[a_rows, -1]
+def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> list:
+    """(n, largest probe norm of coefficient n of (I - z A(z))^(-1) probes):
+    a constant A at n = 0, 1, 2, 4, ... until the verdict at `tol` is a
+    pass or for TAYLOR_SQUARINGS squarings, a polynomial A at every n to
+    `degree`, doubled while inconclusive up to TAYLOR_DEGREE_CAP * degree."""
 
+    def largest(x):  # the largest column norm of x, or of each x[:, i] of a block
+        return np.sqrt(np.max(linalg.sq_norms(x, axis=0), axis=-1, initial=0.0))
 
-def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> np.ndarray:
-    """Largest probe norm of each Taylor coefficient of (I - z A(z))^(-1)
-    applied to the probes, through `degree` doubled while the verdict at
-    `tol` is inconclusive, up to TAYLOR_DEGREE_CAP * degree."""
-    return _extend_trace(resolvent_orbit(a.coeffs, slice(None), probes), np.zeros(0), degree, tol)
-
-
-def _extend_trace(orbit, trace: np.ndarray, degree: int, tol: float) -> np.ndarray:
-    """``taylor_trace`` on a ``resolvent_orbit`` whose first len(trace)
-    terms were already read, their largest probe norms being `trace`."""
-    target, cap = degree, TAYLOR_DEGREE_CAP * degree
+    trace = [(0, float(largest(probes)))]
+    if a.degree == 0:
+        power = a.coeffs[0]
+        for k in range(TAYLOR_SQUARINGS + 1):
+            if taylor_verdict(trace, tol) == "pass":
+                break
+            trace.append((1 << k, float(largest(power @ probes))))
+            power = power @ power
+        return trace
+    norms, blocks, target = [trace[0][1]], h2.resolvent_terms(a.coeffs, slice(None), probes), degree
     while True:
-        while len(trace) <= target:
-            x, _ = next(orbit)
-            trace = np.concatenate([trace, _max_norms(linalg.sq_norms(x, axis=0))])
-        if target >= cap or taylor_verdict(trace[: target + 1], tol) != "inconclusive":
-            return trace[: target + 1]
+        while len(norms) <= target:
+            norms.extend(largest(next(blocks)))
+        trace = list(enumerate(norms[: target + 1]))
+        if target >= TAYLOR_DEGREE_CAP * degree or taylor_verdict(trace, tol) != "inconclusive":
+            return trace
         target *= 2
 
 
-def _isometry_tolerances(tol_int: float, tol_taylor: float, taylor_max: np.ndarray, degree: int, grid: int) -> dict:
-    return {"tol_int": tol_int, "tol_taylor": tol_taylor, "degree": degree, "degree_used": len(taylor_max) - 1,
-            "degree_cap": TAYLOR_DEGREE_CAP * degree, "grid": grid, "n_probes": N_PROBES, "seed": PROBE_SEED}
+def _isometry_tolerances(tol_int: float, tol_taylor: float, a: MatPoly, trace: list, degree: int, grid: int) -> dict:
+    cap = 1 << TAYLOR_SQUARINGS if a.degree == 0 else TAYLOR_DEGREE_CAP * degree
+    return {"tol_int": tol_int, "tol_taylor": tol_taylor, "degree": degree, "degree_used": trace[-1][0],
+            "degree_cap": cap, "grid": grid, "n_probes": N_PROBES, "seed": PROBE_SEED}
 
 
 def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
@@ -269,29 +271,35 @@ def radial_isometry_check(
     Evaluates the defect integral ladder, the weighted resolvent ladder
     and its defect-of-A twin (two equivalent formulations), and the
     Taylor decay of the resolvent coefficients.  Pass requires the
-    defect ladder to sink below tol_int and the Taylor trace below
-    tol_taylor by the half-way degree.
+    defect ladder to sink below tol_int and the Taylor trace's tail
+    below tol_taylor.  The ladders are the circle means of ||d||^2 -
+    ||W d||^2, ||d||^2 and ||d||^2 - ||A d||^2, by ``parseval_means``
+    for a constant W and by ``radial_sample`` otherwise.
     """
     a = _top_block(w)
     probes = probe_matrix(a.in_dim)
+    if w.degree == 0:
+        w0, a0, eye = w.coeffs[0], a.coeffs[0], np.eye(a.in_dim)
+        means = parseval_means(a0, probes, np.stack([eye - w0.conj().T @ w0, eye, eye - a0.conj().T @ a0]), ladder, grid)
+    else:
+        means = []
+        for rho in ladder:
+            s = radial_sample(w, a, probes, rho, grid, a.out_dim)
+            means.append(np.mean([s.dn2 - s.wn2, s.dn2, s.dn2 - s.an2], axis=1))
     nd2 = linalg.sq_norms(probes)
-    defect_ladder, weighted_ladder, a_defect_dev = [], [], []
-    for rho in ladder:
-        s = radial_sample(w, a, probes, rho, grid, a.out_dim)
-        defect_ladder.append(float(np.max(np.mean(s.dn2 - s.wn2, axis=0))))
-        weighted_ladder.append(float((1.0 - rho) * np.max(np.mean(s.dn2, axis=0))))
-        a_def = np.mean(s.dn2 - s.an2, axis=0)
-        a_defect_dev.append(float(np.max(np.abs(a_def - nd2))))
-    taylor_max = taylor_trace(a, probes, degree, tol_taylor)
+    defect_ladder = [float(np.max(m[0])) for m in means]
+    weighted_ladder = [float((1.0 - rho) * np.max(m[1])) for rho, m in zip(ladder, means)]
+    a_defect_dev = [float(np.max(np.abs(m[2] - nd2))) for m in means]
+    trace = taylor_trace(a, probes, degree, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
-    v_taylor = taylor_verdict(taylor_max, tol_taylor)
+    v_taylor = taylor_verdict(trace, tol_taylor)
     verdict = combine_verdicts(v_ladder, v_taylor)
     return CriterionReport(
         criterion_id="radial_isometry",
         verdict=verdict,
         rho_ladder=list(zip(ladder, defect_ladder)),
-        taylor_trace=list(enumerate(taylor_max)),
-        tolerances=_isometry_tolerances(tol_int, tol_taylor, taylor_max, degree, grid),
+        taylor_trace=trace,
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, a, trace, degree, grid),
         notes=f"defect ladder: {v_ladder}; taylor decay: {v_taylor}",
         extras={
             # the weighted resolvent ladder has an intrinsic (1-rho)||d||^2
@@ -388,66 +396,23 @@ def boundary_measure_check(
     )
 
 
-def _defect_chain(ld: LiftingData, d: np.ndarray, dn2: np.ndarray, wn2: np.ndarray, r: np.ndarray):
-    """The parameter defect ||K* d||^2 - ||R K* d||^2 of each column of
-    d, a (dim, count) matrix or a (count, dim, m) stack, and the worst
-    gap between the three forms ||d||^2 - ||W d||^2 = ||d||^2 -
-    ||Omega d||^2 - ||R K* d||^2 = that defect, given dn2 = ||d||^2 and
-    wn2 = ||W d||^2; r is R or its values on the nodes."""
-    u_vals = ld.ker_omega.columns.conj().T @ d
-    r_vals = r @ u_vals
-    term = linalg.sq_norms(u_vals) - linalg.sq_norms(r_vals)
-    e1 = dn2 - wn2
-    e2 = dn2 - linalg.sq_norms(ld.omega_bar @ d) - linalg.sq_norms(r_vals)
-    worst = max(float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term)))) if e1.size else 0.0
-    return term, worst
-
-
 def _sampled_lifting_ladder(lifting: Lifting, a: MatPoly, probes: np.ndarray, ladder, grid: int):
-    """Parameter defect ladder and chain residual of a polynomial W, one
-    ``radial_sample`` per rung and the residual over every node."""
-    defect_ladder, chain_residual = [], 0.0
+    """Parameter defect ladder ||K* d||^2 - ||R K* d||^2 of a polynomial W
+    by ``radial_sample``, and its worst gap on any node to the two other
+    forms ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2."""
+    ld, defect_ladder, chain_residual = lifting.data, [], 0.0
     for rho in ladder:
         s = radial_sample(lifting.w, a, probes, rho, grid)
-        r_vals = h2.eval_circle_grid(lifting.free_parameter, rho, grid)
-        term, worst = _defect_chain(lifting.data, s.d, s.dn2, s.wn2, r_vals)
+        u = ld.ker_omega.columns.conj().T @ s.d
+        ru = h2.eval_circle_grid(lifting.free_parameter, rho, grid) @ u
+        term = linalg.sq_norms(u) - linalg.sq_norms(ru)
+        e1, e2 = s.dn2 - s.wn2, s.dn2 - linalg.sq_norms(ld.omega_bar @ s.d) - linalg.sq_norms(ru)
+        if e1.size:
+            chain_residual = max(chain_residual, float(np.max(np.abs(e1 - e2))), float(np.max(np.abs(e2 - term))))
         defect_ladder.append(float(np.max(np.mean(term, axis=0))) if term.size else 0.0)
-        chain_residual = max(chain_residual, worst)
         # free this rung's grid-sized blocks before the next rung's solve
-        del s, term
+        del s, u, ru, term
     return defect_ladder, chain_residual
-
-
-def _orbit_lifting_ladder(lifting: Lifting, probes: np.ndarray, orbit, ladder, grid: int):
-    """Parameter defect ladder and chain residual of a constant W from
-    the orbit terms X_0 .. X_(grid-1) by discrete Parseval (module
-    docstring), read from the blocks of a ``resolvent_orbit`` of W
-    itself; also returns the largest probe norms of every term read,
-    the head of the Taylor trace.  A block is one matrix C * m columns
-    wide, so each product is one gemm per block, and ||W X_n||^2 is read
-    off the block the stream yields."""
-    ld, r0 = lifting.data, lifting.free_parameter.coeffs[0]
-    dim, m = probes.shape
-    a_grid = np.linalg.matrix_power(lifting.w.coeffs[0][ld.basis_tprime.dim :], grid)
-    u_rho = []  # U_rho = K* M_rho^(-1), solved as M_rho* U_rho* = K
-    for rho in ladder:
-        m_rho = np.eye(dim) - h2.check_radius(rho) ** grid * a_grid
-        u_rho.append(np.linalg.solve(m_rho.conj().T, ld.ker_omega.columns).conj().T)
-    sums, trace, chain_residual = np.zeros((len(ladder), m)), [], 0.0
-    for start in range(0, grid, h2.TERM_BLOCK):
-        x, wx = next(orbit)
-        dn2 = linalg.sq_norms(x, axis=0)
-        trace.append(_max_norms(dn2))
-        used = min(x.shape[1], grid - start)  # the last block may run past the grid
-        x = x[:, :used].reshape(dim, used * m)
-        n = np.arange(start, start + used)
-        for i, (rho, u) in enumerate(zip(ladder, u_rho)):
-            v = u @ x
-            sums[i] += rho ** (2 * n) @ (linalg.sq_norms(v) - linalg.sq_norms(r0 @ v)).reshape(used, m)
-        wn2 = linalg.sq_norms(wx[:, :used].reshape(len(wx), used * m))
-        _, worst = _defect_chain(ld, x, dn2[:used].reshape(used * m), wn2, r0)
-        chain_residual = max(chain_residual, worst)
-    return [float(np.max(v)) if v.size else 0.0 for v in sums], chain_residual, np.concatenate(trace)
 
 
 def lifting_isometry_check(
@@ -467,26 +432,27 @@ def lifting_isometry_check(
     pointwise defect identity are cross-checked and the worst residual
     reported as `defect_chain_residual`.
 
-    A constant W (``w.degree == 0``) solves nothing node by node: each
-    rung is a weighted sum over the orbit terms X_k = A^k probes, k <
-    grid, that the Taylor trace streams anyway, through the
-    (dim ker) x dim matrix K* (I - rho^G A^G)^(-1); the chain residual is taken on
-    those X_k.  A polynomial W samples every node of every rung
-    through ``radial_sample`` and takes the residual there.  The module
-    docstring gives the identity and the conditioning.
+    A constant W (``w.degree == 0``) solves nothing node by node and
+    checks the chain as two matrix identities (module docstring); a
+    polynomial W samples every node of every rung through
+    ``radial_sample`` and takes the residual there.
     """
     ld, degree = lifting.data, lifting.minimal.degree
     _, a = lifting.w.block_rows(ld.basis_tprime.dim)
     probes = probe_matrix(ld.defect_dim)
-    orbit = resolvent_orbit(lifting.w.coeffs, slice(ld.basis_tprime.dim, None), probes)
     if lifting.w.degree == 0:
-        defect_ladder, chain_residual, trace = _orbit_lifting_ladder(lifting, probes, orbit, ladder, grid)
+        w0, kker = lifting.w.coeffs[0], ld.ker_omega.columns
+        rk = lifting.free_parameter.coeffs[0] @ kker.conj().T
+        kk, rr, gram = kker @ kker.conj().T, rk.conj().T @ rk, ld.omega_bar.conj().T @ ld.omega_bar
+        means = parseval_means(a.coeffs[0], probes, (kk - rr)[None], ladder, grid)[:, 0]
+        defect_ladder = [float(np.max(v)) if v.size else 0.0 for v in means]
+        chain_residual = max(linalg.operator_norm(w0.conj().T @ w0 - gram - rr),
+                             linalg.operator_norm(np.eye(len(gram)) - gram - kk))
     else:
         defect_ladder, chain_residual = _sampled_lifting_ladder(lifting, a, probes, ladder, grid)
-        trace = np.zeros(0)
-    taylor_max = _extend_trace(orbit, trace, degree, tol_taylor)
+    trace = taylor_trace(a, probes, degree, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
-    v_taylor = taylor_verdict(taylor_max, tol_taylor)
+    v_taylor = taylor_verdict(trace, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"
     if ld.ker_omega.dim == 0:
         notes += "; kernel is trivial, the ladder condition is vacuous"
@@ -494,8 +460,8 @@ def lifting_isometry_check(
         criterion_id="lifting_isometry",
         verdict=combine_verdicts(v_ladder, v_taylor),
         rho_ladder=list(zip(ladder, defect_ladder)),
-        taylor_trace=list(enumerate(taylor_max)),
-        tolerances=_isometry_tolerances(tol_int, tol_taylor, taylor_max, degree, grid),
+        taylor_trace=trace,
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, a, trace, degree, grid),
         notes=notes,
         extras={"defect_chain_residual": chain_residual},
     )

@@ -23,8 +23,9 @@ clt.TOL, so ||W A^(C-1)|| <= (1 + TOL)^C, and rounding errors compound
 once per block instead of once per term.  C = 16 is measured on the
 ``lifting`` benchmark (2-core Xeon): peak RSS 51.3 MB at C = 16, 55.7
 at 32 and 65.7 at 64, against 57.6 MB term by term, at the same wall
-time within noise.  The criteria, ``clt.lift``, the Hardy norms and the
-dense inverses below read blocks and never step term by term.
+time within noise.  ``clt.lift``, the Hardy norms, the dense inverses
+below and the criteria's Taylor trace of a polynomial symbol read
+blocks; the criteria stream no series for a constant symbol.
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0
@@ -51,8 +52,8 @@ a 2-core Xeon at degree 1024, recursion / Newton in ms:
 
 Constant symbols stay on the recursion even at dim 1, where Newton is
 faster: the recursion's error in each coefficient is relative to that
-coefficient, the FFT's to the largest one, and the Taylor traces of the
-criteria read decaying tails.  Degree-1024 products: 12 ms direct
+coefficient, the FFT's to the largest one, and the lifting Y and the
+Hardy norms read decaying tails.  Degree-1024 products: 12 ms direct
 against 0.3 ms FFT at dim 1, 219 against 5.9 ms at dim 3.
 """
 
@@ -386,10 +387,7 @@ def resolvent_terms(w: np.ndarray, a_rows: slice, block):
     runs that recursion term by term, and so does every block of a
     polynomial W, holding the last deg W + 1 X terms; an empty w gives
     Y_n = 0.  A constant W then takes each block from the one before in
-    one product, Y_(n+C+i) = W A^(C-1) Y_(n+i)[a_rows], with W A^(C-1)
-    formed once.  For ||W|| <= 1 + clt.TOL, as ``clt.assemble_schur_W``
-    holds it, ||W A^(C-1)|| <= (1 + TOL)^C: rounding errors compound once
-    per block, not once per term.
+    one product, Y_(n+C+i) = W A^(C-1) Y_(n+i)[a_rows] (module docstring).
     """
     block = np.asarray(block, dtype=complex)
     shape = w.shape[1:2] + (TERM_BLOCK,) + block.shape[1:]

@@ -108,6 +108,24 @@ def defect_batch(values: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ adjoint_batch(v)
 
 
+def stein_sum(b, weights, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_(k<count) (b^k)* N b^k for one weight N or each of an (s, n, n)
+    stack, and b^count, by Smith's doubling (R. A. Smith, "Matrix
+    equation XA + BX = C", SIAM J. Appl. Math. 16, 1968): S_(2m) = S_m +
+    (b^m)* S_m b^m and b^(2m) = (b^m)^2, and a count that is not a power
+    of two adds the pieces its binary digits select, S_(a+m) = S_a +
+    (b^a)* S_m b^a.  That is 2 log2(count) steps of a few products."""
+    piece, step = np.asarray(weights, dtype=complex), as_matrix(b)
+    total, power = np.zeros_like(piece), np.eye(step.shape[0], dtype=complex)
+    while count:
+        if count & 1:
+            total, power = total + power.conj().T @ piece @ power, power @ step
+        count >>= 1
+        if count:
+            piece, step = piece + step.conj().T @ piece @ step, step @ step
+    return total, power
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal columns spanning a subspace of C^ambient_dim."""

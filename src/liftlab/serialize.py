@@ -13,6 +13,7 @@ node.  dumps_canonical emits byte-stable output for fixed input.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -31,16 +32,20 @@ def encode_complex(z) -> list:
     return [z.real, z.imag]
 
 
+def _finite(value) -> float | None:
+    """value as a float if it is a finite JSON number, not a bool, else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        return None
+    return float(value)
+
+
 def decode_complex(obj, path: str = "$") -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise SchemaError(path, "complex scalar must be a [re, im] pair")
-    try:
-        z = complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError):
-        raise SchemaError(path, "complex scalar entries must be numbers")
-    if not np.isfinite(z):
-        raise SchemaError(path, "complex scalar entries must be finite")
-    return z
+    parts = [_finite(v) for v in obj]
+    if None in parts:
+        raise SchemaError(path, "complex scalar entries must be finite numbers")
+    return complex(*parts)
 
 
 def encode_matrix(m) -> list:
@@ -86,11 +91,10 @@ def _optional_tol(obj: dict, default: float, path: str) -> float:
     when it is absent or null.  No string, bool, NaN or infinity is
     parsed: a tol of inf or nan would switch off every check against it."""
     value = obj.get("tol")
-    if value is None:
-        return default
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value) or value < 0:
+    tol = default if value is None else _finite(value)
+    if tol is None or tol < 0:
         raise SchemaError(f"{path}.tol", "must be a finite, non-negative number")
-    return float(value)
+    return tol
 
 
 def _integer(obj, key: str, path: str) -> int:

@@ -41,6 +41,27 @@ def test_sizes_below_one_exit_2_naming_the_flag(capsys, name):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+# thresholds are finite, non-negative numbers: an inf --tol-taylor passed
+# rk3_1's unitary top block, whose Taylor trace never decays
+BAD_THRESHOLDS = {
+    "tol_taylor_inf": (["examples", "rk3_1", "--tol-taylor", "inf"], "--tol-taylor"),
+    "tol_taylor_nan": (["examples", "cor3_3", "--tol-taylor", "nan"], "--tol-taylor"),
+    "tol_taylor_word": (["lift", "--input", "problem.json", "--tol-taylor", "tight"], "--tol-taylor"),
+    "tol_int_inf": (["lift", "--input", "problem.json", "--tol-int", "1e999"], "--tol-int"),
+    "tol_int_negative": (["examples", "ex3_2", "--tol-int=-1e-3"], "--tol-int"),
+    "tol_int_nan": (["examples", "prop4_6", "--tol-int", "NaN"], "--tol-int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_THRESHOLDS))
+def test_thresholds_must_be_finite_and_non_negative(capsys, name):
+    argv, flag = BAD_THRESHOLDS[name]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a finite, non-negative number" in capsys.readouterr().err
+
+
 def write_json(path, doc) -> str:
     path.write_text(serialize.dumps_canonical(doc), encoding="utf-8")
     return str(path)
@@ -208,6 +229,11 @@ def with_entry(doc: dict, key: str, value) -> dict:
     return {**doc, key: rows}
 
 
+def with_entry_retyped(doc: dict, key: str, retype) -> dict:
+    """doc with the [re, im] pair doc[key][0][0] replaced by retype(re, im)."""
+    return with_entry(doc, key, retype(*doc[key][0][0]))
+
+
 def with_t(rng, spec: dict) -> dict:
     """A valid shift problem with its T replaced by spec."""
     return with_field(shift_problem_doc(rng), "T", spec)
@@ -273,6 +299,17 @@ MALFORMED = {
     ),
     "lift_nan_entry": ("lift", lambda rng: with_entry(shift_problem_doc(rng), "X", ["nan", 0.0]), "at $.X[0][0]:"),
     "coiso_infinite_entry": ("coiso", lambda rng: with_entry(extension_doc(rng, 5), "C", [0.0, "inf"]), "at $.C[0][0]:"),
+    # entries are JSON numbers: a string or a bool is not parsed as one
+    "lift_string_entry": (
+        "lift", lambda rng: with_entry_retyped(shift_problem_doc(rng), "X", lambda re, im: [repr(re), im]),
+        "at $.X[0][0]:",
+    ),
+    "coiso_bool_entry": (
+        "coiso", lambda rng: with_entry_retyped(extension_doc(rng, 5), "C", lambda re, im: [re, False]),
+        "at $.C[0][0]:",
+    ),
+    # a JSON integer beyond the float range raised OverflowError
+    "lift_huge_integer_entry": ("lift", lambda rng: with_entry(shift_problem_doc(rng), "X", [10**400, 0]), "at $.X[0][0]:"),
 }
 
 

@@ -245,3 +245,48 @@ class TestStability:
                 m = random_unitary(rng, n)
             stable = la.spectral_radius(m) < 1.0 - la.CLASSIFY_TOL
             assert stable == (la.find_non_c0dot_witness(m) is None)
+
+
+class TestSteinSum:
+    """Smith doubling against the term-by-term sum of (b^k)* N b^k."""
+
+    @staticmethod
+    def term_by_term(b, weights, count):
+        total, power = np.zeros_like(weights), np.eye(len(b), dtype=complex)
+        for _ in range(count):
+            total = total + power.conj().T @ weights @ power
+            power = b @ power
+        return total, power
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 37, 64, 100, 300])
+    def test_matches_the_term_by_term_sum(self, count):
+        rng = np.random.default_rng(count)
+        b = 0.97 * random_contraction(rng, 4, 4)
+        # one weight, and a stack of three: a PSD one, I and an indefinite one
+        l = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        stack = np.stack([l.conj().T @ l, np.eye(4), h + h.conj().T])
+        for weights in (stack[0], stack):
+            got, got_power = la.stein_sum(b, weights, count)
+            want, want_power = self.term_by_term(b, weights.astype(complex), count)
+            assert got.shape == weights.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got_power - want_power)) <= 1e-14
+
+    def test_doubling_reaches_counts_no_term_by_term_sum_could(self):
+        # 2^30 terms in about 60 products: for a unitary b every term is I,
+        # so the sum is count * I; for 0.5 times it the geometric sum
+        # I / 0.75.  Each squaring doubles the rounding error of b^(2^k), so
+        # the unitary's powers drift from unitarity by about 2^30 * eps
+        u = random_unitary(np.random.default_rng(3), 4)
+        count = 2**30 + 2**10 + 1
+        total, power = la.stein_sum(u, np.eye(4), count)
+        assert np.max(np.abs(total / count - np.eye(4))) <= 1e-6
+        assert np.max(np.abs(power.conj().T @ power - np.eye(4))) <= 1e-6
+        total, power = la.stein_sum(0.5 * u, np.eye(4), count)
+        np.testing.assert_allclose(total, np.eye(4) / 0.75, atol=1e-14)
+        assert np.max(np.abs(power)) == 0.0
+
+    def test_empty_matrix(self):
+        total, power = la.stein_sum(np.zeros((0, 0)), np.zeros((2, 0, 0)), 5)
+        assert total.shape == (2, 0, 0) and power.shape == (0, 0)
