@@ -11,10 +11,11 @@ seed twists the extension's fills by random unitaries, while
 `coiso --seed 0` (the default) builds the basis-aligned extension.
 `bimodel` draws nothing: its verdict is read off pointwise identities
 of the symbol.  `--degree` and `--grid` take integers of at least 1,
-`--tol-int` and `--tol-taylor` finite, non-negative numbers; each
-command has its own default for the flag left out, and the report's
-`config` records null for it.  The `config` echo lists every RunConfig
-field, at its default where the command takes no such flag.
+`--seed` one of at least 0, `--tol-int` and `--tol-taylor` finite,
+non-negative numbers; each command has its own default for the flag
+left out, and the report's `config` records null for it.  The `config`
+echo lists every RunConfig field, at its default where the command
+takes no such flag.
 Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
@@ -30,7 +31,6 @@ import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -74,14 +74,19 @@ def parse_ladder(text: str) -> tuple:
     return values
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def int_at_least(floor: int):
+    """An argparse type: an integer of at least `floor`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be at least {floor}, got {value}")
+        return value
+
+    return parse
 
 
 def tolerance(text: str) -> float:
@@ -103,12 +108,12 @@ def _given(value, default):
 FLAG_OPTIONS = {
     "out": {"help": "write the JSON report here"},
     "csv": {"help": "prefix for ladder/trace CSV files"},
-    "degree": {"type": positive_int, "help": "truncation degree"},
-    "grid": {"type": positive_int, "help": "circle grid size"},
+    "degree": {"type": int_at_least(1), "help": "truncation degree"},
+    "grid": {"type": int_at_least(1), "help": "circle grid size"},
     "ladder": {"type": parse_ladder, "default": criteria.DEFAULT_LADDER},
     "tol-int": {"type": tolerance, "default": criteria.TOL_INT},
     "tol-taylor": {"type": tolerance, "default": criteria.TOL_TAYLOR},
-    "seed": {"type": int, "default": 0},
+    "seed": {"type": int_at_least(0), "default": 0},
 }
 # subcommand: (help, help of its --input file, the flags it reads and takes)
 COMMANDS = {
@@ -195,25 +200,29 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
     return 0 if matched else 1
 
 
-def gamma_norms_sq(w: MatPoly, block, degree: int) -> np.ndarray:
-    """Squared H^2 norms through `degree` of B (I - zA)^(-1) block for
-    W = [A; B], A square: one per column of block, a scalar for a vector."""
-    rows, block = w.in_dim, np.asarray(block, dtype=complex)
-    terms = h2.resolvent_terms(w.coeffs, slice(0, rows), block.reshape(rows, -1))
-    blocks = list(islice(terms, -(-(degree + 1) // h2.TERM_BLOCK)))
-    norms = linalg.sq_norms(np.concatenate(blocks, axis=1)[rows:, : degree + 1], axis=(0, 1))
+def gamma_norms_sq(w0, block, degree: int) -> np.ndarray:
+    """Squared H^2 norms through `degree` of B (I - zA)^(-1) block for the
+    constant W = [A; B], A square: c* S c for each column c of block (a
+    scalar for a vector), S = sum_(n <= degree) (A^n)* B*B A^n by
+    ``linalg.stein_sum``."""
+    w0, block = linalg.as_matrix(w0), np.asarray(block, dtype=complex)
+    a, b = w0[: w0.shape[1]], w0[w0.shape[1] :]
+    s, _ = linalg.stein_sum(a, b.conj().T @ b, degree + 1)
+    c = block.reshape(len(a), -1)
+    norms = np.sum(c.conj() * (s @ c), axis=0).real
     return norms if block.ndim == 2 else norms[0]
 
 
 def _scenario_ex3_2(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 4096)
     degree = _given(cfg.degree, 256)
-    w = MatPoly.constant([[0.5], [0.5]])
+    w0 = np.array([[0.5], [0.5]])
+    w = MatPoly.constant(w0)
     a, _ = w.block_rows(1)
     d_vals = h2.resolvent_apply_grid(a, [1.0], 1.0, grid)
     integrand = (1.0 - 0.25) * linalg.sq_norms(d_vals[:, 0], axis=())
     poisson = float(np.mean(integrand))
-    hardy = float(gamma_norms_sq(w, [1.0], degree))
+    hardy = float(gamma_norms_sq(w0, [1.0], degree))
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
     rep_ri = criteria.radial_isometry_check(
         w, grid=grid, degree=degree, ladder=cfg.ladder,
@@ -326,7 +335,7 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
         MatPoly.constant(w0), grid=grid, degree=degree, ladder=cfg.ladder,
         tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
-    worst = float(np.max(np.abs(gamma_norms_sq(MatPoly.constant(w0), np.eye(2), degree) - 1.0)))
+    worst = float(np.max(np.abs(gamma_norms_sq(w0, np.eye(2), degree) - 1.0)))
     values = {"hardy_norm_deviation": worst, "spectral_radius": rep_cs.extras["spectral_radius"]}
     checks = [
         ("constant-symbol criterion passes", rep_cs.verdict == "pass"),

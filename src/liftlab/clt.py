@@ -13,8 +13,9 @@ All defect-space quantities are stored in orthonormal coordinate bases
 of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
 of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
-inverts exactly what the kernels leave out.  ``lift`` streams the rows
-Gamma_n D_X of Y straight into Y; no coefficient of Gamma is stored.
+inverts exactly what the kernels leave out.  ``lift`` stores the
+coefficients of Gamma, each r' x r in the defect coordinates, and
+writes the rows Gamma_n D_X of Y with one product.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -409,9 +410,10 @@ def lift(
     """Build the contractive intertwining lifting for a free parameter.
 
     Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
-    assembled Schur parameter W = [B; A]; slot n of the series part, in
-    defect coordinates, is the B rows of term n of ``h2.resolvent_terms``,
-    copied one block of terms at a time.
+    assembled Schur parameter W = [B; A].  Gamma_n^T is coefficient n of
+    (I - z A^T)^(-1) B^T, so ``h2.resolvent_terms`` on the transposes
+    fills Gamma, r x r by r x r' products whatever dim T is, and the
+    series rows of Y are Gamma in defect coordinates times Q* D_X.
     """
     if ld is None:
         ld = build_omega(p)
@@ -419,14 +421,14 @@ def lift(
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
     w = assemble_schur_W(ld, r)
     r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
-    coords = ld.basis_x.columns.conj().T @ ld.d_x
+    b_t, a_t = (part.transpose(0, 2, 1) for part in np.split(w.coeffs, [r_prime], axis=1))
+    gamma = np.empty((degree + 1, r_prime, w.in_dim), dtype=complex)
+    for n, term in zip(range(degree + 1), h2.resolvent_terms(a_t, b_t)):
+        gamma[n] = term.T
     y = np.empty((h_dim + (degree + 1) * r_prime, p.t.dim), dtype=complex)
     y[:h_dim] = p.x
-    series = y[h_dim:].reshape(degree + 1, r_prime, p.t.dim)
-    blocks = h2.resolvent_terms(w.coeffs, slice(r_prime, None), coords)
-    for start, block in zip(range(0, degree + 1, h2.TERM_BLOCK), blocks):
-        stop = min(start + h2.TERM_BLOCK, degree + 1)
-        series[start:stop] = np.moveaxis(block[:r_prime, : stop - start], 1, 0)
+    coords = ld.basis_x.columns.conj().T @ ld.d_x
+    np.matmul(gamma.reshape((degree + 1) * r_prime, w.in_dim), coords, out=y[h_dim:])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
     return Lifting(p, ld, r, w, y, ml)
 

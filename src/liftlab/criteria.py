@@ -211,22 +211,22 @@ def taylor_trace(a: MatPoly, probes: np.ndarray, degree: int, tol: float) -> lis
     pass or for TAYLOR_SQUARINGS squarings, a polynomial A at every n to
     `degree`, doubled while inconclusive up to TAYLOR_DEGREE_CAP * degree."""
 
-    def largest(x):  # the largest column norm of x, or of each x[:, i] of a block
-        return np.sqrt(np.max(linalg.sq_norms(x, axis=0), axis=-1, initial=0.0))
+    def largest(x):  # the largest column norm of x
+        return float(np.sqrt(np.max(linalg.sq_norms(x, axis=0), initial=0.0)))
 
-    trace = [(0, float(largest(probes)))]
+    trace = [(0, largest(probes))]
     if a.degree == 0:
         power = a.coeffs[0]
         for k in range(TAYLOR_SQUARINGS + 1):
             if taylor_verdict(trace, tol) == "pass":
                 break
-            trace.append((1 << k, float(largest(power @ probes))))
+            trace.append((1 << k, largest(power @ probes)))
             power = power @ power
         return trace
-    norms, blocks, target = [trace[0][1]], h2.resolvent_terms(a.coeffs, slice(None), probes), degree
+    norms, terms, target = [], h2.resolvent_terms(a.coeffs, probes[None]), degree
     while True:
         while len(norms) <= target:
-            norms.extend(largest(next(blocks)))
+            norms.append(largest(next(terms)))
         trace = list(enumerate(norms[: target + 1]))
         if target >= TAYLOR_DEGREE_CAP * degree or taylor_verdict(trace, tol) != "inconclusive":
             return trace

@@ -9,23 +9,14 @@ below is exact once K >= 2*degree + 1.  A constant evaluates on a grid
 as a read-only broadcast of its one coefficient, with no FFT.
 
 Series layer.  The convolution recursion is written once, in
-``resolvent_terms``, which streams W (I - z A)^(-1) applied to a few
-columns in blocks of TERM_BLOCK = C consecutive terms, each block one
-(rows, C, m) array, so one matrix C * m columns wide.  The first block
-comes from the per-term recursion, and so does every block of a
-polynomial W.  A constant W advances a whole block with one product,
-
-    Y_(n+C .. n+2C-1) = (W A^(C-1)) Y_(n .. n+C-1)[A rows],
-
-since the A rows of Y_n are X_(n+1) = A^(n+1) block; W A^(C-1) is
-formed once per stream.  ``clt.assemble_schur_W`` holds ||W|| <= 1 +
-clt.TOL, so ||W A^(C-1)|| <= (1 + TOL)^C, and rounding errors compound
-once per block instead of once per term.  C = 16 is measured on the
-``lifting`` benchmark (2-core Xeon): peak RSS 51.3 MB at C = 16, 55.7
-at 32 and 65.7 at 64, against 57.6 MB term by term, at the same wall
-time within noise.  ``clt.lift``, the Hardy norms, the dense inverses
-below and the criteria's Taylor trace of a polynomial symbol read
-blocks; the criteria stream no series for a constant symbol.
+``resolvent_terms``, which yields the coefficients of
+(I - z A(z))^(-1) C(z) one term at a time, holding only the last
+deg A + 1 of them.  ``_neumann_coeffs`` stacks it with C = I, the
+criteria's Taylor trace of a polynomial symbol reads it term by term,
+and ``clt.lift`` runs it on the transposes: Gamma_n^T is coefficient n
+of (I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
+whatever the dimension of the space Y acts on.  Constant symbols are
+summed elsewhere, by ``linalg.stein_sum``.
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0
@@ -52,16 +43,17 @@ a 2-core Xeon at degree 1024, recursion / Newton in ms:
 
 Constant symbols stay on the recursion even at dim 1, where Newton is
 faster: the recursion's error in each coefficient is relative to that
-coefficient, the FFT's to the largest one, and the lifting Y and the
-Hardy norms read decaying tails.  Degree-1024 products: 12 ms direct
-against 0.3 ms FFT at dim 1, 219 against 5.9 ms at dim 3.
+coefficient, the FFT's to the largest one, and ``neumann_inverse`` is
+the tests' per-coefficient oracle, decaying tails included.
+Degree-1024 products: 12 ms direct against 0.3 ms FFT at dim 1, 219
+against 5.9 ms at dim 3.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count
 
 import numpy as np
 
@@ -73,8 +65,6 @@ LOG_FLOOR = 1e-12
 # crossovers of the series kernel, measured (see the module docstring)
 FFT_MIN_TERMS = 8
 NEWTON_TERMS_PER_DIM = 2
-# consecutive series terms per block of ``resolvent_terms`` (module docstring)
-TERM_BLOCK = 16
 
 
 class H2Error(ValueError):
@@ -369,42 +359,24 @@ def _neumann_coeffs(s: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients 0..degree of (I - z S(z))^(-1), s[k] = S_k."""
     if _newton_pays(s.shape[0], s.shape[1], degree):
         return _newton_inverse(s, degree)
-    eye = np.eye(s.shape[1], dtype=complex)
-    blocks = islice(resolvent_terms(s, slice(None), eye), -(-degree // TERM_BLOCK))
-    return np.concatenate([eye[None], *(np.moveaxis(b, 1, 0) for b in blocks)])[: degree + 1]
+    out = np.empty((degree + 1,) + s.shape[1:], dtype=complex)
+    for n, term in zip(range(degree + 1), resolvent_terms(s, np.eye(s.shape[1])[None])):
+        out[n] = term
+    return out
 
 
-def resolvent_terms(w: np.ndarray, a_rows: slice, block):
-    """The endless coefficients Y_0, Y_1, ... of W (I - z A)^(-1) block,
-    in blocks of TERM_BLOCK = C consecutive terms.
-
-    w[j] = W_j, A = W[a_rows] is square, block is (dim, m) or a vector.
-    With X_0 = block and X_(n+1) = Y_n[a_rows], Y_n = sum over
-    j <= min(n, deg W) of W_j X_(n-j): the X_n are the coefficients of
-    (I - z A)^(-1) block, the other rows of Y_n those of B (I - z A)^(-1)
-    block.  Each yielded block has shape (rows, C) + block.shape[1:],
-    term n + i of a block starting at n being [:, i].  The first block
-    runs that recursion term by term, and so does every block of a
-    polynomial W, holding the last deg W + 1 X terms; an empty w gives
-    Y_n = 0.  A constant W then takes each block from the one before in
-    one product, Y_(n+C+i) = W A^(C-1) Y_(n+i)[a_rows] (module docstring).
-    """
-    block = np.asarray(block, dtype=complex)
-    shape = w.shape[1:2] + (TERM_BLOCK,) + block.shape[1:]
-    history = deque([block], maxlen=max(w.shape[0], 1))
-    while True:
-        y = np.zeros(shape, dtype=complex)
-        for n in range(TERM_BLOCK):
-            for wj, x in zip(w, history):
-                y[:, n] += wj @ x
-            history.appendleft(y[a_rows, n])
-        yield y
-        if w.shape[0] == 1:
-            break
-    step = w[0] @ np.linalg.matrix_power(w[0][a_rows], TERM_BLOCK - 1)
-    while True:
-        y = np.tensordot(step, y[a_rows], 1)
-        yield y
+def resolvent_terms(a: np.ndarray, c: np.ndarray):
+    """The endless coefficients Z_0, Z_1, ... of (I - z A(z))^(-1) C(z),
+    a[j] = A_j square and c[k] = C_k of shape (n, m) or (n,):
+    Z_n = C_n + sum over j <= deg A of A_j Z_(n-1-j), one term per step,
+    holding the last deg A + 1 terms; an empty a gives Z_n = C_n."""
+    history = deque(maxlen=max(a.shape[0], 1))
+    for n in count():
+        z = np.array(c[n], dtype=complex) if n < c.shape[0] else np.zeros(c.shape[1:], dtype=complex)
+        for aj, x in zip(a, history):
+            z += aj @ x
+        history.appendleft(z)
+        yield z
 
 
 def _newton_inverse(s: np.ndarray, degree: int) -> np.ndarray:

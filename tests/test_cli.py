@@ -41,6 +41,21 @@ def test_sizes_below_one_exit_2_naming_the_flag(capsys, name):
     assert f"argument {flag}" in capsys.readouterr().err
 
 
+# seeds are non-negative: a negative one crashed in np.random.default_rng
+BAD_SEEDS = {
+    "examples_prop4_6": ["examples", "prop4_6", "--seed", "-1"],
+    "coiso": ["coiso", "--input", "extension.json", "--seed", "-3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SEEDS))
+def test_negative_seeds_exit_2_naming_the_flag(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(BAD_SEEDS[name])
+    assert exc.value.code == 2
+    assert "argument --seed: must be at least 0" in capsys.readouterr().err
+
+
 # thresholds are finite, non-negative numbers: an inf --tol-taylor passed
 # rk3_1's unitary top block, whose Taylor trace never decays
 BAD_THRESHOLDS = {

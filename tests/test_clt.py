@@ -345,9 +345,8 @@ class TestLift:
 
     @pytest.mark.parametrize("r_degree", [0, 2])
     def test_y_off_a_block_boundary_matches_the_per_term_series(self, rng, r_degree):
-        # degree 100: the 101 series slots end inside the stream's seventh block
+        # Y against the reference recursion applied to Q* D_X column by column
         degree = 100
-        assert (degree + 1) % h2.TERM_BLOCK
         p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
         ld = clt.build_omega(p)
         r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=0.9)
@@ -358,6 +357,27 @@ class TestLift:
         want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
         assert lifting.y.shape == want.shape
         assert np.max(np.abs(lifting.y - want)) <= 1e-12
+
+    @pytest.mark.parametrize("defect_of_t_prime", [False, True])
+    def test_isometric_x_lifts_to_x_over_zero_series(self, rng, defect_of_t_prime):
+        # D_X = 0, so Gamma has no columns; T' is unitary (no series rows)
+        # or T' = U (+) 1/2 with X = [I; 0] (one series row per term)
+        u = random_unitary(rng, 2)
+        if defect_of_t_prime:
+            t_prime = np.zeros((3, 3), dtype=complex)
+            t_prime[:2, :2], t_prime[2, 2] = u, 0.5
+            x = np.eye(3, 2)
+        else:
+            t_prime, x = u, np.eye(2)
+        p = clt.build_problem(u, t_prime, x)
+        lifting = clt.lift(p, None, 5)
+        r_prime = lifting.data.basis_tprime.dim
+        assert lifting.data.defect_dim == 0
+        assert r_prime == int(defect_of_t_prime)
+        assert lifting.y.shape == (x.shape[0] + 6 * r_prime, 2)
+        assert np.array_equal(lifting.y[: x.shape[0]], x)
+        assert not np.any(lifting.y[x.shape[0] :])
+        assert lifting.residuals()["intertwining"] == 0.0
 
     def test_residuals_memory_does_not_grow_with_lifted_dim_squared(self, rng):
         # at degree 1024 the lifted space has 2 + 2 * 1025 dimensions:

@@ -423,7 +423,7 @@ class TestLiftingIsometryOracle:
     # name: (mult, parameter degree, its sup norm, lifting degree, degree
     # used): the per-term stream of a polynomial W, ladder (0.9, 0.99), grid 128
     POLYNOMIAL_CASES = {
-        # 41 terms end inside a block of the stream; the trace fails there
+        # the trace of 41 terms fails at the requested degree, without doubling
         "stops_on_a_fail": (2, 2, 0.9, 40, 40),
         # inconclusive at 100 and 200, a pass at 400
         "doubles_off_block": (2, 1, 0.99, 100, 400),

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itertools import islice
-
 from liftlab import cli, h2, linalg
 from liftlab.h2 import MatPoly
 
-from conftest import contractive_matpoly, per_term_series, random_matpoly, random_unitary
+from conftest import contractive_matpoly, per_term_series, random_contraction, random_matpoly, random_unitary
 
 
 class TestEval:
@@ -104,20 +102,23 @@ class TestNeumannInverse:
             assert np.max(np.abs(residual)) <= 1e-12
 
 
-def stream(w: MatPoly, a_rows: slice, block, count: int) -> np.ndarray:
-    """The first `count` terms of h2.resolvent_terms, read in blocks and
-    stacked along a leading term axis."""
-    blocks = islice(h2.resolvent_terms(w.coeffs, a_rows, block), -(-count // h2.TERM_BLOCK))
-    return np.concatenate([np.moveaxis(b, 1, 0) for b in blocks])[:count]
+def series(a: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` terms of h2.resolvent_terms(a, c), stacked."""
+    return np.stack([term for _, term in zip(range(count), h2.resolvent_terms(a, c))])
 
 
-def gamma_terms(w: MatPoly, block, count: int) -> np.ndarray:
-    """Coefficients of B (I - zA)^(-1) block for W = [A; B]."""
-    return stream(w, slice(0, w.in_dim), block, count)[:, w.in_dim :]
+def gamma_terms(w: MatPoly, a_rows: slice, b_rows: slice, block, count: int) -> np.ndarray:
+    """Coefficients of B (I - zA)^(-1) block, A = W[a_rows] and B =
+    W[b_rows], from the recursion on the transposes as clt.lift runs it:
+    Gamma_n^T is term n of (I - z A^T)^(-1) B^T."""
+    wt = w.coeffs.transpose(0, 2, 1)
+    gamma = series(wt[:, :, a_rows], wt[:, :, b_rows], count).transpose(0, 2, 1)
+    return gamma @ np.asarray(block, dtype=complex)
 
 
 class TestResolventTerms:
-    """The streamed recursion against a neumann_inverse oracle."""
+    """The per-term recursion against the neumann_inverse oracle and the
+    reference recursion of conftest."""
 
     @pytest.mark.parametrize("dim, deg, m", [(1, 0, 1), (3, 0, 5), (3, 2, 2), (4, 5, 7)])
     @pytest.mark.parametrize("a_on_top", [True, False])
@@ -132,114 +133,87 @@ class TestResolventTerms:
             w, a_rows, b_rows = h2.vstack_polys(a, b), slice(0, dim), slice(dim, None)
         else:
             w, a_rows, b_rows = h2.vstack_polys(b, a), slice(2, None), slice(0, 2)
-        got = stream(w, a_rows, block, n + 1)
-        assert got.shape == (n + 1, dim + 2, m)
-        # Y_n[a_rows] = X_(n+1), the next coefficient of (I - zA)^(-1) block
-        assert np.max(np.abs(got[:-1, a_rows] - j[1:])) <= 1e-12
-        assert np.max(np.abs(got[:, b_rows] - gamma)) <= 1e-12
+        got = series(w.coeffs[:, a_rows], block[None], n + 1)
+        assert got.shape == (n + 1, dim, m)
+        assert np.max(np.abs(got - j)) <= 1e-12
+        assert np.max(np.abs(gamma_terms(w, a_rows, b_rows, block, n + 1) - gamma)) <= 1e-12
 
     def test_vector_block(self, rng):
         a = contractive_matpoly(rng, 3, 3, 1, norm=0.9)
         d = rng.standard_normal(3)
-        got = stream(a, slice(None), d, 33)
+        got = series(a.coeffs, d[None], 33)
         assert got.shape == (33, 3)
-        assert np.max(np.abs(got - stream(a, slice(None), d[:, None], 33)[..., 0])) == 0
+        assert np.max(np.abs(got - series(a.coeffs, d[:, None][None], 33)[..., 0])) == 0
 
-
-class TestResolventBlocks:
-    """Blocks of TERM_BLOCK terms against the per-term recursion: bit for
-    bit where the stream runs it, within 1e-12 relative per term where a
-    constant W takes a whole block in one W A^(C-1) product."""
-
-    C = h2.TERM_BLOCK
-
-    @staticmethod
-    def lifting_shaped(rng) -> tuple:
-        """A constant isometric W = [B; A]: 3 B rows over a 50 x 50 A."""
-        return random_unitary(rng, 53)[:, :50][None], slice(3, None)
-
-    def test_blocks_are_one_matrix_c_terms_wide(self, rng):
-        w, a_rows = self.lifting_shaped(rng)
-        probes = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
-        blocks = h2.resolvent_terms(w, a_rows, probes)
-        for _ in range(3):
-            y = next(blocks)
-            assert y.shape == (53, self.C, 54) and y.flags.c_contiguous
-        assert next(h2.resolvent_terms(w[:, 3:], slice(None), probes[:, 0])).shape == (50, self.C)
-
-    @pytest.mark.parametrize("dim, deg, rows, m", [(50, 0, 3, 54), (4, 0, 0, 7), (3, 2, 2, 5), (4, 5, 0, 1)])
-    def test_first_block_and_polynomial_blocks_equal_the_recursion_bit_for_bit(self, rng, dim, deg, rows, m):
-        a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
-        w = h2.vstack_polys(random_matpoly(rng, rows, dim, deg), a) if rows else a
-        block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
-        count = 5 * self.C if deg else self.C
-        got = stream(w, slice(rows, None), block, count)
-        assert got.tobytes() == per_term_series(w.coeffs, slice(rows, None), block, count).tobytes()
-
-    @pytest.mark.parametrize("shape", ["lifting", "w_is_a", "vector"])
-    def test_constant_symbol_agrees_per_term_within_1e_12_relative(self, rng, shape):
-        if shape == "lifting":
-            w, a_rows = self.lifting_shaped(rng)
-            block = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
+    @pytest.mark.parametrize("dim, deg, m", [(3, 0, 5), (4, 3, 7), (25, 0, 29), (50, 0, 54), (7, 0, None)])
+    def test_equals_the_per_term_series_bit_for_bit(self, rng, dim, deg, m):
+        # Z_(n+1) = Y_n, the reference's term n for W = A, and Z_0 = block;
+        # a 0.999-scaled unitary keeps a constant's terms far from rounding
+        if deg:
+            a = contractive_matpoly(rng, dim, dim, deg, norm=0.95).coeffs
         else:
-            # a 0.999-scaled unitary keeps all 4096 terms above 1% of the first
-            dim = 25 if shape == "w_is_a" else 7
-            w, a_rows = 0.999 * random_unitary(rng, dim)[None], slice(None)
-            block = rng.standard_normal((dim, 29) if shape == "w_is_a" else dim) + 0j
-        got = stream(MatPoly(w), a_rows, block, 4096)
-        want = per_term_series(w, a_rows, block, 4096)
-        axes = tuple(range(1, want.ndim))
-        size = np.sqrt(np.sum(np.abs(want) ** 2, axis=axes))
-        # no term sinks to rounding level, where a relative bound means nothing
-        assert np.min(size) > 1e-12 * size[0]
-        assert np.max(np.sqrt(np.sum(np.abs(got - want) ** 2, axis=axes)) / size) <= 1e-12
+            a = 0.999 * random_unitary(rng, dim)[None]
+        shape = (dim,) if m is None else (dim, m)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        count = 256 if dim > 8 else 1024
+        got = series(a, block[None], count + 1)
+        assert got[0].tobytes() == block.tobytes()
+        assert got[1:].tobytes() == per_term_series(a, slice(None), block, count).tobytes()
 
-    def test_a_constant_symbol_steps_term_by_term_through_one_block_only(self, rng):
-        w, a_rows = self.lifting_shaped(rng)
-        probes = rng.standard_normal((50, 54)) + 1j * rng.standard_normal((50, 54))
-        steps = []
-
-        class Counted(np.ndarray):
-            """W coefficients that count the products taken with one term."""
-
-            def __matmul__(self, other):
-                if np.shape(other) == probes.shape:
-                    steps.append(1)
-                return np.asarray(self) @ other
-
-        blocks = list(islice(h2.resolvent_terms(w.view(Counted), a_rows, probes), 4096 // self.C))
-        assert len(blocks) * blocks[0].shape[1] == 4096
-        assert len(steps) == self.C
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), a_deg=st.integers(0, 4),
+           c_deg=st.integers(0, 6), m=st.integers(1, 3), n=st.integers(0, 80))
+    def test_a_polynomial_c_matches_the_neumann_product(self, seed, dim, a_deg, c_deg, m, n):
+        rng = np.random.default_rng(seed)
+        a = contractive_matpoly(rng, dim, dim, a_deg, norm=0.9)
+        c = random_matpoly(rng, dim, m, c_deg)
+        want = h2.pad_coeffs(h2.polymul(h2.neumann_inverse(a, n), c, n), n).coeffs
+        assert np.max(np.abs(series(a.coeffs, c.coeffs, n + 1) - want)) <= 1e-12
 
 
 class TestGamma:
     def test_constant_isometry_column(self):
-        g = gamma_terms(MatPoly.constant([[0.0], [1.0]]), [1.0], 7)
+        g = gamma_terms(MatPoly.constant([[0.0], [1.0]]), slice(0, 1), slice(1, None), [1.0], 7)
         np.testing.assert_allclose(g[0], [1.0], atol=1e-15)
         assert np.linalg.norm(g[1:].ravel()) == 0
 
     def test_scalar_half_geometric(self):
-        w = MatPoly.constant([[0.5], [0.5]])
-        g = gamma_terms(w, [1.0], 65)
+        w0 = np.array([[0.5], [0.5]])
+        g = gamma_terms(MatPoly.constant(w0), slice(0, 1), slice(1, None), [1.0], 65)
         np.testing.assert_allclose(g[:, 0], 0.5 ** (np.arange(65) + 1), atol=1e-15)
-        assert abs(cli.gamma_norms_sq(w, [1.0], 64) - 1.0 / 3.0) <= 1e-9
+        assert abs(cli.gamma_norms_sq(w0, [1.0], 64) - 1.0 / 3.0) <= 1e-9
 
     def test_zero_bottom_block(self, rng):
         a = contractive_matpoly(rng, 2, 2, 2, norm=0.8)
         w = h2.vstack_polys(a, MatPoly.zero(1, 2, a.degree))
-        assert np.max(np.abs(gamma_terms(w, np.eye(2), 17))) <= 1e-14
+        assert np.max(np.abs(gamma_terms(w, slice(0, 2), slice(2, None), np.eye(2), 17))) <= 1e-14
 
 
 class TestHardyNorm:
     def test_constant(self):
         # A = 0 and B = [3; 4]: Gamma d is the constant (3, 4)
-        w = MatPoly.constant([[0.0], [3.0], [4.0]])
-        assert cli.gamma_norms_sq(w, [1.0], 8) == pytest.approx(25.0)
+        assert cli.gamma_norms_sq([[0.0], [3.0], [4.0]], [1.0], 8) == pytest.approx(25.0)
 
     def test_orthonormal_coefficients(self):
-        # A = 0 and B(z) = e_1 + e_2 z: two orthonormal coefficients
-        w = MatPoly(np.array([[[0.0], [1.0], [0.0]], [[0.0], [0.0], [1.0]]]))
-        assert cli.gamma_norms_sq(w, [1.0], 8) == pytest.approx(2.0)
+        # A the nilpotent shift and B = I: Gamma e_1 = e_1 + e_2 z, two
+        # orthonormal coefficients
+        w0 = np.vstack([[[0.0, 0.0], [1.0, 0.0]], np.eye(2)])
+        assert cli.gamma_norms_sq(w0, [1.0, 0.0], 8) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dim, rows, m, degree", [(1, 1, 1, 0), (2, 1, 3, 7), (4, 3, 2, 64), (6, 2, 5, 300)])
+    def test_equals_the_summed_coefficients(self, rng, dim, rows, m, degree):
+        # sum over n <= degree of ||B A^n c||^2 for each column c, term by term
+        w0 = random_contraction(rng, dim + rows, dim, norm=0.99)
+        a, b = w0[:dim], w0[dim:]
+        block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
+        want, x = np.zeros(m), block
+        for _ in range(degree + 1):
+            want += linalg.sq_norms(b @ x)
+            x = a @ x
+        got = cli.gamma_norms_sq(w0, block, degree)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - want) / want) <= 1e-12
+        assert cli.gamma_norms_sq(w0, block[:, 0], degree) == pytest.approx(want[0], rel=1e-12)
 
 
 class TestResolventGrid:
@@ -432,9 +406,9 @@ class TestRadialChainIdentities:
         w = contractive_matpoly(rng, 4, 2, 3, norm=0.95)
         n = 64
         d = rng.standard_normal(2)
-        terms = stream(w, slice(0, 2), d, n + 1)
-        dn = np.concatenate([d[None], terms[:-1, :2]])
-        gn = terms[:, 2:]
+        a, _ = w.block_rows(2)
+        dn = series(a.coeffs, d[None], n + 1)
+        gn = gamma_terms(w, slice(0, 2), slice(2, None), d, n + 1)
         nd2 = np.sum(np.abs(d) ** 2)
         for k in range(1, n + 1):
             lhs = np.sum(np.abs(dn[k]) ** 2) + np.sum(np.abs(gn[:k]) ** 2)
@@ -465,8 +439,7 @@ class TestRadialChainIdentities:
 
 def loop_neumann(a_coeffs, degree):
     """Reference loop J_n = sum_{k=1..n} A_{k-1} J_{n-k}; the kernel's
-    recursion path must reproduce it bit for bit wherever the stream
-    steps term by term."""
+    recursion path must reproduce it bit for bit on every term."""
     dim = a_coeffs.shape[1]
     out = np.zeros((degree + 1, dim, dim), dtype=complex)
     out[0] = np.eye(dim)
@@ -539,11 +512,7 @@ class TestSeriesKernel:
         a = contractive_matpoly(rng, dim, dim, deg, norm=0.99)
         assert not h2._newton_pays(a.degree + 1, dim, n)
         got, want = h2.neumann_inverse(a, n).coeffs, loop_neumann(a.coeffs, n)
-        # a constant symbol runs the loop's arithmetic through the stream's
-        # first block only, then one W A^(C-1) product per block
-        exact = n + 1 if deg else h2.TERM_BLOCK + 1
-        assert got[:exact].tobytes() == want[:exact].tobytes()
-        assert all(np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w) for g, w in zip(got, want))
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 4)] * 3),
