@@ -11,12 +11,12 @@ as a read-only broadcast of its one coefficient, with no FFT.
 Series layer.  The convolution recursion is written once, in
 ``resolvent_terms``, which yields the coefficients of
 (I - z A(z))^(-1) C(z) one term at a time, holding only the last
-deg A + 1 of them.  ``_neumann_coeffs`` stacks it with C = I, the
-criteria's Taylor trace of a polynomial symbol reads it term by term,
-and ``clt.lift`` runs it on the transposes: Gamma_n^T is coefficient n
-of (I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
-whatever the dimension of the space Y acts on.  Constant symbols are
-summed elsewhere, by ``linalg.stein_sum``.
+deg A + 1 of them.  ``_neumann_coeffs`` stacks it with C = I, and
+``clt.lift`` runs it on the transposes: Gamma_n^T is coefficient n of
+(I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
+whatever the dimension of the space Y acts on.  The isometry criteria
+read no series: they square and Stein-sum the companion state matrix of
+the symbol (``criteria.realize``).
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0

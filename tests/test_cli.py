@@ -77,6 +77,23 @@ def test_thresholds_must_be_finite_and_non_negative(capsys, name):
     assert f"argument {flag}: must be a finite, non-negative number" in capsys.readouterr().err
 
 
+# a grid whose exclusions keep no node of the boundary check: ex3_1
+# crashed with a traceback at grid 3 and wrote bare NaN tokens at grid 4
+EMPTY_GRIDS = {
+    "grid_3": ["examples", "ex3_1", "--grid", "3", "--degree", "1"],
+    "grid_4": ["examples", "ex3_1", "--grid", "4", "--degree", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_GRIDS))
+def test_a_grid_that_keeps_no_node_exits_2(tmp_path, capsys, name):
+    out = tmp_path / "ex3_1.json"
+    assert cli.main([*EMPTY_GRIDS[name], "--out", str(out)]) == 2
+    grid = EMPTY_GRIDS[name][3]
+    assert f"error: grid {grid} keeps no node outside the exclusions at rho 0.9" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def write_json(path, doc) -> str:
     path.write_text(serialize.dumps_canonical(doc), encoding="utf-8")
     return str(path)
