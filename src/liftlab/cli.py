@@ -428,7 +428,7 @@ def _cmd_lift(cfg: RunConfig) -> int:
     )
     reports = [rep]
     r_eff = lifting.free_parameter
-    if r_eff.degree == 0 and "isometry" in linalg.classify(r_eff.coeffs[0], 1e-8):
+    if r_eff.degree == 0 and linalg.isometry_gap(r_eff.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
         reports.append(criteria.obstruction_search(ld, r_eff.coeffs[0]))
     dims = clt.dims_report(ld, problem)
     values = {"coupling_route": route, **residuals, **dims.to_dict()}
@@ -467,7 +467,7 @@ def _cmd_coiso(cfg: RunConfig) -> int:
     if feas.feasible:
         rng = np.random.default_rng(cfg.seed) if cfg.seed else None
         ext = coiso.build_extension(problem, rng=rng)
-        co_res = float(np.linalg.norm(ext @ ext.conj().T - np.eye(problem.h_dim), 2))
+        co_res = linalg.isometry_gap(ext.conj().T)
         restr = float(
             np.linalg.norm(ext @ problem.m_prime.columns - problem.m.columns @ problem.c, 2)
         )

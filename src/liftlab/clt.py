@@ -13,9 +13,10 @@ All defect-space quantities are stored in orthonormal coordinate bases
 of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
 of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
-inverts exactly what the kernels leave out.  ``lift`` stores the
-coefficients of Gamma, each r' x r in the defect coordinates, and
-writes the rows Gamma_n D_X of Y with one product.
+inverts exactly what the kernels leave out.  ``lift`` takes the
+coefficients of Gamma, each r' x r in the defect coordinates, from one
+call of ``h2.resolvent_terms`` and writes Y's rows Gamma_n D_X with one
+batched product.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -205,8 +206,7 @@ def build_problem(t, t_prime, x, tol: float = TOL, window: int | None = None) ->
     problem = CLTProblem(spec, t_prime, x, tol, window)
     tm = problem.t_matrix
     k = problem.window_dim
-    gram = (tm.conj().T @ tm)[:k, :k] - np.eye(k)
-    if np.linalg.norm(gram, 2) > tol:
+    if linalg.isometry_gap(tm[:, :k]) > tol:
         raise NotIsometryOnWindow("T fails to be isometric on its window")
     residual = float(np.linalg.norm((t_prime @ x - x @ tm)[:, :k], 2))
     if residual > tol:
@@ -257,11 +257,10 @@ def minimal_isometric_lifting(
 
 @dataclass(frozen=True)
 class LiftingData:
-    """Defect operators, their coordinate bases, and the coupling
-    partial isometry with its kernels, all in defect-space coordinates."""
+    """D_X, the defect coordinate bases of X and T', and the coupling
+    partial isometry with its kernels, in defect-space coordinates."""
 
     d_x: np.ndarray
-    d_tprime: np.ndarray
     basis_x: SubspaceBasis
     basis_tprime: SubspaceBasis
     omega_bar: np.ndarray
@@ -298,7 +297,7 @@ def build_omega(p: CLTProblem) -> LiftingData:
     omega = v @ linalg.pinv(g)
     ker = linalg.kernel_basis(g.conj().T)
     ker_star = linalg.kernel_basis(v.conj().T)
-    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
+    return LiftingData(d_x, qx, qp, omega, ker, ker_star)
 
 
 def build_omega_explicit(p: CLTProblem) -> LiftingData:
@@ -335,7 +334,7 @@ def build_omega_explicit(p: CLTProblem) -> LiftingData:
         raise CLTError("coupling gram formula disagrees with the assembled operator")
     ker = linalg.kernel_basis(omega)
     ker_star = linalg.kernel_basis(omega.conj().T)
-    return LiftingData(d_x, d_tp, qx, qp, omega, ker, ker_star)
+    return LiftingData(d_x, qx, qp, omega, ker, ker_star)
 
 
 def omega_full(ld: LiftingData) -> np.ndarray:
@@ -412,8 +411,8 @@ def lift(
     Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
     assembled Schur parameter W = [B; A].  Gamma_n^T is coefficient n of
     (I - z A^T)^(-1) B^T, so ``h2.resolvent_terms`` on the transposes
-    fills Gamma, r x r by r x r' products whatever dim T is, and the
-    series rows of Y are Gamma in defect coordinates times Q* D_X.
+    returns Gamma_n^T, n <= degree, from r x r by r x r' products
+    whatever dim T is; the series rows of Y are Gamma times Q* D_X.
     """
     if ld is None:
         ld = build_omega(p)
@@ -422,13 +421,11 @@ def lift(
     w = assemble_schur_W(ld, r)
     r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
     b_t, a_t = (part.transpose(0, 2, 1) for part in np.split(w.coeffs, [r_prime], axis=1))
-    gamma = np.empty((degree + 1, r_prime, w.in_dim), dtype=complex)
-    for n, term in zip(range(degree + 1), h2.resolvent_terms(a_t, b_t)):
-        gamma[n] = term.T
+    gamma = h2.resolvent_terms(a_t, b_t, degree + 1).transpose(0, 2, 1)
     y = np.empty((h_dim + (degree + 1) * r_prime, p.t.dim), dtype=complex)
     y[:h_dim] = p.x
     coords = ld.basis_x.columns.conj().T @ ld.d_x
-    np.matmul(gamma.reshape((degree + 1) * r_prime, w.in_dim), coords, out=y[h_dim:])
+    np.matmul(gamma, coords, out=y[h_dim:].reshape(degree + 1, r_prime, p.t.dim))
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
     return Lifting(p, ld, r, w, y, ml)
 

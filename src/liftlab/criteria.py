@@ -104,6 +104,7 @@ TAYLOR_SQUARINGS = 1 + math.ceil(math.log2(math.log(1 / TOL_TAYLOR) / linalg.CLA
 LADDER_SLACK = 1e-9  # relative rise a monotone ladder may show between rungs
 # terms of the backward orbit traced from an obstruction witness
 POWER_TERMS = 64
+PARAMETER_ISOMETRY_TOL = 1e-8  # isometry gap a constant free parameter may show
 
 
 class CriteriaError(ValueError):
@@ -194,20 +195,20 @@ def _top_block(w: MatPoly) -> MatPoly:
 class RadialSample:
     """One rung of the node path: the squared column norms, shape
     (grid, m), of d = (I - z A(z))^(-1) probes on the rho-circle (dn2),
-    of W d (wn2) and of the first a_rows rows of W d (an2)."""
+    of W d (wn2) and of A d, the top rows of W d (an2)."""
 
     dn2: np.ndarray
     wn2: np.ndarray
     an2: np.ndarray
 
 
-def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int, a_rows: int = 0) -> RadialSample:
-    """Solve the resolvent once and evaluate W once on the rho-circle; when
-    A tops W, its first a_rows rows give A d, so A is not evaluated again."""
+def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int) -> RadialSample:
+    """Solve the resolvent once and evaluate W once on the rho-circle; A
+    tops W, so the top rows of W d give A d without evaluating A."""
     d = h2.resolvent_apply_grid(a, probes, rho, grid)
     wd = h2.eval_circle_grid(w, rho, grid) @ d
-    an2 = linalg.sq_norms(wd[:, :a_rows])
-    return RadialSample(linalg.sq_norms(d), an2 + linalg.sq_norms(wd[:, a_rows:]), an2)
+    an2 = linalg.sq_norms(wd[:, : a.out_dim])
+    return RadialSample(linalg.sq_norms(d), an2 + linalg.sq_norms(wd[:, a.out_dim :]), an2)
 
 
 def state_rows(q: MatPoly, terms: int) -> np.ndarray:
@@ -343,9 +344,8 @@ def constant_symbol_check(w0) -> CriterionReport:
     tol = linalg.CLASSIFY_TOL
     m = linalg.as_matrix(w0)
     a0 = m[: m.shape[1], :]
-    classes = linalg.classify(m, tol)
     rho_a = linalg.spectral_radius(a0)
-    iso = "isometry" in classes
+    iso = linalg.isometry_gap(m) <= tol
     stable = rho_a < 1.0 - tol
     parts = []
     if not iso:
@@ -387,7 +387,7 @@ def boundary_measure_check(
         mask = included_nodes(grid, rho, exclusions)
         if not mask.any():
             raise CriteriaError(f"grid {grid} keeps no node outside the exclusions at rho {rho}")
-        s = radial_sample(w, a, probes, rho, grid, a.out_dim)
+        s = radial_sample(w, a, probes, rho, grid)
         mass = np.mean((s.dn2 - s.an2)[mask], axis=0)
         k_vals = ((1.0 - rho**2) / rho**2) * s.dn2 + (s.dn2 - s.wn2) / rho**2
         mass_ladder.append(float(np.max(mass)))
@@ -479,7 +479,7 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
     """
     tol, n_max = linalg.CLASSIFY_TOL, POWER_TERMS
     r0 = linalg.as_matrix(r0)
-    if r0.size and "isometry" not in linalg.classify(r0, 1e-8):
+    if linalg.isometry_gap(r0) > PARAMETER_ISOMETRY_TOL:
         raise NotIsometricR0("the constant free parameter must be isometric")
     if (r0.shape[0], r0.shape[1]) != (ld.ker_omega_star.dim, ld.ker_omega.dim):
         raise NotIsometricR0("free parameter does not match the kernel shapes")

@@ -9,11 +9,10 @@ below is exact once K >= 2*degree + 1.  A constant evaluates on a grid
 as a read-only broadcast of its one coefficient, with no FFT.
 
 Series layer.  The convolution recursion is written once, in
-``resolvent_terms``, which yields the coefficients of
-(I - z A(z))^(-1) C(z) one term at a time, holding only the last
-deg A + 1 of them.  ``_neumann_coeffs`` stacks it with C = I, and
-``clt.lift`` runs it on the transposes: Gamma_n^T is coefficient n of
-(I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
+``resolvent_terms``, which returns the first `count` coefficients of
+(I - z A(z))^(-1) C(z), stacked.  ``_neumann_coeffs`` runs it with
+C = I, and ``clt.lift`` on the transposes: Gamma_n^T is coefficient n
+of (I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
 whatever the dimension of the space Y acts on.  The isometry criteria
 read no series: they square and Stein-sum the companion state matrix of
 the symbol (``criteria.realize``).
@@ -51,9 +50,7 @@ against 5.9 ms at dim 3.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
@@ -359,24 +356,20 @@ def _neumann_coeffs(s: np.ndarray, degree: int) -> np.ndarray:
     """Coefficients 0..degree of (I - z S(z))^(-1), s[k] = S_k."""
     if _newton_pays(s.shape[0], s.shape[1], degree):
         return _newton_inverse(s, degree)
-    out = np.empty((degree + 1,) + s.shape[1:], dtype=complex)
-    for n, term in zip(range(degree + 1), resolvent_terms(s, np.eye(s.shape[1])[None])):
-        out[n] = term
+    return resolvent_terms(s, np.eye(s.shape[1])[None], degree + 1)
+
+
+def resolvent_terms(a: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
+    """The coefficients Z_0 .. Z_(count-1) of (I - z A(z))^(-1) C(z),
+    a[j] = A_j square and c[k] = C_k of shape (n, m) or (n,), stacked
+    into shape (count,) + c.shape[1:]: Z_n = C_n + sum over j <= deg A of
+    A_j Z_(n-1-j), added from j = 0 up; an empty a gives Z_n = C_n."""
+    out = np.zeros((count,) + c.shape[1:], dtype=complex)
+    out[: len(c)] = c[:count]
+    for n in range(count):
+        for j in range(min(n, len(a))):
+            out[n] += a[j] @ out[n - 1 - j]
     return out
-
-
-def resolvent_terms(a: np.ndarray, c: np.ndarray):
-    """The endless coefficients Z_0, Z_1, ... of (I - z A(z))^(-1) C(z),
-    a[j] = A_j square and c[k] = C_k of shape (n, m) or (n,):
-    Z_n = C_n + sum over j <= deg A of A_j Z_(n-1-j), one term per step,
-    holding the last deg A + 1 terms; an empty a gives Z_n = C_n."""
-    history = deque(maxlen=max(a.shape[0], 1))
-    for n in count():
-        z = np.array(c[n], dtype=complex) if n < c.shape[0] else np.zeros(c.shape[1:], dtype=complex)
-        for aj, x in zip(a, history):
-            z += aj @ x
-        history.appendleft(z)
-        yield z
 
 
 def _newton_inverse(s: np.ndarray, degree: int) -> np.ndarray:

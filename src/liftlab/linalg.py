@@ -1,8 +1,9 @@
-"""Dense complex linear algebra with tolerance-aware classification.
+"""Dense complex linear algebra with tolerance-aware decisions.
 
 Everything operates on plain complex ``numpy`` arrays.  Matrices are
-immutable by convention (no function mutates its inputs).  Operator
-classification takes a tolerance, by default ``CLASSIFY_TOL``.
+immutable by convention (no function mutates its inputs).  Every
+isometry question reads one measure, ``isometry_gap`` = ||M*M - I||,
+against its caller's own threshold.
 
 Two decisions about floating point noise are made in one place each:
 
@@ -63,6 +64,14 @@ def spectral_radius(m) -> float:
     if a.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(a))))
+
+
+def isometry_gap(m) -> float:
+    """||M*M - I||, how far M is from an isometry; 0 for no columns."""
+    a = as_matrix(m)
+    if a.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[1]), 2))
 
 
 def sq_norms(values, axis=-2) -> np.ndarray:
@@ -135,8 +144,7 @@ class SubspaceBasis:
     def __post_init__(self):
         cols = as_matrix(self.columns)
         object.__setattr__(self, "columns", cols)
-        gram = cols.conj().T @ cols
-        if gram.size and np.linalg.norm(gram - np.eye(cols.shape[1]), 2) > RANK_TOL:
+        if isometry_gap(cols) > RANK_TOL:
             raise LinalgError("columns are not orthonormal within RANK_TOL")
 
     @property
@@ -175,38 +183,6 @@ def defect(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
 def defect_adjoint(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
     """Defect of the adjoint, (I - M M*)^(1/2)."""
     return defect(as_matrix(m).conj().T, tol)
-
-
-def classify(m, tol: float = CLASSIFY_TOL) -> frozenset:
-    """Report every operator class that holds within tol.
-
-    Possible members: "contraction", "isometry", "coisometry",
-    "unitary", "partial_isometry".  The result is monotone by
-    construction: unitary implies isometry and coisometry, and any of
-    those implies partial_isometry and contraction.  An empty set means
-    not even a contraction.
-    """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    out = set()
-    if operator_norm(a) <= 1.0 + tol:
-        out.add("contraction")
-    gram = a.conj().T @ a
-    cogram = a @ a.conj().T
-    isometry = bool(np.linalg.norm(gram - np.eye(cols), 2) <= tol)
-    coisometry = bool(np.linalg.norm(cogram - np.eye(rows), 2) <= tol)
-    partial = bool(np.linalg.norm(a @ gram - a, 2) <= tol)
-    if isometry:
-        out.add("isometry")
-    if coisometry:
-        out.add("coisometry")
-    if isometry and coisometry:
-        out.add("unitary")
-    if partial or isometry or coisometry:
-        out.add("partial_isometry")
-    if isometry or coisometry:
-        out.add("contraction")
-    return frozenset(out)
 
 
 def rank_mask(values) -> np.ndarray:

@@ -193,7 +193,7 @@ class TestParsevalMeans:
         gram, la = e.conj().T @ e, lw[:dim]
         weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
         got = criteria.parseval_means(m, start, weights, [rho], grid)[0]
-        s = criteria.radial_sample(w, a, probes, rho, grid, dim)
+        s = criteria.radial_sample(w, a, probes, rho, grid)
         want = np.mean([s.dn2 - s.wn2, s.dn2, s.dn2 - s.an2], axis=1)
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15))
 
@@ -525,7 +525,7 @@ def planted_lifting(omega: np.ndarray, w: np.ndarray | None = None) -> tuple:
     vacuous and the Taylor trace of A decides."""
     dim = omega.shape[1]
     full, empty = linalg.SubspaceBasis.full(dim), linalg.SubspaceBasis.empty(dim)
-    ld = clt.LiftingData(np.eye(dim), np.eye(dim), full, full, omega, empty, linalg.SubspaceBasis.empty(2 * dim))
+    ld = clt.LiftingData(np.eye(dim), full, full, omega, empty, linalg.SubspaceBasis.empty(2 * dim))
     w = MatPoly.constant(omega if w is None else w)
     return ld, clt.Lifting(None, ld, MatPoly.zero(0, 0), w, None, SimpleNamespace(degree=64))
 
@@ -653,3 +653,10 @@ class TestObstructionSearch:
         bad = 0.5 * random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         with pytest.raises(criteria.NotIsometricR0):
             criteria.obstruction_search(ld, bad)
+
+    def test_rejects_a_parameter_into_no_space(self):
+        # C^1 -> C^0 is no isometry, though it has no entries
+        full = linalg.SubspaceBasis.full(1)
+        ld = clt.LiftingData(np.eye(1), full, full, np.zeros((2, 1)), full, linalg.SubspaceBasis.empty(2))
+        with pytest.raises(criteria.NotIsometricR0, match="must be isometric"):
+            criteria.obstruction_search(ld, np.zeros((0, 1)))

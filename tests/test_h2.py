@@ -102,17 +102,12 @@ class TestNeumannInverse:
             assert np.max(np.abs(residual)) <= 1e-12
 
 
-def series(a: np.ndarray, c: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` terms of h2.resolvent_terms(a, c), stacked."""
-    return np.stack([term for _, term in zip(range(count), h2.resolvent_terms(a, c))])
-
-
 def gamma_terms(w: MatPoly, a_rows: slice, b_rows: slice, block, count: int) -> np.ndarray:
     """Coefficients of B (I - zA)^(-1) block, A = W[a_rows] and B =
     W[b_rows], from the recursion on the transposes as clt.lift runs it:
     Gamma_n^T is term n of (I - z A^T)^(-1) B^T."""
     wt = w.coeffs.transpose(0, 2, 1)
-    gamma = series(wt[:, :, a_rows], wt[:, :, b_rows], count).transpose(0, 2, 1)
+    gamma = h2.resolvent_terms(wt[:, :, a_rows], wt[:, :, b_rows], count).transpose(0, 2, 1)
     return gamma @ np.asarray(block, dtype=complex)
 
 
@@ -133,7 +128,7 @@ class TestResolventTerms:
             w, a_rows, b_rows = h2.vstack_polys(a, b), slice(0, dim), slice(dim, None)
         else:
             w, a_rows, b_rows = h2.vstack_polys(b, a), slice(2, None), slice(0, 2)
-        got = series(w.coeffs[:, a_rows], block[None], n + 1)
+        got = h2.resolvent_terms(w.coeffs[:, a_rows], block[None], n + 1)
         assert got.shape == (n + 1, dim, m)
         assert np.max(np.abs(got - j)) <= 1e-12
         assert np.max(np.abs(gamma_terms(w, a_rows, b_rows, block, n + 1) - gamma)) <= 1e-12
@@ -141,9 +136,9 @@ class TestResolventTerms:
     def test_vector_block(self, rng):
         a = contractive_matpoly(rng, 3, 3, 1, norm=0.9)
         d = rng.standard_normal(3)
-        got = series(a.coeffs, d[None], 33)
+        got = h2.resolvent_terms(a.coeffs, d[None], 33)
         assert got.shape == (33, 3)
-        assert np.max(np.abs(got - series(a.coeffs, d[:, None][None], 33)[..., 0])) == 0
+        assert np.max(np.abs(got - h2.resolvent_terms(a.coeffs, d[:, None][None], 33)[..., 0])) == 0
 
     @pytest.mark.parametrize("dim, deg, m", [(3, 0, 5), (4, 3, 7), (25, 0, 29), (50, 0, 54), (7, 0, None)])
     def test_equals_the_per_term_series_bit_for_bit(self, rng, dim, deg, m):
@@ -156,9 +151,29 @@ class TestResolventTerms:
         shape = (dim,) if m is None else (dim, m)
         block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         count = 256 if dim > 8 else 1024
-        got = series(a, block[None], count + 1)
+        got = h2.resolvent_terms(a, block[None], count + 1)
         assert got[0].tobytes() == block.tobytes()
         assert got[1:].tobytes() == per_term_series(a, slice(None), block, count).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,)])
+    def test_count_zero_gives_no_terms(self, rng, shape):
+        a = contractive_matpoly(rng, 3, 3, 2, norm=0.9).coeffs
+        assert h2.resolvent_terms(a, np.ones((4,) + shape), 0).shape == (0,) + shape
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,)])
+    def test_a_count_below_the_terms_of_c_truncates(self, rng, shape):
+        a = contractive_matpoly(rng, 3, 3, 1, norm=0.9).coeffs
+        c = rng.standard_normal((7,) + shape) + 1j * rng.standard_normal((7,) + shape)
+        got = h2.resolvent_terms(a, c, 4)
+        assert got.shape == (4,) + shape
+        assert got.tobytes() == h2.resolvent_terms(a, c, 20)[:4].tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,)])
+    def test_an_empty_a_gives_c_padded_with_zeros(self, rng, shape):
+        c = rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+        got = h2.resolvent_terms(np.zeros((0, 3, 3)), c, 7)
+        assert got.shape == (7,) + shape
+        assert got[:4].tobytes() == c.tobytes() and not got[4:].any()
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), a_deg=st.integers(0, 4),
@@ -168,7 +183,7 @@ class TestResolventTerms:
         a = contractive_matpoly(rng, dim, dim, a_deg, norm=0.9)
         c = random_matpoly(rng, dim, m, c_deg)
         want = h2.pad_coeffs(h2.polymul(h2.neumann_inverse(a, n), c, n), n).coeffs
-        assert np.max(np.abs(series(a.coeffs, c.coeffs, n + 1) - want)) <= 1e-12
+        assert np.max(np.abs(h2.resolvent_terms(a.coeffs, c.coeffs, n + 1) - want)) <= 1e-12
 
 
 class TestGamma:
@@ -407,7 +422,7 @@ class TestRadialChainIdentities:
         n = 64
         d = rng.standard_normal(2)
         a, _ = w.block_rows(2)
-        dn = series(a.coeffs, d[None], n + 1)
+        dn = h2.resolvent_terms(a.coeffs, d[None], n + 1)
         gn = gamma_terms(w, slice(0, 2), slice(2, None), d, n + 1)
         nd2 = np.sum(np.abs(d) ** 2)
         for k in range(1, n + 1):

@@ -56,44 +56,48 @@ def test_defect_identity_large_dim():
     assert np.linalg.norm(d @ d + m.conj().T @ m - np.eye(64), 2) <= 1e-12
 
 
-class TestClassify:
+class TestIsometryGap:
     def test_identity(self):
-        got = la.classify(np.eye(3))
-        assert got == {"contraction", "isometry", "coisometry", "unitary", "partial_isometry"}
+        assert la.isometry_gap(np.eye(3)) == 0.0
+
+    def test_tall_isometry_and_its_adjoint(self):
+        col = np.array([[1.0], [0.0]])
+        assert la.isometry_gap(col) == 0.0
+        assert la.isometry_gap(col.conj().T) == pytest.approx(1.0, abs=1e-15)
 
     def test_scalar_half(self):
-        assert la.classify(np.array([[0.5]])) == {"contraction"}
+        assert la.isometry_gap(np.array([[0.5]])) == pytest.approx(0.75, abs=1e-15)
 
-    def test_projection_is_partial_isometry(self):
-        got = la.classify(np.diag([1.0, 0.0]))
-        assert got == {"contraction", "partial_isometry"}
+    def test_projection(self):
+        assert la.isometry_gap(np.diag([1.0, 0.0])) == pytest.approx(1.0, abs=1e-15)
 
-    def test_none(self):
-        assert la.classify(np.array([[2.0]])) == frozenset()
+    def test_no_columns(self):
+        assert la.isometry_gap(np.zeros((3, 0))) == 0.0
 
-    def test_tall_isometry(self):
-        got = la.classify(np.array([[1.0], [0.0]]))
-        assert "isometry" in got and "coisometry" not in got
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(la.LinalgError):
+            la.isometry_gap(np.array([[1.0], [np.nan]]))
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_classify_monotone_property(n, seed):
-    rng = np.random.default_rng(seed)
-    # bias toward interesting operators: unitaries, projections, contractions
-    kind = seed % 3
-    if kind == 0:
-        m = random_unitary(rng, n)
-    elif kind == 1:
-        q = random_unitary(rng, n)[:, : max(1, n // 2)]
-        m = q @ q.conj().T
-    else:
-        m = random_contraction(rng, n, n, norm=rng.uniform(0, 1))
-    got = la.classify(m)
-    if "unitary" in got:
-        assert {"isometry", "coisometry"} <= got
-    if "isometry" in got or "coisometry" in got:
-        assert {"partial_isometry", "contraction"} <= got
+@given(st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1), st.floats(0.0, 2.0))
+def test_scaled_isometry_gap_property(cols, extra, seed, c):
+    # (cV)*(cV) - I = (c^2 - 1) I for an isometry V
+    v = random_unitary(np.random.default_rng(seed), cols + extra)[:, :cols]
+    assert abs(la.isometry_gap(c * v) - abs(c * c - 1.0)) <= 1e-12
+
+
+class TestSubspaceBasis:
+    def test_rejects_columns_off_orthonormal_by_more_than_rank_tol(self):
+        q = random_unitary(np.random.default_rng(3), 4)[:, :2]
+        la.SubspaceBasis(q * np.sqrt(1.0 + 0.5 * la.RANK_TOL))
+        with pytest.raises(la.LinalgError, match="not orthonormal"):
+            la.SubspaceBasis(q * np.sqrt(1.0 + 2.0 * la.RANK_TOL))
+
+    def test_accepts_an_empty_basis(self):
+        basis = la.SubspaceBasis.empty(4)
+        assert (basis.ambient_dim, basis.dim) == (4, 0)
+        assert not basis.projector().any()
 
 
 class TestKernelBasis:
