@@ -13,7 +13,8 @@ seed twists the extension's fills by random unitaries, while
 of the symbol.  `--degree` and `--grid` take integers of at least 1,
 `--seed` one of at least 0, `--tol-int` and `--tol-taylor` finite,
 non-negative numbers; each command has its own default for the flag
-left out, and the report's `config` records null for it.  The `config`
+left out, and the report's `config` records null for it.  rk3_1 reads
+no `--degree`: none of its checks truncates a series.  The `config`
 echo lists every RunConfig field, at its default where the command
 takes no such flag.
 Reports are deterministic JSON (identical config and seed give
@@ -225,8 +226,7 @@ def _scenario_ex3_2(cfg: RunConfig) -> int:
     hardy = float(gamma_norms_sq(w0, [1.0], degree))
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
     rep_ri = criteria.radial_isometry_check(
-        w, grid=grid, degree=degree, ladder=cfg.ladder,
-        tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     values = {"poisson_integral": poisson, "hardy_norm_sq": hardy}
     checks = [
@@ -298,12 +298,10 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
 
 
 def _scenario_rk3_1(cfg: RunConfig) -> int:
-    degree = _given(cfg.degree, 64)
     grid = _given(cfg.grid, 256)
     w0 = np.array([[1.0], [0.0]])
     rep_ri = criteria.radial_isometry_check(
-        MatPoly.constant(w0), grid=grid, degree=degree, ladder=cfg.ladder,
-        tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        MatPoly.constant(w0), grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     rep_cs = criteria.constant_symbol_check(w0)
     problem = clt.build_problem(np.eye(1), np.eye(1), np.zeros((1, 1)))
@@ -332,8 +330,7 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
     w0 = np.vstack([a0, linalg.defect(a0)])
     rep_cs = criteria.constant_symbol_check(w0)
     rep_ri = criteria.radial_isometry_check(
-        MatPoly.constant(w0), grid=grid, degree=degree, ladder=cfg.ladder,
-        tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        MatPoly.constant(w0), grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     worst = float(np.max(np.abs(gamma_norms_sq(w0, np.eye(2), degree) - 1.0)))
     values = {"hardy_norm_deviation": worst, "spectral_radius": rep_cs.extras["spectral_radius"]}

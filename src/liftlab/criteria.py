@@ -13,40 +13,43 @@ decision, never an extrapolation.  The rules are
   when the tail stays below its threshold, fails when the tail has not
   decayed to within a factor 0.1 of the head, and is inconclusive in
   between; on n = 0 .. D the tail starts at the half-way index;
-* boundary-mass statements compare against the probe norm at the
-  largest radius.
+* boundary-mass statements compare the recovered mass against ||d||^2
+  at the largest radius.
 
-Statements quantified over a whole space are probed on the standard
-basis plus N_PROBES random unit vectors drawn from PROBE_SEED; both are
-recorded in the tolerances.
+Statements quantified over every d of a defect space are decided over
+the whole space, and no check draws a random number.  Each rung is a
+Hermitian form d* G d in d, so its supremum over unit d is the largest
+eigenvalue of the dim x dim Gram matrix G, and the supremum of a
+deviation |d* G d - ||d||^2| is ||G - I||.
 
 Every isometry check reads one constant state matrix.  ``realize``
 turns A(z) = sum_(j<=p) A_j z^j into its companion M, of size
 dim (p + 1), first block row [A_0 ... A_p] and identities below it.
 The state s_n = (Z_n, ..., Z_(n-p)) of the coefficients Z_n of
-(I - z A(z))^(-1) c advances as s_(n+1) = M s_n from s_0 = [c; 0], so
-block k of s(z) = (I - zM)^(-1) s_0 is z^k (I - z A(z))^(-1) c, and
-Q(z) (I - z A(z))^(-1) c is s(z) times the constant row
+(I - z A(z))^(-1) d advances as s_(n+1) = M s_n from s_0 = E* d, E* =
+[I; 0], so block k of s(z) = (I - zM)^(-1) s_0 is z^k (I - z A(z))^(-1)
+d, and Q(z) (I - z A(z))^(-1) d is s(z) times the constant row
 ``state_rows(Q)`` = [Q_0 ... Q_p].  A constant A is its own companion.
 
 On the G-point rho-circle z^G = rho^G, and (I - zM) sum_(k<G) z^k M^k
 = I - z^G M^G, so with M_rho = I - (rho M)^G, which commutes with M,
-s(z) = sum_(k<G) z^k M^k v at every node, v = M_rho^(-1) s_0.  Exact
+s(z) = sum_(k<G) z^k M^k V d at every node, V = M_rho^(-1) E*.  Exact
 discrete Parseval gives, for every constant row L with N = L*L and
 w = exp(2 pi i / G),
 
-    mean_j ||L s(rho w^j)||^2 = sum_(k<G) rho^(2k) ||L M^k v||^2 = v* S v,
+    mean_j ||L s(rho w^j)||^2 = sum_(k<G) rho^(2k) ||L M^k V d||^2 = d* V* S V d,
 
 S = sum_(k<G) (b^k)* N b^k, b = rho M, the Stein sum that
 ``linalg.stein_sum`` doubles in log2 G steps, with b^G for M_rho; no
-node is solved.  With E = [I 0 ... 0] and L_W, L_A and L_RK the rows of
-W, A and R K*, N is E*E - L_W* L_W, E*E and E*E - L_A* L_A for the
-radial defect, weighted and defect-of-A ladders, and E* K K* E - L_RK*
-L_RK for the lifting parameter defect (K the kernel basis of the
-coupling, R the free parameter).  The lifting's defect chain holds for
-every state, so it is checked as the identities L_W* L_W = E* Omega*
-Omega E + L_RK* L_RK, which holds exactly when (K_*)* Omega = 0 (K_* the
-kernel basis of Omega*), and I = Omega*Omega + K K*.
+node is solved, and the rung is the largest eigenvalue of V* S V.  With
+E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A and R K*, N is
+E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect, weighted
+and defect-of-A ladders, and E* K K* E - L_RK* L_RK for the lifting
+parameter defect (K the kernel basis of the coupling, R the free
+parameter).  The lifting's defect chain holds for every state, so it is
+checked as the identities L_W* L_W = E* Omega* Omega E + L_RK* L_RK,
+which holds exactly when (K_*)* Omega = 0 (K_* the kernel basis of
+Omega*), and I = Omega*Omega + K K*.
 
 M_rho is well conditioned.  ``clt.assemble_schur_W`` holds ||W|| <= 1 +
 clt.TOL on the circle, so A is a contraction and Re(I - zA) >= 0 on
@@ -59,26 +62,34 @@ kappa(M_rho) <= (1 + q) / (1 - q).  Measured on 60 random liftings
 with parameters of degree 1 to 3: sup_n ||M^n|| <= 2.0, and at
 rho <= 0.9999, kappa(M_rho) <= 1.0001 for G >= 512, <= 1.10 for G = 64.
 
-The Taylor trace records the largest probe norm of the state M^n s_0
-at n = 0, 1, 2, 4, ... by repeated squaring, until the verdict is a
-pass or after TAYLOR_SQUARINGS squarings.  It reads the whole state,
-not Z_n alone: A(z) = z has Z_1 = 0 and Z_2 = 1, but a zero state
-stays zero.  The cap comes from CLASSIFY_TOL, inside which
-``obstruction_search`` and ``constant_symbol_check`` count an
-eigenvalue as unimodular: for spectral radius 1 - delta and a normal M,
-||M^n|| <= exp(-delta n), and the tail of a trace ending at the cap
-starts at n = 2^(cap - 1), so the least cap with 2^(cap - 1)
-CLASSIFY_TOL >= ln(1 / TOL_TAYLOR), 35, passes every delta >
-CLASSIFY_TOL.  Trace and search differ only where 1 - CLASSIFY_TOL <=
-rho(A) < 1 - ln(1 / tol_taylor) / 2^34, 1 - 8.0e-10 at the default:
-there the search finds a witness and the trace passes.  A non-normal M
-exceeds exp(-delta n) by up to its eigenvector condition number, which
-narrows the band; a tol_taylor below 3.5e-8 turns it round.  A squaring
-doubles the relative rounding error of M^(2^k), to 2^35 * 1.1e-16 =
-4e-6 at the cap: a unimodular eigenvalue's trace stays flat and fails.
+The Taylor trace records ||M^n E*||_F at n = 0, 1, 2, 4, ... by
+repeated squaring, until the verdict is a pass or after
+TAYLOR_SQUARINGS squarings.  It bounds the state M^n E* d of every unit
+d, ||M^n E* d|| <= ||M^n E*|| <= ||M^n E*||_F, so a pass holds over the
+whole space; and ||M^n E*||_F <= sqrt(dim) ||M^n E*||, so it decays
+with the spectral norm.  It is the Frobenius norm of the first block
+column of a power the squaring forms anyway, where the spectral norm
+would cost one SVD per entry.  It reads the whole state, not Z_n alone:
+A(z) = z has Z_1 = 0 and Z_2 = 1, but a zero state stays zero.  The cap
+comes from CLASSIFY_TOL, inside which ``obstruction_search`` and
+``constant_symbol_check`` count an eigenvalue as unimodular: for
+spectral radius 1 - delta and a normal M, ||M^n|| <= exp(-delta n), and
+the tail of a trace ending at the cap starts at n = 2^(cap - 1), so the
+least cap with 2^(cap - 1) CLASSIFY_TOL >= ln(1 / TOL_TAYLOR), 35,
+passes every delta > CLASSIFY_TOL.  The Frobenius norm adds a factor of
+at most sqrt(dim), which the margin 2^34 CLASSIFY_TOL - ln(1 /
+TOL_TAYLOR) = 3.36 absorbs up to dim = 800.  Trace and search differ
+only where 1 - CLASSIFY_TOL <= rho(A) < 1 - ln(1 / tol_taylor) / 2^34,
+1 - 8.0e-10 at the default and dim = 1: there the search finds a
+witness and the trace passes.  A non-normal M exceeds exp(-delta n) by
+up to its eigenvector condition number, which narrows the band; a
+tol_taylor below 3.5e-8 turns it round.  A squaring doubles the
+relative rounding error of M^(2^k), to 2^35 * 1.1e-16 = 4e-6 at the
+cap: a unimodular eigenvalue's trace stays flat and fails.
 
-Only ``boundary_measure_check`` solves nodes, by ``radial_sample``:
-its exclusion masks are not Parseval sums.
+Only ``boundary_measure_check`` solves nodes, for the resolvent
+(I - z A(z))^(-1) itself: its exclusion masks are not Parseval sums, so
+it takes the masked node means of d*d, (Ad)*(Ad) and (Wd)*(Wd).
 """
 
 from __future__ import annotations
@@ -97,8 +108,6 @@ TOL_INT = 1e-3
 TOL_TAYLOR = 1e-6
 TOL_MASS = 1e-2
 TOL_REMAINDER = 1e-2
-N_PROBES = 4
-PROBE_SEED = 1
 # squarings of the dyadic Taylor trace: 35 (module docstring)
 TAYLOR_SQUARINGS = 1 + math.ceil(math.log2(math.log(1 / TOL_TAYLOR) / linalg.CLASSIFY_TOL))
 LADDER_SLACK = 1e-9  # relative rise a monotone ladder may show between rungs
@@ -171,19 +180,6 @@ def combine_verdicts(*verdicts: str) -> str:
     return "inconclusive"
 
 
-def probe_matrix(dim: int) -> np.ndarray:
-    """Columns to quantify 'for all d' statements over: the standard
-    basis plus N_PROBES random unit vectors drawn from PROBE_SEED."""
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex)
-    cols = list(np.eye(dim, dtype=complex).T)
-    rng = np.random.default_rng(PROBE_SEED)
-    for _ in range(N_PROBES):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        cols.append(v / np.linalg.norm(v))
-    return np.stack(cols, axis=1)
-
-
 def _top_block(w: MatPoly) -> MatPoly:
     """The square block A on top of W = [A; B]."""
     if w.out_dim < w.in_dim:
@@ -191,24 +187,9 @@ def _top_block(w: MatPoly) -> MatPoly:
     return w.block_rows(w.in_dim)[0]
 
 
-@dataclass(frozen=True)
-class RadialSample:
-    """One rung of the node path: the squared column norms, shape
-    (grid, m), of d = (I - z A(z))^(-1) probes on the rho-circle (dn2),
-    of W d (wn2) and of A d, the top rows of W d (an2)."""
-
-    dn2: np.ndarray
-    wn2: np.ndarray
-    an2: np.ndarray
-
-
-def radial_sample(w: MatPoly, a: MatPoly, probes: np.ndarray, rho: float, grid: int) -> RadialSample:
-    """Solve the resolvent once and evaluate W once on the rho-circle; A
-    tops W, so the top rows of W d give A d without evaluating A."""
-    d = h2.resolvent_apply_grid(a, probes, rho, grid)
-    wd = h2.eval_circle_grid(w, rho, grid) @ d
-    an2 = linalg.sq_norms(wd[:, : a.out_dim])
-    return RadialSample(linalg.sq_norms(d), an2 + linalg.sq_norms(wd[:, a.out_dim :]), an2)
+def largest_eigenvalue(gram: np.ndarray) -> float:
+    """sup of d* G d over unit d for a Hermitian G; 0 for an empty G."""
+    return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
 
 
 def state_rows(q: MatPoly, terms: int) -> np.ndarray:
@@ -218,51 +199,48 @@ def state_rows(q: MatPoly, terms: int) -> np.ndarray:
     return c.transpose(1, 0, 2).reshape(q.out_dim, terms * q.in_dim)
 
 
-def realize(a: MatPoly, probes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def realize(a: MatPoly) -> np.ndarray:
     """The companion M of A(z) = sum_(j<=p) A_j z^j, first block row
-    [A_0 ... A_p] and identities below it, and the initial states
-    [probes; 0]: M^n [c; 0] = (Z_n, ..., Z_(n-p)), Z_n the coefficients of
-    (I - z A(z))^(-1) c and Z_(-k) = 0.  A constant A is M itself."""
+    [A_0 ... A_p] and identities below it: M^n E* d = (Z_n, ...,
+    Z_(n-p)), E* = [I; 0], Z_n the coefficients of (I - z A(z))^(-1) d
+    and Z_(-k) = 0.  A constant A is M itself."""
     dim, terms = a.in_dim, a.degree + 1
     m = np.eye(dim * terms, k=-dim, dtype=complex)
     m[:dim] = state_rows(a, terms)
-    start = np.zeros((dim * terms, probes.shape[1]), dtype=complex)
-    start[:dim] = probes
-    return m, start
+    return m
 
 
-def parseval_means(m: np.ndarray, start: np.ndarray, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
-    """mean_j ||L s(rho w^j)||^2, s(z) = (I - zM)^(-1) s_0, for each rung,
-    weight N = L*L of an (s, size, size) stack and column s_0 of start."""
-    out = np.zeros((len(ladder), len(weights), start.shape[1]))
+def parseval_means(m: np.ndarray, dim: int, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
+    """The Gram matrices V* S V, V = M_rho^(-1) E* and E* = [I; 0] with
+    dim columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
+    (I - zM)^(-1) E* d, for each rung and weight N = L*L of an
+    (s, size, size) stack: shape (rungs, s, dim, dim)."""
+    out = np.zeros((len(ladder), len(weights), dim, dim), dtype=complex)
     for i, rho in enumerate(ladder):
         s, top = linalg.stein_sum(h2.check_radius(rho) * m, weights, grid)
-        v = np.linalg.solve(np.eye(len(m)) - top, start)
-        out[i] = np.sum(v.conj() * (s @ v), axis=-2).real
+        v = np.linalg.solve(np.eye(len(m)) - top, np.eye(len(m), dim))
+        out[i] = v.conj().T @ (s @ v)
     return out
 
 
-def taylor_trace(a: MatPoly, probes: np.ndarray, tol: float) -> list:
-    """(n, largest column norm of the state M^n [probes; 0] of ``realize``)
-    at n = 0, 1, 2, 4, ... by repeated squaring of M, until the verdict at
-    `tol` is a pass or for TAYLOR_SQUARINGS squarings."""
-
-    def largest(x):  # the largest column norm of x
-        return float(np.sqrt(np.max(linalg.sq_norms(x, axis=0), initial=0.0)))
-
-    power, state = realize(a, probes)
-    trace = [(0, largest(state))]
+def taylor_trace(a: MatPoly, tol: float) -> list:
+    """(n, ||M^n E*||_F) for the companion M of ``realize`` and E* =
+    [I; 0] at n = 0, 1, 2, 4, ... by repeated squaring of M, until the
+    verdict at `tol` is a pass or for TAYLOR_SQUARINGS squarings."""
+    power, dim = realize(a), a.in_dim
+    trace = [(0, math.sqrt(dim))]
     for k in range(TAYLOR_SQUARINGS + 1):
         if taylor_verdict(trace, tol) == "pass":
             break
-        trace.append((1 << k, largest(power @ state)))
-        power = power @ power
+        if k:
+            power = power @ power
+        trace.append((1 << k, float(np.linalg.norm(power[:, :dim]))))
     return trace
 
 
-def _isometry_tolerances(tol_int: float, tol_taylor: float, trace: list, degree: int, grid: int) -> dict:
-    return {"tol_int": tol_int, "tol_taylor": tol_taylor, "degree": degree, "degree_used": trace[-1][0],
-            "degree_cap": 1 << TAYLOR_SQUARINGS, "grid": grid, "n_probes": N_PROBES, "seed": PROBE_SEED}
+def _isometry_tolerances(tol_int: float, tol_taylor: float, trace: list, grid: int) -> dict:
+    return {"tol_int": tol_int, "tol_taylor": tol_taylor, "degree_used": trace[-1][0],
+            "degree_cap": 1 << TAYLOR_SQUARINGS, "grid": grid}
 
 
 def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
@@ -285,7 +263,6 @@ def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
 
 def radial_isometry_check(
     w: MatPoly,
-    degree: int = h2.DEFAULT_DEGREE,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
@@ -300,21 +277,20 @@ def radial_isometry_check(
     defect ladder to sink below tol_int and the Taylor trace's tail
     below tol_taylor.  The ladders are the circle means of ||d||^2 -
     ||W d||^2, ||d||^2 and ||d||^2 - ||A d||^2, read by
-    ``parseval_means`` off the companion state of A; `degree` is only
-    echoed into the tolerances.
+    ``parseval_means`` off the companion state of A: the first two as
+    their largest value over unit d, the third as its largest deviation
+    from ||d||^2.
     """
     a = _top_block(w)
-    probes = probe_matrix(a.in_dim)
-    m, start = realize(a, probes)
+    m = realize(a)
     e, lw = np.eye(a.in_dim, len(m)), state_rows(w, a.degree + 1)
     gram, la = e.conj().T @ e, lw[: a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-    means = parseval_means(m, start, weights, ladder, grid)
-    nd2 = linalg.sq_norms(probes)
-    defect_ladder = [float(np.max(m[0])) for m in means]
-    weighted_ladder = [float((1.0 - rho) * np.max(m[1])) for rho, m in zip(ladder, means)]
-    a_defect_dev = [float(np.max(np.abs(m[2] - nd2))) for m in means]
-    trace = taylor_trace(a, probes, tol_taylor)
+    means = parseval_means(m, a.in_dim, weights, ladder, grid)
+    defect_ladder = [largest_eigenvalue(g[0]) for g in means]
+    weighted_ladder = [(1.0 - rho) * largest_eigenvalue(g[1]) for rho, g in zip(ladder, means)]
+    a_defect_dev = [linalg.operator_norm(g[2] - np.eye(a.in_dim)) for g in means]
+    trace = taylor_trace(a, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     verdict = combine_verdicts(v_ladder, v_taylor)
@@ -323,7 +299,7 @@ def radial_isometry_check(
         verdict=verdict,
         rho_ladder=list(zip(ladder, defect_ladder)),
         taylor_trace=trace,
-        tolerances=_isometry_tolerances(tol_int, tol_taylor, trace, degree, grid),
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, trace, grid),
         notes=f"defect ladder: {v_ladder}; taylor decay: {v_taylor}",
         extras={
             # the weighted resolvent ladder has an intrinsic (1-rho)||d||^2
@@ -355,7 +331,7 @@ def constant_symbol_check(w0) -> CriterionReport:
     return CriterionReport(
         criterion_id="constant_symbol",
         verdict="pass" if iso and stable else "fail",
-        taylor_trace=taylor_trace(MatPoly.constant(a0), probe_matrix(len(a0)), TOL_TAYLOR),
+        taylor_trace=taylor_trace(MatPoly.constant(a0), TOL_TAYLOR),
         tolerances={"tol": tol},
         notes="; ".join(parts),
         extras={"spectral_radius": rho_a, "isometry": iso},
@@ -378,21 +354,26 @@ def boundary_measure_check(
     singular mass).  The remainder k combines the resolvent growth and
     symbol defect and must sink to zero for an isometry; its values
     carry an intrinsic O(1-rho) floor, hence the looser threshold.
+    Each is the node mean of a Gram matrix, read over every unit d: the
+    mass and remainder ladders by the largest eigenvalue, the mass
+    deviation by ||H - I||, H the mass Gram matrix.
     """
     a = _top_block(w)
-    probes = probe_matrix(a.in_dim)
-    nd2 = linalg.sq_norms(probes)
+    eye = np.eye(a.in_dim)
     mass_ladder, mass_dev, k_ladder = [], [], []
     for rho in ladder:
         mask = included_nodes(grid, rho, exclusions)
         if not mask.any():
             raise CriteriaError(f"grid {grid} keeps no node outside the exclusions at rho {rho}")
-        s = radial_sample(w, a, probes, rho, grid)
-        mass = np.mean((s.dn2 - s.an2)[mask], axis=0)
-        k_vals = ((1.0 - rho**2) / rho**2) * s.dn2 + (s.dn2 - s.wn2) / rho**2
-        mass_ladder.append(float(np.max(mass)))
-        mass_dev.append(float(np.max(np.abs(mass - nd2))))
-        k_ladder.append(float(np.max(np.mean(k_vals[mask], axis=0))))
+        # A tops W, so the top rows of W d give A d without evaluating A
+        d = h2.resolvent_apply_grid(a, eye, rho, grid)[mask]
+        wd = h2.eval_circle_grid(w, rho, grid)[mask] @ d
+        dd, ad, bd = (np.einsum("nji,njk->nik", x.conj(), x) for x in (d, wd[:, : a.out_dim], wd[:, a.out_dim :]))
+        mass = np.mean(dd - ad, axis=0)
+        remainder = np.mean(((1.0 - rho**2) / rho**2) * dd + (dd - (ad + bd)) / rho**2, axis=0)
+        mass_ladder.append(largest_eigenvalue(mass))
+        mass_dev.append(linalg.operator_norm(mass - eye))
+        k_ladder.append(largest_eigenvalue(remainder))
     v_mass = "pass" if mass_dev[-1] <= TOL_MASS else "fail"
     v_k = ladder_verdict(k_ladder, TOL_REMAINDER)
     verdict = combine_verdicts(v_mass, v_k)
@@ -404,8 +385,6 @@ def boundary_measure_check(
             "tol_mass": TOL_MASS,
             "tol_remainder": TOL_REMAINDER,
             "grid": grid,
-            "n_probes": N_PROBES,
-            "seed": PROBE_SEED,
         },
         notes=f"boundary mass: {v_mass} (deviation {mass_dev[-1]:.3e}); remainder: {v_k}",
         extras={
@@ -439,17 +418,16 @@ def lifting_isometry_check(
     """
     ld, degree = lifting.data, lifting.minimal.degree
     _, a = lifting.w.block_rows(ld.basis_tprime.dim)
-    probes = probe_matrix(ld.defect_dim)
-    m, start = realize(a, probes)
+    m = realize(a)
     terms, kker = a.degree + 1, ld.ker_omega.columns
     e, lw = np.eye(a.in_dim, len(m)), state_rows(lifting.w, terms)
     lrk = state_rows(MatPoly(lifting.free_parameter.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
-    means = parseval_means(m, start, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
-    defect_ladder = [float(np.max(v)) if v.size else 0.0 for v in means]
+    means = parseval_means(m, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
+    defect_ladder = [largest_eigenvalue(g) for g in means]
     chain_residual = max(linalg.operator_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
                          linalg.operator_norm(np.eye(len(gram)) - gram - kk))
-    trace = taylor_trace(a, probes, tol_taylor)
+    trace = taylor_trace(a, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"
@@ -460,7 +438,7 @@ def lifting_isometry_check(
         verdict=combine_verdicts(v_ladder, v_taylor),
         rho_ladder=list(zip(ladder, defect_ladder)),
         taylor_trace=trace,
-        tolerances=_isometry_tolerances(tol_int, tol_taylor, trace, degree, grid),
+        tolerances={**_isometry_tolerances(tol_int, tol_taylor, trace, grid), "degree": degree},
         notes=notes,
         extras={"defect_chain_residual": chain_residual},
     )
@@ -492,7 +470,7 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
         return CriterionReport(
             criterion_id="obstruction",
             verdict="pass",
-            taylor_trace=taylor_trace(a, probe_matrix(a.in_dim), TOL_TAYLOR),
+            taylor_trace=taylor_trace(a, TOL_TAYLOR),
             tolerances={"tol": tol, "n_max": n_max},
             notes="no unimodular eigenvalue: every bounded backward orbit is trivial",
             extras={"spectral_radius": linalg.spectral_radius(v)},

@@ -223,8 +223,9 @@ def resolvent_apply_grid(a: MatPoly, d, rho: float, grid: int) -> np.ndarray:
     """Values (I - z A(z))^(-1) d on the rho-circle.
 
     d is either a vector of length dim, giving shape (grid, dim), or a
-    (dim, m) block of probe columns, giving shape (grid, dim, m): one
-    factorisation per node serves every column.  Solves one linear
+    (dim, m) block of columns, giving shape (grid, dim, m): one
+    factorisation per node serves every column, and the identity block
+    gives the resolvent (I - z A(z))^(-1) itself.  Solves one linear
     system per node instead of summing a truncated Neumann series;
     reliable even when the series coefficients do not decay, e.g. near
     a singular boundary point.

@@ -192,6 +192,23 @@ def decode_extension_problem(obj, path: str = "$") -> coiso.ExtensionProblem:
         raise SchemaError(path, f"extension problem validation failed: {exc}")
 
 
+def encode_extension_problem(p: coiso.ExtensionProblem) -> dict:
+    """The problem as decode_extension_problem reads it back: M and M' by
+    their columns, and C in the coordinates of the bases that decoding
+    orthonormalizes from them, so the decoded problem maps H' to H as
+    p does."""
+    m, mp = linalg.range_basis(p.m.columns), linalg.range_basis(p.m_prime.columns)
+    c = m.columns.conj().T @ p.m.columns @ p.c @ p.m_prime.columns.conj().T @ mp.columns
+    return {
+        "H_dim": p.h_dim,
+        "H_prime_dim": p.h_prime_dim,
+        "M": encode_matrix(p.m.columns),
+        "M_prime": encode_matrix(p.m_prime.columns),
+        "C": encode_matrix(c),
+        "tol": p.tol,
+    }
+
+
 def _native(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)

@@ -68,13 +68,13 @@ class TestVerdictRules:
 class TestRadialIsometry:
     def test_constant_isometric_column_passes(self):
         w = MatPoly.constant([[0.0], [1.0]])
-        rep = criteria.radial_isometry_check(w, grid=64, degree=32)
+        rep = criteria.radial_isometry_check(w, grid=64)
         assert rep.verdict == "pass"
         assert rep.rho_ladder[-1][1] <= 1e-12
 
     def test_unitary_top_block_fails_flat_trace(self):
         w = MatPoly.constant([[1.0], [0.0]])
-        rep = criteria.radial_isometry_check(w, grid=64, degree=32)
+        rep = criteria.radial_isometry_check(w, grid=64)
         assert rep.verdict == "fail"
         trace = [v for _, v in rep.taylor_trace]
         assert max(trace) - min(trace) <= 1e-12
@@ -85,7 +85,7 @@ class TestRadialIsometry:
 
     def test_scalar_half_column_fails_with_positive_limit(self):
         w = MatPoly.constant([[0.5], [0.5]])
-        rep = criteria.radial_isometry_check(w, grid=256, degree=64)
+        rep = criteria.radial_isometry_check(w, grid=256)
         assert rep.verdict == "fail"
         # closed form: the defect integrand mean is (1/2)/(1 - rho^2/4)
         for rho, value in rep.rho_ladder:
@@ -94,7 +94,7 @@ class TestRadialIsometry:
     def test_equivalent_formulations_agree(self, rng):
         # the weighted-resolvent and defect-of-A forms give one verdict
         for w0 in ([[0.0], [1.0]], [[0.5], [0.5]], [[1.0], [0.0]]):
-            rep = criteria.radial_isometry_check(MatPoly.constant(w0), grid=128, degree=64)
+            rep = criteria.radial_isometry_check(MatPoly.constant(w0), grid=128)
             weighted = rep.extras["weighted_verdict"]
             a_form = rep.extras["a_defect_verdict"]
             assert (weighted == "pass") == (a_form == "pass")
@@ -105,12 +105,11 @@ class TestTaylorTrace:
     def test_matches_the_neumann_oracle(self, rng, dim, deg):
         # every symbol squares its companion: n = 0, 1, 2, 4, ... until the trace passes
         a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
-        probes = criteria.probe_matrix(dim)
-        trace = criteria.taylor_trace(a, probes, criteria.TOL_TAYLOR)
+        trace = criteria.taylor_trace(a, criteria.TOL_TAYLOR)
         indices = [k for k, _ in trace]
         assert indices == [0] + [1 << k for k in range(len(trace) - 1)]
         assert criteria.taylor_verdict(trace, criteria.TOL_TAYLOR) == "pass"
-        want, bound = trace_oracle(a, probes, indices)
+        want, bound = trace_oracle(a, indices)
         assert np.all(np.abs(np.array([v for _, v in trace]) - want) <= bound)
 
     # rungs up to 0.9999, so the defect ladder (1 - rho^2) c^4 / (1 - c^4 rho^4)
@@ -127,16 +126,17 @@ class TestTaylorTrace:
     def test_slow_decay_stays_inconclusive_at_the_cap(self):
         # c = 1 - 3e-10: the tail n = 2^34, 2^35 holds 5.8e-3 and 3.4e-5,
         # below 0.1 of the head and above tol
-        rep = criteria.radial_isometry_check(self.column(1 - 3e-10), ladder=self.LADDER, grid=128, degree=64)
+        rep = criteria.radial_isometry_check(self.column(1 - 3e-10), ladder=self.LADDER, grid=128)
         assert "taylor decay: inconclusive" in rep.notes
-        assert rep.tolerances["degree"] == 64
+        # the radial check truncates nothing, so it records no degree
+        assert "degree" not in rep.tolerances
         assert rep.tolerances["degree_cap"] == rep.tolerances["degree_used"] == 2**criteria.TAYLOR_SQUARINGS
         assert len(rep.taylor_trace) == criteria.TAYLOR_SQUARINGS + 2
 
     def test_a_unimodular_column_fails_at_the_cap(self):
         # A(z) = z: Z_1 = 0, but the state (Z_1, Z_0) has norm 1, so the
         # trace does not pass at n = 1; it stays flat to the cap and fails
-        rep = criteria.radial_isometry_check(self.column(1.0), ladder=self.LADDER, grid=128, degree=64)
+        rep = criteria.radial_isometry_check(self.column(1.0), ladder=self.LADDER, grid=128)
         assert rep.verdict == "fail"
         assert "taylor decay: fail" in rep.notes
         assert rep.tolerances["degree_used"] == 2**criteria.TAYLOR_SQUARINGS
@@ -144,7 +144,7 @@ class TestTaylorTrace:
 
     def test_doubling_stops_once_decided(self):
         # 0.8^n: the tail n = 32, 64 still holds 7.9e-4; n = 64, 128 passes
-        rep = criteria.radial_isometry_check(self.column(0.8), ladder=self.LADDER, grid=128, degree=32)
+        rep = criteria.radial_isometry_check(self.column(0.8), ladder=self.LADDER, grid=128)
         assert rep.verdict == "pass"
         assert rep.tolerances["degree_used"] == 128
         n = np.array([k for k, _ in rep.taylor_trace])
@@ -153,12 +153,12 @@ class TestTaylorTrace:
 
     def test_a_constant_traces_dyadic_indices_until_it_passes(self):
         # 0.5^n: the tail n = 16, 32 still holds 1.5e-5; n = 32, 64 passes
-        rep = criteria.radial_isometry_check(MatPoly.constant([[0.5], [np.sqrt(0.75)]]), grid=128, degree=512)
+        rep = criteria.radial_isometry_check(MatPoly.constant([[0.5], [np.sqrt(0.75)]]), grid=128)
         assert rep.verdict == "pass"
         assert [n for n, _ in rep.taylor_trace] == [0, 1, 2, 4, 8, 16, 32, 64]
         np.testing.assert_allclose([v for _, v in rep.taylor_trace], 0.5 ** np.array([0, 1, 2, 4, 8, 16, 32, 64]),
                                    rtol=1e-12)
-        assert rep.tolerances["degree"] == 512
+        assert "degree" not in rep.tolerances
         assert rep.tolerances["degree_used"] == 64
         assert rep.tolerances["degree_cap"] == 2**criteria.TAYLOR_SQUARINGS
 
@@ -170,12 +170,23 @@ class TestTaylorTrace:
         assert k == 35
 
 
+def node_grams(w: MatPoly, rho: float, grid: int) -> np.ndarray:
+    """The circle means of d*d - (Wd)*(Wd), d*d and d*d - (Ad)*(Ad), d =
+    (I - z A(z))^(-1) solved node by node, A the top square block of W."""
+    dim = w.in_dim
+    d = h2.resolvent_apply_grid(w.block_rows(dim)[0], np.eye(dim), rho, grid)
+    wd = h2.eval_circle_grid(w, rho, grid) @ d
+    dd, ww, aa = (np.mean(np.einsum("nji,njk->nik", x.conj(), x), axis=0) for x in (d, wd, wd[:, :dim]))
+    return np.stack([dd - ww, dd, dd - aa])
+
+
 class TestParsevalMeans:
-    """The Stein-sum means of the companion state against the node solves
-    of ``radial_sample`` on the same rho-circle.  Norms stay at or below
-    0.999: the node path forms ||d||^2 - ||W d||^2 node by node, which
-    for an isometric W at rho = 0.9999 cancels terms of size 1e8 to a
-    rounding-level difference, so no relative bound holds for it there."""
+    """The Stein-sum Gram matrices of the companion state against the
+    node solves on the same rho-circle, read by their largest eigenvalue
+    as the checks read them.  Norms stay at or below 0.999: the node path
+    forms d*d - (Wd)*(Wd) node by node, which for an isometric W at rho =
+    0.9999 cancels terms of size 1e8 to a rounding-level difference, so
+    no relative bound holds for it there."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), rows=st.integers(0, 3),
@@ -186,28 +197,26 @@ class TestParsevalMeans:
         w = contractive_matpoly(rng, dim + rows, dim, degree, norm=norm)
         a, _ = w.block_rows(dim)
         grid = max(grid, 2 * degree + 1)
-        probes = criteria.probe_matrix(dim)
-        m, start = criteria.realize(a, probes)
+        m = criteria.realize(a)
         e = criteria.state_rows(MatPoly.constant(np.eye(dim)), degree + 1)
         lw = criteria.state_rows(w, degree + 1)
         gram, la = e.conj().T @ e, lw[:dim]
         weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-        got = criteria.parseval_means(m, start, weights, [rho], grid)[0]
-        s = criteria.radial_sample(w, a, probes, rho, grid)
-        want = np.mean([s.dn2 - s.wn2, s.dn2, s.dn2 - s.an2], axis=1)
+        got = criteria.parseval_means(m, dim, weights, [rho], grid)[0]
+        assert got.shape == (3, dim, dim)
+        got, want = (np.linalg.eigvalsh(g)[:, -1] for g in (got, node_grams(w, rho, grid)))
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15))
 
 
 class TestRealize:
     def test_the_state_holds_the_last_terms_of_the_recursion(self, rng):
         a = contractive_matpoly(rng, 2, 2, 3, norm=0.9)
-        probes = criteria.probe_matrix(2)
-        m, state = criteria.realize(a, probes)
-        j = np.einsum("nij,jm->nim", h2.neumann_inverse(a, 12).coeffs, probes)
-        padded = np.concatenate([np.zeros((3, 2, probes.shape[1])), j])
+        m = criteria.realize(a)
+        state = np.eye(len(m), 2)
+        padded = np.concatenate([np.zeros((3, 2, 2)), h2.neumann_inverse(a, 12).coeffs])
         for n in range(10):
-            # blocks Z_n, Z_(n-1), ..., Z_(n-3), with Z_(-k) = 0
-            np.testing.assert_allclose(state.reshape(4, 2, -1), padded[n + 3 : n - 1 if n else None : -1], atol=1e-14)
+            # blocks J_n, J_(n-1), ..., J_(n-3) of (I - z A)^(-1), with J_(-k) = 0
+            np.testing.assert_allclose(state.reshape(4, 2, 2), padded[n + 3 : n - 1 if n else None : -1], atol=1e-14)
             state = m @ state
 
     def test_state_rows_keep_an_empty_kernel(self):
@@ -317,25 +326,25 @@ class TestLiftingIsometry:
 PER_TERM_ORACLE = 4096
 
 
-def trace_oracle(a: MatPoly, probes: np.ndarray, indices: list) -> tuple:
-    """The largest probe norm of the state (J_n, ..., J_(n-p)) probes,
-    J_n the coefficients of (I - z A)^(-1), p = deg A and J_(-k) = 0, at
-    each index, and the bound a trace must meet there: from the
-    coefficients of neumann_inverse within 1e-12 through PER_TERM_ORACLE;
-    beyond it, for a constant A, from V diag(lambda^n) V^(-1) within
-    n * 1e-15, since each of the log2 n squarings doubles the relative
-    rounding error of A^n, and so does each power of lambda."""
+def trace_oracle(a: MatPoly, indices: list) -> tuple:
+    """The Frobenius norm of the state (J_n, ..., J_(n-p)), J_n the
+    coefficients of (I - z A)^(-1), p = deg A and J_(-k) = 0, at each
+    index, and the bound a trace must meet there: from the coefficients
+    of neumann_inverse within 1e-12 through PER_TERM_ORACLE; beyond it,
+    for a constant A, from V diag(lambda^n) V^(-1) within n * 1e-15,
+    since each of the log2 n squarings doubles the relative rounding
+    error of A^n, and so does each power of lambda."""
     near = [n for n in indices if n <= PER_TERM_ORACLE]
-    j = np.einsum("nij,jm->nim", h2.neumann_inverse(a, near[-1]).coeffs, probes)
-    sq = np.sum(np.abs(np.concatenate([np.zeros((a.degree,) + j.shape[1:]), j])) ** 2, axis=1)
-    want = [np.sqrt(np.max(np.sum(sq[n : n + a.degree + 1], axis=0), initial=0.0)) for n in near]
+    j = h2.neumann_inverse(a, near[-1]).coeffs
+    sq = np.sum(np.abs(np.concatenate([np.zeros((a.degree,) + j.shape[1:]), j])) ** 2, axis=(1, 2))
+    want = [np.sqrt(np.sum(sq[n : n + a.degree + 1])) for n in near]
     bound = [1e-12] * len(near)
     far = indices[len(near):]
     if far:
         assert a.degree == 0, "beyond PER_TERM_ORACLE the oracle diagonalizes a constant A"
         lam, v = np.linalg.eig(a.coeffs[0])
-        vp = np.linalg.solve(v, probes)
-        want += [np.max(np.linalg.norm(v @ (lam[:, None] ** n * vp), axis=0)) for n in far]
+        vinv = np.linalg.inv(v)
+        want += [np.linalg.norm(v @ (lam[:, None] ** n * vinv)) for n in far]
         bound += [n * 1e-15 for n in far]
     return np.array(want), np.array(bound)
 
@@ -343,18 +352,19 @@ def trace_oracle(a: MatPoly, probes: np.ndarray, indices: list) -> tuple:
 def einsum_oracle(lifting, ladder, grid):
     """The parameter defect ladder and the defect chain residual of
     lifting_isometry_check, with every product written as an einsum and
-    every resolvent solved node by node.  The chain residual is the
+    every resolvent solved node by node: each rung is the largest
+    eigenvalue of the circle mean of u*u - (R u)*(R u), u = K* (I - z
+    A(z))^(-1).  The chain residual is the
     larger spectral norm of the two identities L_W*L_W = E*Omega*Omega E
     + L_RK*L_RK and I = Omega*Omega + K K*, E = [I 0 ... 0] and L_W and
     L_RK the coefficients of W and R K* side by side, of which the node
     forms are the quadratic forms in the state of d."""
     ld, r, w = lifting.data, lifting.free_parameter, lifting.w
     r_prime = ld.basis_tprime.dim
-    probes = criteria.probe_matrix(ld.defect_dim)
     kker, omega = ld.ker_omega.columns, ld.omega_bar
 
-    def norms_sq(v):
-        return np.sum(np.abs(v) ** 2, axis=1)
+    def grams(v):
+        return np.einsum("nji,njk->nik", v.conj(), v)
 
     ladder_values = []
     for rho in ladder:
@@ -362,10 +372,10 @@ def einsum_oracle(lifting, ladder, grid):
         w_vals = np.stack([w(zk) for zk in z])
         r_vals = np.stack([r(zk) for zk in z])
         eye = np.eye(w.in_dim)
-        d = np.stack([np.linalg.solve(eye - zk * wk[r_prime:], probes) for zk, wk in zip(z, w_vals)])
+        d = np.stack([np.linalg.solve(eye - zk * wk[r_prime:], eye) for zk, wk in zip(z, w_vals)])
         u = np.einsum("ji,njm->nim", kker.conj(), d)
-        term = norms_sq(u) - norms_sq(np.einsum("nij,njm->nim", r_vals, u))
-        ladder_values.append(float(np.max(np.mean(term, axis=0), initial=0.0)))
+        term = grams(u) - grams(np.einsum("nij,njm->nim", r_vals, u))
+        ladder_values.append(float(np.max(np.linalg.eigvalsh(np.mean(term, axis=0)), initial=0.0)))
     e = np.hstack([np.eye(w.in_dim)] + [np.zeros((w.in_dim, w.in_dim))] * w.degree)
     lw = np.hstack(list(w.coeffs))
     lrk = np.hstack([np.einsum("ij,kj->ik", rj, kker.conj()) for rj in r.coeffs])
@@ -384,7 +394,7 @@ def assert_matches_the_oracle(lifting, ladder, grid):
     assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
     indices = [n for n, _ in rep.taylor_trace]
     a = MatPoly(lifting.w.coeffs[:, lifting.data.basis_tprime.dim :])
-    want_taylor, bound = trace_oracle(a, criteria.probe_matrix(lifting.data.defect_dim), indices)
+    want_taylor, bound = trace_oracle(a, indices)
     assert np.all(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor) <= bound)
     assert rep.tolerances["degree_used"] == indices[-1]
     return rep
@@ -508,13 +518,13 @@ class TestLiftingIsometryPaths:
     @pytest.mark.parametrize("w0", [[[0.5], [0.5]], [[1.0], [0.0]], [[0.5, 0.3], [0.0, -0.4], [0.2, 0.1]]])
     def test_a_constant_radial_check_solves_and_streams_nothing(self, monkeypatch, w0):
         calls = self.count_calls(monkeypatch)
-        criteria.radial_isometry_check(MatPoly.constant(w0), grid=256, degree=64)
+        criteria.radial_isometry_check(MatPoly.constant(w0), grid=256)
         assert calls == []
 
     def test_a_polynomial_radial_check_solves_and_streams_nothing(self, rng, monkeypatch):
         w = contractive_matpoly(rng, 3, 2, 3, norm=0.95)
         calls = self.count_calls(monkeypatch)
-        criteria.radial_isometry_check(w, grid=256, degree=64)
+        criteria.radial_isometry_check(w, grid=256)
         assert calls == []
 
 
@@ -556,7 +566,7 @@ class TestSpectralBoundary:
         dim = w0.shape[1]
         ld, lifting = planted_lifting(np.vstack([w0[dim:], w0[:dim]]))
         return {
-            "radial": criteria.radial_isometry_check(MatPoly.constant(w0), degree=64).verdict,
+            "radial": criteria.radial_isometry_check(MatPoly.constant(w0)).verdict,
             "lifting": criteria.lifting_isometry_check(lifting).verdict,
             "constant_symbol": criteria.constant_symbol_check(w0).verdict,
             "obstruction": criteria.obstruction_search(ld, np.zeros((0, 0))).verdict,

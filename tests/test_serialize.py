@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import clt, serialize
+from liftlab import clt, coiso, linalg, serialize
 from liftlab.h2 import MatPoly
 
 from conftest import random_contraction, random_unitary
@@ -81,3 +81,26 @@ def test_problem_round_trip(tag, seed, dim, windowed):
     assert np.array_equal(back.x, p.x)
     assert back.tol == p.tol
     assert back.window_override == p.window_override
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m_dim=st.integers(1, 3), h_extra=st.integers(0, 2),
+       mp_extra=st.integers(0, 2), hp_extra=st.integers(0, 2))
+def test_extension_problem_round_trip(seed, m_dim, h_extra, mp_extra, hp_extra):
+    # the decoder orthonormalizes M and M' afresh, so C comes back in
+    # other coordinates; the map M C M'* from H' to H is what must survive
+    rng = np.random.default_rng(seed)
+    h_dim, mp_dim = m_dim + h_extra, m_dim + mp_extra
+    hp_dim = mp_dim + hp_extra
+    m = linalg.SubspaceBasis(random_unitary(rng, h_dim)[:, :m_dim])
+    mp = linalg.SubspaceBasis(random_unitary(rng, hp_dim)[:, :mp_dim])
+    p = coiso.ExtensionProblem(h_dim, hp_dim, m, mp, random_contraction(rng, m_dim, mp_dim, norm=0.9), tol=1e-9)
+    back = serialize.decode_extension_problem(through_json(serialize.encode_extension_problem(p)))
+    assert (back.h_dim, back.h_prime_dim, back.tol) == (h_dim, hp_dim, 1e-9)
+    for got, want in ((back.m, m), (back.m_prime, mp)):
+        assert np.linalg.norm(got.projector() - want.projector(), 2) <= 1e-12
+
+    def operator(q):
+        return q.m.columns @ q.c @ q.m_prime.columns.conj().T
+
+    assert np.linalg.norm(operator(back) - operator(p), 2) <= 1e-12
