@@ -215,6 +215,7 @@ def verify_bi_isometry(model: ThetaModel) -> CriterionReport:
         criterion_id="bi_isometry",
         verdict="pass" if ok else "fail",
         tolerances={"tol": tol},
-        notes=f"pythagoras residual {r1:.3e}, defect range residual {r2:.3e}",
+        notes=f"pythagoras residual: {'pass' if r1 <= tol else 'fail'}; "
+        f"defect range residual: {'pass' if r2 <= tol else 'fail'}",
         extras={"pythagoras_residual": r1, "defect_range_residual": r2},
     )

@@ -383,9 +383,6 @@ class Lifting:
     y: np.ndarray
     minimal: MinimalLifting
 
-    def apply(self, h) -> np.ndarray:
-        return self.y @ np.asarray(h, dtype=complex).reshape(-1)
-
     def residuals(self) -> dict:
         """Lifting-contract residuals, all restricted to the window."""
         k = self.problem.window_dim

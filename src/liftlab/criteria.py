@@ -100,7 +100,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import h2, linalg
-from .clt import Lifting, LiftingData
+from .clt import LiftingData
 from .h2 import MatPoly
 
 DEFAULT_LADDER = (0.9, 0.99, 0.999)
@@ -223,6 +223,21 @@ def parseval_means(m: np.ndarray, dim: int, weights: np.ndarray, ladder, grid: i
     return out
 
 
+def hardy_gram(a: MatPoly, b: MatPoly, cols: np.ndarray) -> tuple[np.ndarray, bool]:
+    """C* E S_inf E* C, the Gram matrix of c -> ||B(z) (I - z A(z))^(-1) C
+    c||^2 in H^2, and whether the Stein sum converged.  With M the
+    companion of A and L = ``state_rows(B)``, coefficient n of B (I -
+    zA)^(-1) C c is L M^n E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum
+    is doubled TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms.
+    When ||M^G||_F^2 <= eps the tail (M^G)* S_inf M^G is below the
+    rounding of S_inf and S_G is the limit; otherwise it is a partial sum
+    that decides nothing."""
+    m, rows = realize(a), state_rows(b, a.degree + 1)
+    s, power = linalg.stein_sum(m, rows.conj().T @ rows, 1 << TAYLOR_SQUARINGS)
+    converged = bool(np.vdot(power, power).real <= np.finfo(float).eps)
+    return cols.conj().T @ s[: a.in_dim, : a.in_dim] @ cols, converged
+
+
 def taylor_trace(a: MatPoly, tol: float) -> list:
     """(n, ||M^n E*||_F) for the companion M of ``realize`` and E* =
     [I; 0] at n = 0, 1, 2, 4, ... by repeated squaring of M, until the
@@ -327,7 +342,7 @@ def constant_symbol_check(w0) -> CriterionReport:
     if not iso:
         parts.append("symbol is not an isometry")
     if not stable:
-        parts.append(f"top block has spectral radius {rho_a:.6g}")
+        parts.append("top block has spectral radius not below one")
     return CriterionReport(
         criterion_id="constant_symbol",
         verdict="pass" if iso and stable else "fail",
@@ -386,7 +401,7 @@ def boundary_measure_check(
             "tol_remainder": TOL_REMAINDER,
             "grid": grid,
         },
-        notes=f"boundary mass: {v_mass} (deviation {mass_dev[-1]:.3e}); remainder: {v_k}",
+        notes=f"boundary mass: {v_mass}; remainder: {v_k}",
         extras={
             "mass_ladder": list(zip(ladder, mass_ladder)),
             "mass_deviation": list(zip(ladder, mass_dev)),
@@ -397,31 +412,32 @@ def boundary_measure_check(
 
 
 def lifting_isometry_check(
-    lifting: Lifting,
+    ld: LiftingData,
+    r: MatPoly,
+    w: MatPoly,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
 ) -> CriterionReport:
-    """Isometry test for the lifting generated by a free parameter.
+    """Isometry test for the lifting generated by the free parameter r,
+    from the coupling data and the Schur symbol W that
+    ``clt.assemble_schur_W`` assembled from them; no lifting Y is read.
 
-    Reads the coupling data, the free parameter, the assembled Schur
-    symbol and the truncation degree from the lifting, then checks the
-    free-parameter defect integral over the kernel component of the
-    resolvent (vacuous for a trivial kernel) and the Taylor decay of
-    the resolvent coefficients.  Both read the companion state of A
+    Checks the free-parameter defect integral over the kernel component
+    of the resolvent (vacuous for a trivial kernel) and the Taylor decay
+    of the resolvent coefficients.  Both read the companion state of A
     (module docstring), whatever the degree of W.  The pointwise defect
     identity ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2
     = ||K* d||^2 - ||R K* d||^2 is checked as two matrix identities on
     the state, and the larger residual is reported as
     `defect_chain_residual`.
     """
-    ld, degree = lifting.data, lifting.minimal.degree
-    _, a = lifting.w.block_rows(ld.basis_tprime.dim)
+    _, a = w.block_rows(ld.basis_tprime.dim)
     m = realize(a)
     terms, kker = a.degree + 1, ld.ker_omega.columns
-    e, lw = np.eye(a.in_dim, len(m)), state_rows(lifting.w, terms)
-    lrk = state_rows(MatPoly(lifting.free_parameter.coeffs @ kker.conj().T), terms)
+    e, lw = np.eye(a.in_dim, len(m)), state_rows(w, terms)
+    lrk = state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
     means = parseval_means(m, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
     defect_ladder = [largest_eigenvalue(g) for g in means]
@@ -438,7 +454,7 @@ def lifting_isometry_check(
         verdict=combine_verdicts(v_ladder, v_taylor),
         rho_ladder=list(zip(ladder, defect_ladder)),
         taylor_trace=trace,
-        tolerances={**_isometry_tolerances(tol_int, tol_taylor, trace, grid), "degree": degree},
+        tolerances=_isometry_tolerances(tol_int, tol_taylor, trace, grid),
         notes=notes,
         extras={"defect_chain_residual": chain_residual},
     )
@@ -498,7 +514,7 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
         taylor_trace=list(enumerate(norms)),
         tolerances={"tol": tol, "n_max": n_max},
         notes=(
-            f"unimodular eigenvalue {lam:.12g} gives a bounded nonzero backward orbit; "
+            "a unimodular eigenvalue gives a bounded nonzero backward orbit; "
             "no isometric lifting for this parameter"
         ),
         extras={

@@ -9,9 +9,10 @@ every entry of RUNS through ``cli.main`` with the working directory set
 to this folder, and writes each report to reports/<name>.json and the
 exit codes and float tolerance to manifest.json.  A report's
 ``config.out`` is set to null: it names the scratch file the report was
-written to.  A change that moves a golden lists in CHANGES.md every
-field that moved and why; a golden is never regenerated to hide a
-defect.
+written to.  Before it overwrites a golden it prints every path that
+moved against it, by the comparison tests/test_golden.py makes.  A
+change that moves a golden lists in CHANGES.md every field that moved
+and why; a golden is never regenerated to hide a defect.
 """
 
 from __future__ import annotations
@@ -96,6 +97,28 @@ def fixtures() -> dict:
     return docs
 
 
+def mismatches(got, want, atol: float, rtol: float, path: str = "$") -> list:
+    """Where `got` differs from `want`: floats beyond atol + rtol |want|,
+    anything else at all, a differing type included."""
+    if type(got) is not type(want):
+        return [f"{path}: {type(got).__name__} {got!r} against {type(want).__name__} {want!r}"]
+    if isinstance(want, dict):
+        keys = [f"{path}: keys {sorted(set(got) ^ set(want))} differ"] if set(got) != set(want) else []
+        shared = [key for key in want if key in got]
+        return keys + [m for key in shared for m in mismatches(got[key], want[key], atol, rtol, f"{path}.{key}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{path}: length {len(got)} against {len(want)}"]
+        return [m for i, (g, w) in enumerate(zip(got, want)) for m in mismatches(g, w, atol, rtol, f"{path}[{i}]")]
+    if isinstance(want, float):
+        return [] if abs(got - want) <= atol + rtol * abs(want) else [f"{path}: {got!r} against {want!r}"]
+    return [] if got == want else [f"{path}: {got!r} against {want!r}"]
+
+
+def _load(path: Path):
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
 def run(name: str, out: Path) -> tuple[int, dict]:
     """The exit code and the report of RUNS[name], written to `out`; the
     working directory must be this folder."""
@@ -113,10 +136,17 @@ def main() -> int:
     reports.mkdir(exist_ok=True)
     for name, doc in fixtures().items():
         (inputs / name).write_text(serialize.dumps_canonical(doc), encoding="utf-8")
-    codes = {}
+    codes, old_codes = {}, (_load(HERE / "manifest.json") or {}).get("exit_codes", {})
     for name in RUNS:
-        codes[name], report = run(name, reports / f"{name}.json")
-        (reports / f"{name}.json").write_text(serialize.dumps_canonical(report), encoding="utf-8")
+        path = reports / f"{name}.json"
+        old = _load(path)
+        codes[name], report = run(name, path)
+        moved = ["no committed golden"] if old is None else mismatches(report, old, **TOLERANCE)
+        if old_codes.get(name) != codes[name]:
+            moved.insert(0, f"exit code {codes[name]!r} against {old_codes.get(name)!r}")
+        for line in moved:
+            print(f"{name}: {line}")
+        path.write_text(serialize.dumps_canonical(report), encoding="utf-8")
     manifest = {"exit_codes": codes, "tolerance": TOLERANCE}
     (HERE / "manifest.json").write_text(serialize.dumps_canonical(manifest), encoding="utf-8")
     print(f"wrote {len(codes)} reports; exit codes {sorted(set(codes.values()))}")

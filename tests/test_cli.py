@@ -23,6 +23,21 @@ def test_example_matches_and_is_deterministic(tmp_path, scenario):
     assert "threads" not in doc["config"]
 
 
+@pytest.mark.parametrize("scenario", ["ex3_2", "rk3_1", "cor3_3", "prop4_6"])
+def test_only_ex3_1_reads_the_degree(tmp_path, scenario):
+    # no other scenario truncates a series: --degree changes nothing but its echo
+    reports = []
+    for extra in ([], ["--degree", "7"]):
+        out = tmp_path / f"{len(extra)}.json"
+        assert cli.main(["examples", scenario, "--out", str(out), *extra]) == 0
+        reports.append(out.read_text(encoding="utf-8"))
+    echoed = json.loads(reports[1])
+    assert echoed["config"]["degree"] == 7
+    echoed["config"]["degree"] = None
+    echoed["config"]["out"] = str(tmp_path / "0.json")
+    assert serialize.dumps_canonical(echoed) == reports[0]
+
+
 BAD_SIZES = {
     "degree_negative": (["examples", "ex3_2", "--degree", "-1"], "--degree"),
     "degree_zero": (["examples", "cor3_3", "--degree", "0"], "--degree"),

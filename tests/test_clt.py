@@ -294,7 +294,7 @@ class TestLift:
         p = random_shift_problem(rng, mult=1, degree=8)
         lifting = clt.lift(p, None, 64)
         for h in window_vectors(p, rng, 100):
-            assert np.linalg.norm(lifting.apply(h)) <= np.linalg.norm(h) * (1 + 1e-10)
+            assert np.linalg.norm(lifting.y @ h) <= np.linalg.norm(h) * (1 + 1e-10)
 
     def test_distinct_parameters_give_distinct_liftings(self, rng):
         for _ in range(5):
@@ -306,7 +306,7 @@ class TestLift:
             l1 = clt.lift(p, r1, 24, ld=ld)
             l2 = clt.lift(p, r2, 24, ld=ld)
             h = window_vectors(p, rng, 1)[0]
-            assert np.linalg.norm(l1.apply(h) - l2.apply(h)) > 1e-6
+            assert np.linalg.norm(l1.y @ h - l2.y @ h) > 1e-6
 
     @pytest.mark.parametrize("mult, degree", [(1, 8), (2, 32)])
     def test_residuals_match_dense_oracle(self, rng, mult, degree):
@@ -399,7 +399,7 @@ class TestLift:
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         lifting = clt.lift(p, MatPoly.constant(r0), 256, ld=ld)
         for h in window_vectors(p, rng, 20):
-            ratio = np.linalg.norm(lifting.apply(h)) / np.linalg.norm(h)
+            ratio = np.linalg.norm(lifting.y @ h) / np.linalg.norm(h)
             assert abs(ratio - 1.0) <= 1e-6
 
 

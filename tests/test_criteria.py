@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +14,14 @@ from conftest import contractive_matpoly, random_contraction, random_isometry, r
 def shift_problem(rng, mult=1, degree=8, p_dim=2, x_norm=0.85):
     t_prime = random_contraction(rng, p_dim, p_dim, norm=0.8)
     return clt.shift_intertwining_problem(rng, mult, degree, t_prime, x_norm=x_norm)
+
+
+def lifting_check(ld, r=None, **kwargs):
+    """lifting_isometry_check of the free parameter r, zero by default,
+    with the symbol ``clt.assemble_schur_W`` assembles from it."""
+    if r is None:
+        r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
+    return criteria.lifting_isometry_check(ld, r, clt.assemble_schur_W(ld, r), **kwargs)
 
 
 def identity_obstruction_data():
@@ -297,7 +304,7 @@ class TestLiftingIsometry:
         p = shift_problem(rng, mult=1, degree=10)
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        rep = criteria.lifting_isometry_check(clt.lift(p, MatPoly.constant(r0), 512, ld=ld), grid=256)
+        rep = lifting_check(ld, MatPoly.constant(r0), grid=256)
         assert rep.verdict == "pass"
         assert rep.extras["defect_chain_residual"] <= 1e-10
 
@@ -305,7 +312,7 @@ class TestLiftingIsometry:
         p = shift_problem(rng, mult=1, degree=8)
         ld = clt.build_omega(p)
         assert ld.ker_omega.dim >= 1
-        rep = criteria.lifting_isometry_check(clt.lift(p, None, 128, ld=ld), grid=256)
+        rep = lifting_check(ld, grid=256)
         assert rep.verdict == "fail"
         assert rep.rho_ladder[-1][1] > 1e-3
 
@@ -314,7 +321,7 @@ class TestLiftingIsometry:
         p = clt.build_problem(u, 0.5 * random_unitary(rng, 2), np.zeros((2, 2)))
         ld = clt.build_omega(p)
         assert ld.ker_omega.dim == 0
-        rep = criteria.lifting_isometry_check(clt.lift(p, None, 64, ld=ld), grid=128)
+        rep = lifting_check(ld, grid=128)
         assert all(v == 0 for _, v in rep.rho_ladder)
         assert "vacuous" in rep.notes
         # A = ΠW = coupling bottom block is unitary here: flat trace, fail
@@ -349,7 +356,7 @@ def trace_oracle(a: MatPoly, indices: list) -> tuple:
     return np.array(want), np.array(bound)
 
 
-def einsum_oracle(lifting, ladder, grid):
+def einsum_oracle(ld, r, w, ladder, grid):
     """The parameter defect ladder and the defect chain residual of
     lifting_isometry_check, with every product written as an einsum and
     every resolvent solved node by node: each rung is the largest
@@ -359,7 +366,6 @@ def einsum_oracle(lifting, ladder, grid):
     + L_RK*L_RK and I = Omega*Omega + K K*, E = [I 0 ... 0] and L_W and
     L_RK the coefficients of W and R K* side by side, of which the node
     forms are the quadratic forms in the state of d."""
-    ld, r, w = lifting.data, lifting.free_parameter, lifting.w
     r_prime = ld.basis_tprime.dim
     kker, omega = ld.ker_omega.columns, ld.omega_bar
 
@@ -387,13 +393,13 @@ def einsum_oracle(lifting, ladder, grid):
     return ladder_values, residual
 
 
-def assert_matches_the_oracle(lifting, ladder, grid):
-    rep = criteria.lifting_isometry_check(lifting, ladder=ladder, grid=grid)
-    want_ladder, want_residual = einsum_oracle(lifting, ladder, grid)
+def assert_matches_the_oracle(ld, r, w, ladder, grid):
+    rep = criteria.lifting_isometry_check(ld, r, w, ladder=ladder, grid=grid)
+    want_ladder, want_residual = einsum_oracle(ld, r, w, ladder, grid)
     assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
     assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
     indices = [n for n, _ in rep.taylor_trace]
-    a = MatPoly(lifting.w.coeffs[:, lifting.data.basis_tprime.dim :])
+    a = MatPoly(w.coeffs[:, ld.basis_tprime.dim :])
     want_taylor, bound = trace_oracle(a, indices)
     assert np.all(np.abs(np.array([v for _, v in rep.taylor_trace]) - want_taylor) <= bound)
     assert rep.tolerances["degree_used"] == indices[-1]
@@ -417,36 +423,36 @@ class TestLiftingIsometryOracle:
             r = contractive_matpoly(rng, *shape, r_degree, norm=0.9)
         else:
             r = MatPoly.constant(random_isometry(rng, *shape))
-        rep = assert_matches_the_oracle(clt.lift(p, r, 64, ld=ld), (0.9, 0.99), 128)
-        assert rep.tolerances["degree"] == 64
+        rep = assert_matches_the_oracle(ld, r, clt.assemble_schur_W(ld, r), (0.9, 0.99), 128)
+        assert "degree" not in rep.tolerances
 
-    # name: (problem, free parameter, lifting degree, ladder, grid); the
-    # lifting degree bounds Y, not the trace of a constant W, so the names
-    # of the degree and block cases only say where the inputs come from
+    # name: (problem, free parameter, ladder, grid); W is constant, of
+    # degree 0, in every case
     CONSTANT_CASES = {
         # A is unitary: the flat trace squares to the cap
-        "trivial_kernel": ("trivial", "zero", 64, (0.9, 0.99), 128),
-        "degree_below_grid": ("shift", "zero", 16, (0.9, 0.99), 256),
-        "degree_above_grid": ("shift", "isometric", 256, (0.9, 0.99), 32),
-        "rung_at_0.9999": ("shift", "isometric", 64, (0.9, 0.9999), 128),
-        "zero_at_0.9999": ("shift", "zero", 64, (0.99, 0.9999), 64),
-        "doubling_off_block": ("shift", "zero", 20, (0.9, 0.99), 256),
+        "trivial_kernel": ("trivial", "zero", (0.9, 0.99), 128),
+        "degree0_zero_parameter": ("shift", "zero", (0.9, 0.99), 256),
+        "degree0_coarse_grid": ("shift", "isometric", (0.9, 0.99), 32),
+        "rung_at_0.9999": ("shift", "isometric", (0.9, 0.9999), 128),
+        "zero_at_0.9999": ("shift", "zero", (0.99, 0.9999), 64),
+        # 255 = 2^8 - 1: the Stein sums combine all eight binary digits,
+        # on the three rungs of the default ladder
+        "doubling_every_digit": ("shift", "zero", criteria.DEFAULT_LADDER, 255),
         # 100 = 64 + 32 + 4: the Stein sums combine three binary digits
-        "grid_off_block": ("shift", "isometric", 300, (0.9, 0.99), 100),
+        "grid_off_block": ("shift", "isometric", (0.9, 0.99), 100),
     }
 
     @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
     def test_constant_symbol_matches_the_einsum_oracle(self, rng, name):
-        kind, parameter, degree, ladder, grid = self.CONSTANT_CASES[name]
+        kind, parameter, ladder, grid = self.CONSTANT_CASES[name]
         p = trivial_kernel_problem(rng) if kind == "trivial" else shift_problem(rng, mult=2, degree=6)
         ld = clt.build_omega(p)
         assert (ld.ker_omega.dim == 0) == (kind == "trivial")
-        r = None
-        if parameter == "isometric":
-            r = MatPoly.constant(random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim))
-        lifting = clt.lift(p, r, degree, ld=ld)
-        assert lifting.w.degree == 0
-        rep = assert_matches_the_oracle(lifting, ladder, grid)
+        shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
+        r = MatPoly.constant(random_isometry(rng, *shape)) if parameter == "isometric" else MatPoly.zero(*shape)
+        w = clt.assemble_schur_W(ld, r)
+        assert w.degree == 0
+        rep = assert_matches_the_oracle(ld, r, w, ladder, grid)
         indices = [n for n, _ in rep.taylor_trace]
         assert indices == [0] + [1 << k for k in range(len(indices) - 1)]
         assert rep.tolerances["degree_cap"] == 2**criteria.TAYLOR_SQUARINGS
@@ -469,13 +475,12 @@ class TestLiftingIsometryOracle:
         p = shift_problem(rng, mult=mult, degree=6)
         ld = clt.build_omega(p)
         r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=norm)
-        lifting = clt.lift(p, r, 64, ld=ld)
-        assert lifting.w.degree == r_degree
-        rep = assert_matches_the_oracle(lifting, ladder, grid)
+        w = clt.assemble_schur_W(ld, r)
+        assert w.degree == r_degree
+        rep = assert_matches_the_oracle(ld, r, w, ladder, grid)
         indices = [n for n, _ in rep.taylor_trace]
         assert indices == [0] + [1 << k for k in range(len(indices) - 1)]
         assert criteria.taylor_verdict(rep.taylor_trace, criteria.TOL_TAYLOR) == "pass"
-        assert rep.tolerances["degree"] == 64
         assert rep.tolerances["degree_cap"] == 2**criteria.TAYLOR_SQUARINGS
         # a strictly contractive parameter leaves a parameter defect
         assert rep.verdict == "fail"
@@ -508,11 +513,11 @@ class TestLiftingIsometryPaths:
         p = shift_problem(rng, mult=1, degree=6)
         ld = clt.build_omega(p)
         shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
-        r = {"zero": None, "isometric": MatPoly.constant(random_isometry(rng, *shape)),
+        r = {"zero": MatPoly.zero(*shape), "isometric": MatPoly.constant(random_isometry(rng, *shape)),
              "degree2": contractive_matpoly(rng, *shape, 2, norm=0.9)}[parameter]
-        lifting = clt.lift(p, r, 64, ld=ld)
+        w = clt.assemble_schur_W(ld, r)
         calls = self.count_calls(monkeypatch)
-        criteria.lifting_isometry_check(lifting, ladder=(0.9, 0.99), grid=128)
+        criteria.lifting_isometry_check(ld, r, w, ladder=(0.9, 0.99), grid=128)
         assert calls == []
 
     @pytest.mark.parametrize("w0", [[[0.5], [0.5]], [[1.0], [0.0]], [[0.5, 0.3], [0.0, -0.4], [0.2, 0.1]]])
@@ -530,14 +535,14 @@ class TestLiftingIsometryPaths:
 
 def planted_lifting(omega: np.ndarray, w: np.ndarray | None = None) -> tuple:
     """Coupling data whose Omega is the given [B; A], B square, with
-    trivial kernels, and a lifting of the empty free parameter whose
-    assembled symbol is w (Omega by default): the parameter ladder is
-    vacuous and the Taylor trace of A decides."""
+    trivial kernels, the empty free parameter and the symbol w (Omega by
+    default): the parameter ladder is vacuous and the Taylor trace of A
+    decides."""
     dim = omega.shape[1]
     full, empty = linalg.SubspaceBasis.full(dim), linalg.SubspaceBasis.empty(dim)
     ld = clt.LiftingData(np.eye(dim), full, full, omega, empty, linalg.SubspaceBasis.empty(2 * dim))
     w = MatPoly.constant(omega if w is None else w)
-    return ld, clt.Lifting(None, ld, MatPoly.zero(0, 0), w, None, SimpleNamespace(degree=64))
+    return ld, MatPoly.zero(0, 0), w
 
 
 @pytest.mark.parametrize("omega_scale, w_scale", [(0.5, 0.5), (1.0, 0.5)])
@@ -545,8 +550,7 @@ def test_constant_chain_residual_reads_both_identities(omega_scale, w_scale):
     # W*W = Omega*Omega holds for equal scales, I = Omega*Omega for a unit
     # Omega; the other identity is off by 1 - 0.5^2 in each case
     u = random_isometry(np.random.default_rng(5), 4, 2)
-    _, lifting = planted_lifting(omega_scale * u, w_scale * u)
-    rep = criteria.lifting_isometry_check(lifting, ladder=(0.9,), grid=16)
+    rep = criteria.lifting_isometry_check(*planted_lifting(omega_scale * u, w_scale * u), ladder=(0.9,), grid=16)
     assert rep.extras["defect_chain_residual"] == pytest.approx(0.75, abs=1e-12)
 
 
@@ -564,10 +568,10 @@ class TestSpectralBoundary:
     def verdicts(self, lam: complex) -> dict:
         w0 = self.planted(lam)
         dim = w0.shape[1]
-        ld, lifting = planted_lifting(np.vstack([w0[dim:], w0[:dim]]))
+        ld, r, w = planted_lifting(np.vstack([w0[dim:], w0[:dim]]))
         return {
             "radial": criteria.radial_isometry_check(MatPoly.constant(w0)).verdict,
-            "lifting": criteria.lifting_isometry_check(lifting).verdict,
+            "lifting": criteria.lifting_isometry_check(ld, r, w).verdict,
             "constant_symbol": criteria.constant_symbol_check(w0).verdict,
             "obstruction": criteria.obstruction_search(ld, np.zeros((0, 0))).verdict,
         }
@@ -602,10 +606,10 @@ class TestRoutesAgree:
         p = shift_problem(rng, mult=mult, degree=degree)
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        lifting = clt.lift(p, MatPoly.constant(r0), 8, ld=ld)
-        rep = criteria.lifting_isometry_check(lifting, ladder=(0.9, 0.99), grid=128)
+        w = clt.assemble_schur_W(ld, MatPoly.constant(r0))
+        rep = criteria.lifting_isometry_check(ld, MatPoly.constant(r0), w, ladder=(0.9, 0.99), grid=128)
         ob = criteria.obstruction_search(ld, r0)
-        radius = linalg.spectral_radius(lifting.w.coeffs[0, ld.basis_tprime.dim :])
+        radius = linalg.spectral_radius(w.coeffs[0, ld.basis_tprime.dim :])
         assert rep.verdict == ob.verdict, f"spectral radius {radius!r}: lifting {rep.verdict}, obstruction {ob.verdict}"
 
     @settings(max_examples=40, deadline=None)
@@ -621,7 +625,7 @@ class TestRoutesAgree:
         # rk3_1's problem: the witness of the obstruction is lambda = 1
         p, ld = identity_obstruction_data()
         r0 = np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim))
-        rep = criteria.lifting_isometry_check(clt.lift(p, MatPoly.constant(r0), 8, ld=ld), grid=64)
+        rep = lifting_check(ld, MatPoly.constant(r0), grid=64)
         assert rep.verdict == criteria.obstruction_search(ld, r0).verdict == "fail"
 
 

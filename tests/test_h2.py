@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import cli, h2, linalg
+from liftlab import criteria, h2, linalg
 from liftlab.h2 import MatPoly
 
 from conftest import contractive_matpoly, per_term_series, random_contraction, random_matpoly, random_unitary
@@ -196,7 +196,8 @@ class TestGamma:
         w0 = np.array([[0.5], [0.5]])
         g = gamma_terms(MatPoly.constant(w0), slice(0, 1), slice(1, None), [1.0], 65)
         np.testing.assert_allclose(g[:, 0], 0.5 ** (np.arange(65) + 1), atol=1e-15)
-        assert abs(cli.gamma_norms_sq(w0, [1.0], 64) - 1.0 / 3.0) <= 1e-9
+        hardy, _ = criteria.hardy_gram(MatPoly.constant([[0.5]]), MatPoly.constant([[0.5]]), np.eye(1))
+        assert abs(hardy[0, 0] - 1.0 / 3.0) <= 1e-15
 
     def test_zero_bottom_block(self, rng):
         a = contractive_matpoly(rng, 2, 2, 2, norm=0.8)
@@ -204,31 +205,56 @@ class TestGamma:
         assert np.max(np.abs(gamma_terms(w, slice(0, 2), slice(2, None), np.eye(2), 17))) <= 1e-14
 
 
+def hardy_oracle(a: MatPoly, b: MatPoly, block) -> np.ndarray:
+    """sum_n Gamma_n* Gamma_n, Gamma_n the coefficients of B (I - z A(z))^(-1)
+    block, one term at a time from Z_n = block (n = 0) + sum_j A_j Z_(n-1-j),
+    until deg A + 1 consecutive Z_n, and with them every later term, vanish."""
+    zs = [np.asarray(block, dtype=complex)]
+    gram = np.zeros((zs[0].shape[1],) * 2, dtype=complex)
+    while len(zs) <= a.degree or sum(np.vdot(z, z).real for z in zs[-a.degree - 1 :]) > 1e-40:
+        n = len(zs) - 1
+        gamma = sum(b.coeffs[j] @ zs[n - j] for j in range(min(n, b.degree) + 1))
+        gram += gamma.conj().T @ gamma
+        zs.append(sum(a.coeffs[j] @ zs[n - j] for j in range(min(n, a.degree) + 1)))
+    return gram
+
+
 class TestHardyNorm:
+    """criteria.hardy_gram, the Hardy-norm Gram matrix at the Stein limit."""
+
     def test_constant(self):
         # A = 0 and B = [3; 4]: Gamma d is the constant (3, 4)
-        assert cli.gamma_norms_sq([[0.0], [3.0], [4.0]], [1.0], 8) == pytest.approx(25.0)
+        gram, converged = criteria.hardy_gram(MatPoly.constant([[0.0]]), MatPoly.constant([[3.0], [4.0]]), np.eye(1))
+        assert gram[0, 0] == pytest.approx(25.0) and converged
 
     def test_orthonormal_coefficients(self):
         # A the nilpotent shift and B = I: Gamma e_1 = e_1 + e_2 z, two
         # orthonormal coefficients
-        w0 = np.vstack([[[0.0, 0.0], [1.0, 0.0]], np.eye(2)])
-        assert cli.gamma_norms_sq(w0, [1.0, 0.0], 8) == pytest.approx(2.0)
+        a = MatPoly.constant([[0.0, 0.0], [1.0, 0.0]])
+        gram, _ = criteria.hardy_gram(a, MatPoly.constant(np.eye(2)), np.eye(2)[:, :1])
+        assert gram[0, 0] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("dim, rows, m, degree", [(1, 1, 1, 0), (2, 1, 3, 7), (4, 3, 2, 64), (6, 2, 5, 300)])
-    def test_equals_the_summed_coefficients(self, rng, dim, rows, m, degree):
-        # sum over n <= degree of ||B A^n c||^2 for each column c, term by term
-        w0 = random_contraction(rng, dim + rows, dim, norm=0.99)
-        a, b = w0[:dim], w0[dim:]
+    @pytest.mark.parametrize("dim, rows, m, degree, radius",
+                             [(1, 1, 1, 0, 0.5), (2, 1, 3, 0, 0.99), (4, 3, 2, 0, 0.999), (3, 2, 5, 2, 0.99)])
+    def test_equals_the_summed_coefficients(self, rng, dim, rows, m, degree, radius):
+        # A_j scaled by s^(j+1) scales the eigenvalues of its companion by s:
+        # A is planted with spectral radius `radius`, B is not constrained
+        a, b = random_matpoly(rng, dim + rows, dim, degree).block_rows(dim)
+        s = radius / linalg.spectral_radius(criteria.realize(a))
+        a = MatPoly(a.coeffs * (s ** np.arange(1, degree + 2))[:, None, None])
         block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
-        want, x = np.zeros(m), block
-        for _ in range(degree + 1):
-            want += linalg.sq_norms(b @ x)
-            x = a @ x
-        got = cli.gamma_norms_sq(w0, block, degree)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got - want) / want) <= 1e-12
-        assert cli.gamma_norms_sq(w0, block[:, 0], degree) == pytest.approx(want[0], rel=1e-12)
+        gram, converged = criteria.hardy_gram(a, b, block)
+        want = hardy_oracle(a, b, block)
+        assert converged
+        assert np.linalg.norm(gram - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
+
+    def test_a_unimodular_eigenvalue_does_not_converge(self):
+        # A = diag(1, 0.5) never decays: the Gram matrix is the partial sum
+        # at the cap, finite, and exact in the decaying direction
+        a = MatPoly.constant(np.diag([1.0, 0.5]))
+        gram, converged = criteria.hardy_gram(a, MatPoly.constant(np.diag([0.0, np.sqrt(0.75)])), np.eye(2))
+        assert not converged
+        assert np.all(np.isfinite(gram)) and gram[1, 1].real == pytest.approx(1.0, rel=1e-14)
 
 
 class TestResolventGrid:

@@ -294,3 +294,19 @@ class TestSteinSum:
     def test_empty_matrix(self):
         total, power = la.stein_sum(np.zeros((0, 0)), np.zeros((2, 0, 0)), 5)
         assert total.shape == (2, 0, 0) and power.shape == (0, 0)
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 0.999])
+    def test_a_cap_of_doublings_reaches_the_limit(self, scale):
+        # b = scale U, U unitary: S_inf = sum_k scale^(2k) I = I / (1 - scale^2);
+        # at G = 2^35 the power has vanished and the sum is its limit
+        u = random_unitary(np.random.default_rng(7), 4)
+        total, power = la.stein_sum(scale * u, np.eye(4), 1 << 35)
+        assert np.linalg.norm(power) ** 2 <= np.finfo(float).eps
+        assert np.max(np.abs(total - np.eye(4) / (1 - scale**2))) <= 1e-12 / (1 - scale**2)
+
+    def test_a_unimodular_eigenvalue_keeps_its_power(self):
+        # b = diag(1, 0.5): the powers never vanish, and the partial sum at
+        # 2^35 terms stays finite, 2^35 in the unimodular direction
+        total, power = la.stein_sum(np.diag([1.0, 0.5]), np.eye(2), 1 << 35)
+        assert np.linalg.norm(power) ** 2 > np.finfo(float).eps
+        np.testing.assert_allclose(np.diag(total).real, [2.0**35, 1 / 0.75], rtol=1e-12)

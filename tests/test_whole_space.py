@@ -48,10 +48,10 @@ def fixture() -> SimpleNamespace:
     problem = clt.shift_intertwining_problem(rng, 1, 2, t_prime, x_norm=0.85)
     ld = clt.build_omega(problem)
     r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, 1, norm=0.9)
-    lifting = clt.lift(problem, r, 64, ld=ld)
-    a_lift = MatPoly(lifting.w.coeffs[:, ld.basis_tprime.dim :])
+    w_lift = clt.assemble_schur_W(ld, r)
+    a_lift = MatPoly(w_lift.coeffs[:, ld.basis_tprime.dim :])
     radial = criteria.radial_isometry_check(w, ladder=LADDER, grid=GRID)
-    lift_rep = criteria.lifting_isometry_check(lifting, ladder=LADDER, grid=GRID)
+    lift_rep = criteria.lifting_isometry_check(ld, r, w_lift, ladder=LADDER, grid=GRID)
     return SimpleNamespace(
         w=w, a=a, radial=radial, radial_states=states(a, radial.taylor_trace[-1][0]),
         boundary=criteria.boundary_measure_check(w, ladder=LADDER, grid=GRID),

@@ -1,0 +1,124 @@
+"""Prop 4.6's "lifted map is isometric", decided on the untruncated lifting.
+
+``cli.window_isometry_deviation`` reads the window Gram matrix X_k* X_k
++ C* S_inf C, S_inf the Stein limit of ``criteria.hardy_gram``, instead
+of applying a truncation of Y.  These tests tie that Gram matrix to the
+Y that ``clt.lift`` builds, show where the truncation and the limit part
+ways, and show that a doubling which reaches its cap fails.
+"""
+
+import contextlib
+import io
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liftlab import cli, clt, criteria, linalg
+from liftlab.h2 import MatPoly
+
+from conftest import contractive_matpoly, random_contraction, random_isometry
+
+
+def window_gram_of_y(problem, lifting) -> np.ndarray:
+    y = lifting.y[:, : problem.window_dim]
+    return y.conj().T @ y
+
+
+def stein_window_gram(problem, ld, w, count: int) -> np.ndarray:
+    """X_k* X_k + C* E S_count E* C with the companion M of A and the rows
+    L_B of B, W = [B; A]: the window Gram matrix of Y truncated after
+    count - 1 series terms."""
+    k = problem.window_dim
+    b, a = w.block_rows(ld.basis_tprime.dim)
+    rows = criteria.state_rows(b, a.degree + 1)
+    s, _ = linalg.stein_sum(criteria.realize(a), rows.conj().T @ rows, count)
+    c = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
+    x = problem.x[:, :k]
+    return x.conj().T @ x + c.conj().T @ s[: a.in_dim, : a.in_dim] @ c
+
+
+def deviation(gram: np.ndarray) -> float:
+    lam = np.sqrt(np.clip(np.linalg.eigvalsh(gram)[[0, -1]], 0.0, None))
+    return float(max(abs(lam[1] - 1.0), abs(1.0 - lam[0])))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mult=st.integers(1, 2), degree=st.integers(0, 80),
+       r_degree=st.integers(0, 2))
+def test_the_window_gram_of_y_is_the_truncated_stein_sum(seed, mult, degree, r_degree):
+    rng = np.random.default_rng(seed)
+    t_prime = random_contraction(rng, mult + 1, mult + 1, norm=0.8)
+    problem = clt.shift_intertwining_problem(rng, mult, 6, t_prime, x_norm=0.9)
+    ld = clt.build_omega(problem)
+    shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
+    r = MatPoly.constant(random_isometry(rng, *shape)) if r_degree == 0 else \
+        contractive_matpoly(rng, *shape, r_degree, norm=0.9)
+    lifting = clt.lift(problem, r, degree, ld=ld)
+    want = stein_window_gram(problem, ld, lifting.w, degree + 1)
+    assert np.linalg.norm(window_gram_of_y(problem, lifting) - want, 2) <= 1e-13 * max(1.0, np.linalg.norm(want, 2))
+
+
+def slow_problem():
+    """A mult-1 shift problem whose isometric parameter gives a top block A
+    of spectral radius above 0.999; T' of norm 0.99 pushes it there."""
+    rng = np.random.default_rng(27)
+    t_prime = random_contraction(rng, 2, 2, norm=0.99)
+    problem = clt.shift_intertwining_problem(rng, 1, 24, t_prime, x_norm=0.9)
+    ld = clt.build_omega(problem)
+    r0 = MatPoly.constant(random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim))
+    return problem, ld, r0
+
+
+def test_the_limit_decides_where_degree_512_does_not():
+    problem, ld, r0 = slow_problem()
+    lifting = clt.lift(problem, r0, 512, ld=ld)
+    assert linalg.spectral_radius(lifting.w.coeffs[0, ld.basis_tprime.dim :]) >= 0.999
+    truncated = deviation(window_gram_of_y(problem, lifting))
+    dev, converged = cli.window_isometry_deviation(problem, ld, lifting.w)
+    assert truncated > 1e-4 > 1e-12 > dev and converged
+    # the truncation is the Stein sum after 513 terms, not a sampling artefact
+    assert truncated == pytest.approx(deviation(stein_window_gram(problem, ld, lifting.w, 513)), rel=1e-9)
+
+
+def test_a_unimodular_eigenvalue_reaches_the_cap_and_fails():
+    # W = [B; A], A = diag(1, 0.5), B = [0 sqrt(0.75)] and X = [1 0]: the
+    # window Gram matrix is I in the limit, but A^G never vanishes, so the
+    # doubling reaches the cap and the statement is not decided
+    a, b = np.diag([1.0, 0.5]), np.array([[0.0, np.sqrt(0.75)]])
+    full, empty = linalg.SubspaceBasis.full, linalg.SubspaceBasis.empty
+    ld = clt.LiftingData(np.diag([0.0, 1.0]), full(2), full(1), np.vstack([b, a]), empty(2), empty(3))
+    problem = SimpleNamespace(window_dim=2, x=np.array([[1.0, 0.0]]))
+    dev, converged = cli.window_isometry_deviation(problem, ld, MatPoly.constant(np.vstack([b, a])))
+    assert not converged
+    assert np.isfinite(dev) and dev <= 1e-12
+
+
+def run_prop4_6(tmp_path, seed: int) -> tuple[int, dict]:
+    out = tmp_path / f"prop4_6_{seed}.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["examples", "prop4_6", "--seed", str(seed), "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert "Infinity" not in text
+    return code, json.loads(text)
+
+
+def test_prop4_6_exits_0_on_every_seed(tmp_path):
+    failed = [seed for seed in range(8100, 8140) if run_prop4_6(tmp_path, seed)[0] != 0]
+    assert failed == []
+
+
+def test_a_doubling_that_reaches_the_cap_fails_prop4_6(tmp_path, monkeypatch):
+    # seed 8123's mult-1 top block has spectral radius 0.9995: its powers
+    # vanish to eps at the 16th doubling, so a cap of 15 leaves a partial
+    # sum.  That sum already reads far below 1e-4, but a sum that has not
+    # converged decides nothing
+    monkeypatch.setattr(criteria, "TAYLOR_SQUARINGS", 15)
+    code, report = run_prop4_6(tmp_path, 8123)
+    assert code == 1
+    assert report["values"]["mult1_hardy_converged"] is False
+    assert report["values"]["mult1_isometry_deviation"] <= 1e-12
+    assert report["expected"]["mult 1: lifted map is isometric within 1e-4"] is False
