@@ -13,10 +13,11 @@ All defect-space quantities are stored in orthonormal coordinate bases
 of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
 of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
-inverts exactly what the kernels leave out.  ``lift`` takes the
-coefficients of Gamma, each r' x r in the defect coordinates, from one
-call of ``h2.resolvent_terms`` and writes Y's rows Gamma_n D_X with one
-batched product.
+inverts exactly what the kernels leave out.  ``lift`` reads the
+coefficients of Gamma, each r' x r in the defect coordinates, off the
+powers M, M^2, M^4, ... of the companion M of A (``h2.realize``): it
+doubles the stacked states of the coefficients with one product per
+power, and writes Y's rows Gamma_n D_X with one more.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -384,17 +385,23 @@ class Lifting:
     minimal: MinimalLifting
 
     def residuals(self) -> dict:
-        """Lifting-contract residuals, all restricted to the window."""
+        """Lifting-contract residuals, all restricted to the window; each
+        2-norm is read off the Gram matrix of its columns, k x k for the
+        window blocks of the tall Y, not off an SVD of Y."""
         k = self.problem.window_dim
         y, tm = self.y, self.problem.t_matrix
-        intertwine = np.linalg.norm(self.minimal.apply(y[:, :k]) - (y @ tm)[:, :k], 2)
-        proj = np.linalg.norm(y[: self.minimal.h_dim] - self.problem.x, 2)
-        norm_on_window = np.linalg.norm(y[:, :k], 2)
         return {
-            "intertwining": float(intertwine),
-            "projection": float(proj),
-            "window_norm": float(norm_on_window),
+            "intertwining": _gram_norm(self.minimal.apply(y[:, :k]) - y @ tm[:, :k]),
+            "projection": _gram_norm(y[: self.minimal.h_dim] - self.problem.x),
+            "window_norm": _gram_norm(y[:, :k]),
         }
+
+
+def _gram_norm(m: np.ndarray) -> float:
+    """||m||, the square root of the largest eigenvalue of m*m."""
+    if m.shape[1] == 0:
+        return 0.0
+    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(m.conj().T @ m)[-1])))
 
 
 def lift(
@@ -406,10 +413,13 @@ def lift(
     """Build the contractive intertwining lifting for a free parameter.
 
     Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
-    assembled Schur parameter W = [B; A].  Gamma_n^T is coefficient n of
-    (I - z A^T)^(-1) B^T, so ``h2.resolvent_terms`` on the transposes
-    returns Gamma_n^T, n <= degree, from r x r by r x r' products
-    whatever dim T is; the series rows of Y are Gamma times Q* D_X.
+    assembled Schur parameter W = [B; A].  With M the companion of A and
+    L = ``h2.state_rows(B)``, Gamma_n = L M^n E*, so the transposed
+    states X_n = (M^n)^T L^T double: X_(m..2m-1) = (M^m)^T X_(0..m-1),
+    one product per power M^m of ``linalg.power_ladder``, whatever dim T
+    is.  The ladder stops at a zero power, past which every X_n is zero.
+    Gamma_n^T is the first r rows of X_n, and the series rows of Y are
+    the stacked Gamma_n times Q* D_X, one product.
     """
     if ld is None:
         ld = build_omega(p)
@@ -417,12 +427,19 @@ def lift(
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
     w = assemble_schur_W(ld, r)
     r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
-    b_t, a_t = (part.transpose(0, 2, 1) for part in np.split(w.coeffs, [r_prime], axis=1))
-    gamma = h2.resolvent_terms(a_t, b_t, degree + 1).transpose(0, 2, 1)
+    b, a = w.block_rows(r_prime)
+    m = h2.realize(a)
+    # column block n holds X_n = (M^n)^T L^T, shape len(m) x r'
+    states = np.zeros((len(m), (degree + 1) * r_prime), dtype=complex)
+    states[:, :r_prime] = h2.state_rows(b, a.degree + 1).T
+    for j, power in enumerate(linalg.power_ladder(m, degree)):
+        done = 1 << j
+        more = min(done, degree + 1 - done)
+        states[:, done * r_prime : (done + more) * r_prime] = power.T @ states[:, : more * r_prime]
     y = np.empty((h_dim + (degree + 1) * r_prime, p.t.dim), dtype=complex)
     y[:h_dim] = p.x
     coords = ld.basis_x.columns.conj().T @ ld.d_x
-    np.matmul(gamma, coords, out=y[h_dim:].reshape(degree + 1, r_prime, p.t.dim))
+    np.matmul(states[: a.in_dim].T, coords, out=y[h_dim:])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
     return Lifting(p, ld, r, w, y, ml)
 

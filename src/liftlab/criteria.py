@@ -22,14 +22,14 @@ Hermitian form d* G d in d, so its supremum over unit d is the largest
 eigenvalue of the dim x dim Gram matrix G, and the supremum of a
 deviation |d* G d - ||d||^2| is ||G - I||.
 
-Every isometry check reads one constant state matrix.  ``realize``
+Every isometry check reads one constant state matrix.  ``h2.realize``
 turns A(z) = sum_(j<=p) A_j z^j into its companion M, of size
 dim (p + 1), first block row [A_0 ... A_p] and identities below it.
 The state s_n = (Z_n, ..., Z_(n-p)) of the coefficients Z_n of
 (I - z A(z))^(-1) d advances as s_(n+1) = M s_n from s_0 = E* d, E* =
 [I; 0], so block k of s(z) = (I - zM)^(-1) s_0 is z^k (I - z A(z))^(-1)
 d, and Q(z) (I - z A(z))^(-1) d is s(z) times the constant row
-``state_rows(Q)`` = [Q_0 ... Q_p].  A constant A is its own companion.
+``h2.state_rows(Q)`` = [Q_0 ... Q_p].  A constant A is its own companion.
 
 On the G-point rho-circle z^G = rho^G, and (I - zM) sum_(k<G) z^k M^k
 = I - z^G M^G, so with M_rho = I - (rho M)^G, which commutes with M,
@@ -41,9 +41,11 @@ w = exp(2 pi i / G),
 
 S = sum_(k<G) (b^k)* N b^k, b = rho M, the Stein sum that
 ``linalg.stein_sum`` doubles in log2 G steps, with b^G for M_rho; no
-node is solved, and the rung is the largest eigenvalue of V* S V.  With
-E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A and R K*, N is
-E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect, weighted
+node is solved, and the rung is the largest eigenvalue of V* S V.  As
+b^(2^j) = rho^(2^j) M^(2^j), one ladder of powers of M
+(``linalg.power_ladder``) serves every rung, and the rungs are summed
+at once.  With E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A
+and R K*, N is E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect, weighted
 and defect-of-A ladders, and E* K K* E - L_RK* L_RK for the lifting
 parameter defect (K the kernel basis of the coupling, R the free
 parameter).  The lifting's defect chain holds for every state, so it is
@@ -62,13 +64,15 @@ kappa(M_rho) <= (1 + q) / (1 - q).  Measured on 60 random liftings
 with parameters of degree 1 to 3: sup_n ||M^n|| <= 2.0, and at
 rho <= 0.9999, kappa(M_rho) <= 1.0001 for G >= 512, <= 1.10 for G = 64.
 
-The Taylor trace records ||M^n E*||_F at n = 0, 1, 2, 4, ... by
-repeated squaring, until the verdict is a pass or after
-TAYLOR_SQUARINGS squarings.  It bounds the state M^n E* d of every unit
+The Taylor trace records ||M^n E*||_F at n = 0, 1, 2, 4, ..., read off
+the same ladder of powers M^(2^k) that the rungs scale, until the
+verdict is a pass or after TAYLOR_SQUARINGS squarings; the ladder stops
+at the first power that is exactly zero, and the trace reads zero past
+it.  It bounds the state M^n E* d of every unit
 d, ||M^n E* d|| <= ||M^n E*|| <= ||M^n E*||_F, so a pass holds over the
 whole space; and ||M^n E*||_F <= sqrt(dim) ||M^n E*||, so it decays
 with the spectral norm.  It is the Frobenius norm of the first block
-column of a power the squaring forms anyway, where the spectral norm
+column of a power the ladder holds anyway, where the spectral norm
 would cost one SVD per entry.  It reads the whole state, not Z_n alone:
 A(z) = z has Z_1 = 0 and Z_2 = 1, but a zero state stays zero.  The cap
 comes from CLASSIFY_TOL, inside which ``obstruction_search`` and
@@ -192,64 +196,53 @@ def largest_eigenvalue(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
 
 
-def state_rows(q: MatPoly, terms: int) -> np.ndarray:
-    """The constant row [Q_0 ... Q_(terms-1)] that reads Q(z) d(z) off the
-    companion state of ``realize``, for terms >= deg Q + 1."""
-    c = h2.pad_coeffs(q, terms - 1).coeffs
-    return c.transpose(1, 0, 2).reshape(q.out_dim, terms * q.in_dim)
+def companion_powers(a: MatPoly, count: int = 1) -> list:
+    """The ladder M, M^2, M^4, ... of ``linalg.power_ladder`` for the
+    companion M of A, through the Taylor trace's 2^TAYLOR_SQUARINGS and
+    through `count`, a grid, when that is larger."""
+    return linalg.power_ladder(h2.realize(a), max(count, 1 << TAYLOR_SQUARINGS))
 
 
-def realize(a: MatPoly) -> np.ndarray:
-    """The companion M of A(z) = sum_(j<=p) A_j z^j, first block row
-    [A_0 ... A_p] and identities below it: M^n E* d = (Z_n, ...,
-    Z_(n-p)), E* = [I; 0], Z_n the coefficients of (I - z A(z))^(-1) d
-    and Z_(-k) = 0.  A constant A is M itself."""
-    dim, terms = a.in_dim, a.degree + 1
-    m = np.eye(dim * terms, k=-dim, dtype=complex)
-    m[:dim] = state_rows(a, terms)
-    return m
-
-
-def parseval_means(m: np.ndarray, dim: int, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
+def parseval_means(powers: list, dim: int, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
     """The Gram matrices V* S V, V = M_rho^(-1) E* and E* = [I; 0] with
     dim columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
     (I - zM)^(-1) E* d, for each rung and weight N = L*L of an
-    (s, size, size) stack: shape (rungs, s, dim, dim)."""
-    out = np.zeros((len(ladder), len(weights), dim, dim), dtype=complex)
-    for i, rho in enumerate(ladder):
-        s, top = linalg.stein_sum(h2.check_radius(rho) * m, weights, grid)
-        v = np.linalg.solve(np.eye(len(m)) - top, np.eye(len(m), dim))
-        out[i] = v.conj().T @ (s @ v)
-    return out
+    (s, size, size) stack: shape (rungs, s, dim, dim).  powers is the
+    ladder M^(2^j) of ``linalg.power_ladder`` through at least `grid`,
+    and every rung is summed on it at once."""
+    radii = [h2.check_radius(rho) for rho in ladder]
+    s, top = linalg.stein_sum(powers[: grid.bit_length()], weights, grid, radii)
+    size = len(powers[0])
+    v = np.linalg.solve(np.eye(size) - top, np.eye(size, dim))
+    return linalg.adjoint_batch(v) @ s @ v
 
 
 def hardy_gram(a: MatPoly, b: MatPoly, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     """C* E S_inf E* C, the Gram matrix of c -> ||B(z) (I - z A(z))^(-1) C
     c||^2 in H^2, and whether the Stein sum converged.  With M the
-    companion of A and L = ``state_rows(B)``, coefficient n of B (I -
+    companion of A and L = ``h2.state_rows(B)``, coefficient n of B (I -
     zA)^(-1) C c is L M^n E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum
-    is doubled TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms.
-    When ||M^G||_F^2 <= eps the tail (M^G)* S_inf M^G is below the
-    rounding of S_inf and S_G is the limit; otherwise it is a partial sum
-    that decides nothing."""
-    m, rows = realize(a), state_rows(b, a.degree + 1)
-    s, power = linalg.stein_sum(m, rows.conj().T @ rows, 1 << TAYLOR_SQUARINGS)
+    is doubled TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms,
+    or until a power of M is exactly zero.  When ||M^G||_F^2 <= eps the
+    tail (M^G)* S_inf M^G is below the rounding of S_inf and S_G is the
+    limit; otherwise it is a partial sum that decides nothing."""
+    rows = h2.state_rows(b, a.degree + 1)
+    s, power = linalg.stein_sum(companion_powers(a), rows.conj().T @ rows, 1 << TAYLOR_SQUARINGS)
     converged = bool(np.vdot(power, power).real <= np.finfo(float).eps)
     return cols.conj().T @ s[: a.in_dim, : a.in_dim] @ cols, converged
 
 
-def taylor_trace(a: MatPoly, tol: float) -> list:
-    """(n, ||M^n E*||_F) for the companion M of ``realize`` and E* =
-    [I; 0] at n = 0, 1, 2, 4, ... by repeated squaring of M, until the
-    verdict at `tol` is a pass or for TAYLOR_SQUARINGS squarings."""
-    power, dim = realize(a), a.in_dim
+def taylor_trace(powers: list, dim: int, tol: float) -> list:
+    """(n, ||M^n E*||_F) for E* = [I; 0] with dim columns at n = 0, 1, 2,
+    4, ..., read off the ladder powers[k] = M^(2^k) of ``companion_powers``
+    until the verdict at `tol` is a pass or through n =
+    2^TAYLOR_SQUARINGS; past a ladder that stopped at a zero power, the
+    entries are zero."""
     trace = [(0, math.sqrt(dim))]
     for k in range(TAYLOR_SQUARINGS + 1):
         if taylor_verdict(trace, tol) == "pass":
             break
-        if k:
-            power = power @ power
-        trace.append((1 << k, float(np.linalg.norm(power[:, :dim]))))
+        trace.append((1 << k, float(np.linalg.norm(powers[min(k, len(powers) - 1)][:, :dim]))))
     return trace
 
 
@@ -297,15 +290,15 @@ def radial_isometry_check(
     from ||d||^2.
     """
     a = _top_block(w)
-    m = realize(a)
-    e, lw = np.eye(a.in_dim, len(m)), state_rows(w, a.degree + 1)
+    powers = companion_powers(a, grid)
+    e, lw = np.eye(a.in_dim, len(powers[0])), h2.state_rows(w, a.degree + 1)
     gram, la = e.conj().T @ e, lw[: a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-    means = parseval_means(m, a.in_dim, weights, ladder, grid)
+    means = parseval_means(powers, a.in_dim, weights, ladder, grid)
     defect_ladder = [largest_eigenvalue(g[0]) for g in means]
     weighted_ladder = [(1.0 - rho) * largest_eigenvalue(g[1]) for rho, g in zip(ladder, means)]
     a_defect_dev = [linalg.operator_norm(g[2] - np.eye(a.in_dim)) for g in means]
-    trace = taylor_trace(a, tol_taylor)
+    trace = taylor_trace(powers, a.in_dim, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     verdict = combine_verdicts(v_ladder, v_taylor)
@@ -346,7 +339,7 @@ def constant_symbol_check(w0) -> CriterionReport:
     return CriterionReport(
         criterion_id="constant_symbol",
         verdict="pass" if iso and stable else "fail",
-        taylor_trace=taylor_trace(MatPoly.constant(a0), TOL_TAYLOR),
+        taylor_trace=taylor_trace(companion_powers(MatPoly.constant(a0)), a0.shape[1], TOL_TAYLOR),
         tolerances={"tol": tol},
         notes="; ".join(parts),
         extras={"spectral_radius": rho_a, "isometry": iso},
@@ -434,16 +427,16 @@ def lifting_isometry_check(
     `defect_chain_residual`.
     """
     _, a = w.block_rows(ld.basis_tprime.dim)
-    m = realize(a)
+    powers = companion_powers(a, grid)
     terms, kker = a.degree + 1, ld.ker_omega.columns
-    e, lw = np.eye(a.in_dim, len(m)), state_rows(w, terms)
-    lrk = state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
+    e, lw = np.eye(a.in_dim, len(powers[0])), h2.state_rows(w, terms)
+    lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
-    means = parseval_means(m, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
+    means = parseval_means(powers, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
     defect_ladder = [largest_eigenvalue(g) for g in means]
     chain_residual = max(linalg.operator_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
                          linalg.operator_norm(np.eye(len(gram)) - gram - kk))
-    trace = taylor_trace(a, tol_taylor)
+    trace = taylor_trace(powers, a.in_dim, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"
@@ -480,16 +473,16 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
     w0 = ld.omega_bar + ld.ker_omega_star.columns @ r0 @ ld.ker_omega.columns.conj().T
     r_prime = ld.basis_tprime.dim
     v = w0[r_prime:].conj().T
-    witness = linalg.find_non_c0dot_witness(v, tol)
+    radius, witness = linalg.find_non_c0dot_witness(v, tol)
     if witness is None:
         a = MatPoly.constant(w0[r_prime:])
         return CriterionReport(
             criterion_id="obstruction",
             verdict="pass",
-            taylor_trace=taylor_trace(a, TOL_TAYLOR),
+            taylor_trace=taylor_trace(companion_powers(a), a.in_dim, TOL_TAYLOR),
             tolerances={"tol": tol, "n_max": n_max},
             notes="no unimodular eigenvalue: every bounded backward orbit is trivial",
-            extras={"spectral_radius": linalg.spectral_radius(v)},
+            extras={"spectral_radius": radius},
         )
     lam, h = witness
     seq = [h * lam ** (-n) for n in range(n_max + 1)]

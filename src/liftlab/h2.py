@@ -8,14 +8,16 @@ polynomials of degree < K exactly, so every Parseval-type statement
 below is exact once K >= 2*degree + 1.  A constant evaluates on a grid
 as a read-only broadcast of its one coefficient, with no FFT.
 
-Series layer.  The convolution recursion is written once, in
-``resolvent_terms``, which returns the first `count` coefficients of
-(I - z A(z))^(-1) C(z), stacked.  ``_neumann_coeffs`` runs it with
-C = I, and ``clt.lift`` on the transposes: Gamma_n^T is coefficient n
-of (I - z A^T)^(-1) B^T, so each step is an r x r by r x r' product
-whatever the dimension of the space Y acts on.  The isometry criteria
-read no series: they square and Stein-sum the companion state matrix of
-the symbol (``criteria.realize``).
+Series layer.  ``realize`` turns A(z) = sum_(j<=p) A_j z^j into its
+companion M, of size dim (p + 1), and coefficient n of Q(z) (I - z
+A(z))^(-1) d is ``state_rows(Q)`` M^n E* d, E* = [I; 0].  So every
+series the lifting and the isometry criteria need is read off the
+powers M, M^2, M^4, ... of ``linalg.power_ladder``: the criteria
+Stein-sum them, and ``clt.lift`` doubles the stacked states of Y's
+coefficients, one product per power.  The convolution recursion is
+written once, in ``resolvent_terms``, which returns the first `count`
+coefficients of (I - z A(z))^(-1) C(z), stacked; only
+``_neumann_coeffs`` runs it, with C = I.
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0
@@ -165,6 +167,24 @@ def pad_coeffs(p: MatPoly, degree: int) -> MatPoly:
         return MatPoly(p.coeffs[: degree + 1])
     shape = (degree + 1 - p.coeffs.shape[0],) + p.coeffs.shape[1:]
     return MatPoly(np.concatenate([p.coeffs, np.zeros(shape, dtype=complex)], axis=0))
+
+
+def state_rows(q: MatPoly, terms: int) -> np.ndarray:
+    """The constant row [Q_0 ... Q_(terms-1)] that reads Q(z) d(z) off the
+    companion state of ``realize``, for terms >= deg Q + 1."""
+    c = pad_coeffs(q, terms - 1).coeffs
+    return c.transpose(1, 0, 2).reshape(q.out_dim, terms * q.in_dim)
+
+
+def realize(a: MatPoly) -> np.ndarray:
+    """The companion M of A(z) = sum_(j<=p) A_j z^j, first block row
+    [A_0 ... A_p] and identities below it: M^n E* d = (Z_n, ...,
+    Z_(n-p)), E* = [I; 0], Z_n the coefficients of (I - z A(z))^(-1) d
+    and Z_(-k) = 0.  A constant A is M itself."""
+    dim, terms = a.in_dim, a.degree + 1
+    m = np.eye(dim * terms, k=-dim, dtype=complex)
+    m[:dim] = state_rows(a, terms)
+    return m
 
 
 def vstack_polys(top: MatPoly, bottom: MatPoly) -> MatPoly:

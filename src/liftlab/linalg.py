@@ -117,22 +117,49 @@ def defect_batch(values: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ adjoint_batch(v)
 
 
-def stein_sum(b, weights, count: int) -> tuple[np.ndarray, np.ndarray]:
+def power_ladder(m, count: int) -> list:
+    """The powers M, M^2, M^4, ..., M^(2^j) with 2^j <= count, each the
+    square of the one before; empty for a count below 1.  This is the one
+    squaring loop of the package: Smith's doubling (``stein_sum``), the
+    Taylor trace and the rows of a lifting all read their powers off it.
+    The list stops at the first power that is exactly zero, since every
+    later one is zero too and would add exactly 0.0 wherever it is read."""
+    powers = [as_matrix(m)] if count >= 1 else []
+    while powers and powers[-1].any() and (1 << len(powers)) <= count:
+        powers.append(powers[-1] @ powers[-1])
+    return powers
+
+
+def stein_sum(powers: list, weights, count: int, radii=None) -> tuple[np.ndarray, np.ndarray]:
     """sum_(k<count) (b^k)* N b^k for one weight N or each of an (s, n, n)
     stack, and b^count, by Smith's doubling (R. A. Smith, "Matrix
     equation XA + BX = C", SIAM J. Appl. Math. 16, 1968): S_(2m) = S_m +
-    (b^m)* S_m b^m and b^(2m) = (b^m)^2, and a count that is not a power
-    of two adds the pieces its binary digits select, S_(a+m) = S_a +
-    (b^a)* S_m b^a.  That is 2 log2(count) steps of a few products."""
-    piece, step = np.asarray(weights, dtype=complex), as_matrix(b)
-    total, power = np.zeros_like(piece), np.eye(step.shape[0], dtype=complex)
-    while count:
-        if count & 1:
-            total, power = total + power.conj().T @ piece @ power, power @ step
-        count >>= 1
-        if count:
-            piece, step = piece + step.conj().T @ piece @ step, step @ step
-    return total, power
+    (b^m)* S_m b^m, and a count that is not a power of two adds the
+    pieces its binary digits select, S_(a+m) = S_a + (b^a)* S_m b^a.
+    That is log2(count) steps of a few products.
+
+    b is M, read off the ladder powers[j] = M^(2^j) of
+    ``power_ladder(M, count)``, or rho M for each rho of `radii`, summed
+    at once along a new leading axis: (b^m)* S b^m = rho^(2m) (M^m)* S
+    M^m, so every radius shares the products with the powers of M.  A
+    ladder that stopped at a zero power ends the sum there: the next
+    digit adds its piece once, and every later term is zero."""
+    piece = np.asarray(weights, dtype=complex)
+    scale = 1.0
+    if radii is not None:
+        scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
+        piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
+    total, power, done = np.zeros_like(piece), np.eye(piece.shape[-1], dtype=complex), 0
+    for j, step in enumerate(powers):
+        if (count >> j) & 1:
+            total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+            power, done = power @ step, done + (1 << j)
+        if count >> (j + 1):
+            piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
+    if count >> len(powers):
+        total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+        power = power @ powers[-1]
+    return total, scale ** count * power
 
 
 @dataclass(frozen=True)
@@ -264,10 +291,12 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
 
 
 def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
-    """Eigenpair certifying that adjoint powers of T do not vanish.
+    """The spectral radius of a contraction T, and an eigenpair
+    certifying that adjoint powers of T do not vanish, both read off one
+    eigendecomposition.
 
-    Returns (lam, h) with |lam| >= 1 - tol and h a unit eigenvector of
-    T, or None when every eigenvalue lies strictly inside the disc.
+    The pair is (lam, h) with |lam| >= 1 - tol and h a unit eigenvector
+    of T, or None when every eigenvalue lies strictly inside the disc.
     The bounded sequence h_n = lam^(-n) h then satisfies h_n = T h_{n+1}.
     Ties are broken deterministically: largest modulus first, then
     smallest argument in [0, 2pi).
@@ -276,8 +305,9 @@ def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
     if operator_norm(a) > 1.0 + tol:
         raise NotAContraction("input is not a contraction")
     if a.size == 0:
-        return None
+        return 0.0, None
     lams, vecs = np.linalg.eig(a)
+    radius = float(np.max(np.abs(lams)))
     # quantize moduli so conjugate pairs compare as ties and the argument decides
     order = sorted(
         range(len(lams)),
@@ -285,10 +315,10 @@ def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
     )
     best = order[0]
     if abs(lams[best]) < 1.0 - tol:
-        return None
+        return radius, None
     h = vecs[:, best]
     h = h / np.linalg.norm(h)
     # pin the phase so the witness is reproducible across BLAS builds
     k = int(np.argmax(np.abs(h)))
     h = h * (abs(h[k]) / h[k])
-    return complex(lams[best]), h
+    return radius, (complex(lams[best]), h)

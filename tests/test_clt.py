@@ -21,8 +21,13 @@ def lifted_dim(ml) -> int:
 
 
 def dense_lifting(ml) -> np.ndarray:
-    """Oracle: the matrix of U', read off `apply` on identity columns."""
-    return ml.apply(np.eye(lifted_dim(ml), dtype=complex))
+    """Oracle: the matrix of U', read off `apply` on identity columns,
+    256 at a time so that no identity of the lifted size is held."""
+    n = lifted_dim(ml)
+    u = np.empty((n, n), dtype=complex)
+    for i in range(0, n, 256):
+        u[:, i : i + 256] = ml.apply(np.eye(n, min(256, n - i), k=-i, dtype=complex))
+    return u
 
 
 def random_shift_problem(rng, mult=None, degree=None, p_dim=None, x_norm=0.9):
@@ -308,7 +313,7 @@ class TestLift:
             h = window_vectors(p, rng, 1)[0]
             assert np.linalg.norm(l1.y @ h - l2.y @ h) > 1e-6
 
-    @pytest.mark.parametrize("mult, degree", [(1, 8), (2, 32)])
+    @pytest.mark.parametrize("mult, degree", [(1, 8), (2, 32), (1, 1024)])
     def test_residuals_match_dense_oracle(self, rng, mult, degree):
         p = random_shift_problem(rng, mult=mult, degree=6)
         ld = clt.build_omega(p)
@@ -316,7 +321,7 @@ class TestLift:
         lifting = clt.lift(p, r, degree, ld=ld)
         oracle = dense_lifting(lifting.minimal)
         y, k = lifting.y, p.window_dim
-        projection = np.eye(y.shape[0])[: p.t_prime.shape[0]]
+        projection = np.eye(p.t_prime.shape[0], y.shape[0])
         want = {
             "intertwining": np.linalg.norm((oracle @ y - y @ p.t_matrix)[:, :k], 2),
             "projection": np.linalg.norm(projection @ y - p.x, 2),
@@ -357,6 +362,34 @@ class TestLift:
         want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
         assert lifting.y.shape == want.shape
         assert np.max(np.abs(lifting.y - want)) <= 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 63, 64, 65, 1024])
+    @pytest.mark.parametrize("r_degree", [0, 2])
+    def test_y_at_doubling_boundaries_matches_the_per_term_series(self, rng, degree, r_degree):
+        # Y's series rows double at 1, 2, 4, ...: degree + 1 = 64 and 65
+        # terms end on and just past a doubling, 66 one term further
+        p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
+        ld = clt.build_omega(p)
+        r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=0.9)
+        lifting = clt.lift(p, r, degree, ld=ld)
+        r_prime = ld.basis_tprime.dim
+        coords = ld.basis_x.columns.conj().T @ ld.d_x
+        series = per_term_series(lifting.w.coeffs, slice(r_prime, None), coords, degree + 1)[:, :r_prime]
+        want = np.vstack([p.x, series.reshape(-1, p.t.dim)])
+        assert lifting.y.shape == want.shape
+        assert np.max(np.abs(lifting.y - want)) <= 1e-12
+
+    @pytest.mark.parametrize("degree", [1, 64, 65])
+    def test_zero_defect_of_x_gives_zero_series_at_doubling_boundaries(self, rng, degree):
+        # D_X = 0: A has no rows, its companion is empty and the doubling
+        # has nothing to square; T' = U (+) 1/2 keeps one series row per term
+        u = random_unitary(rng, 2)
+        t_prime = np.zeros((3, 3), dtype=complex)
+        t_prime[:2, :2], t_prime[2, 2] = u, 0.5
+        lifting = clt.lift(clt.build_problem(u, t_prime, np.eye(3, 2)), None, degree)
+        assert lifting.data.defect_dim == 0
+        assert lifting.y.shape == (3 + degree + 1, 2)
+        assert not np.any(lifting.y[3:])
 
     @pytest.mark.parametrize("defect_of_t_prime", [False, True])
     def test_isometric_x_lifts_to_x_over_zero_series(self, rng, defect_of_t_prime):

@@ -112,7 +112,7 @@ class TestTaylorTrace:
     def test_matches_the_neumann_oracle(self, rng, dim, deg):
         # every symbol squares its companion: n = 0, 1, 2, 4, ... until the trace passes
         a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
-        trace = criteria.taylor_trace(a, criteria.TOL_TAYLOR)
+        trace = criteria.taylor_trace(criteria.companion_powers(a), dim, criteria.TOL_TAYLOR)
         indices = [k for k, _ in trace]
         assert indices == [0] + [1 << k for k in range(len(trace) - 1)]
         assert criteria.taylor_verdict(trace, criteria.TOL_TAYLOR) == "pass"
@@ -169,6 +169,26 @@ class TestTaylorTrace:
         assert rep.tolerances["degree_used"] == 64
         assert rep.tolerances["degree_cap"] == 2**criteria.TAYLOR_SQUARINGS
 
+    @pytest.mark.parametrize("kind", ["decaying", "nilpotent", "unitary"])
+    def test_entries_equal_repeated_squaring(self, rng, kind):
+        # the trace reads the shared ladder; its entries are the bits the
+        # squaring loop of the trace gave before the ladder existed
+        a = {"decaying": contractive_matpoly(rng, 3, 3, 2, norm=0.95),
+             "nilpotent": MatPoly.constant(np.tril(rng.standard_normal((3, 3)), -1)),
+             "unitary": MatPoly.constant(random_unitary(rng, 3))}[kind]
+        powers = criteria.companion_powers(a)
+        trace = criteria.taylor_trace(powers, 3, criteria.TOL_TAYLOR)
+        power, want = h2.realize(a), [(0, np.sqrt(3))]
+        for k in range(len(trace) - 1):
+            power = power @ power if k else power
+            want.append((1 << k, float(np.linalg.norm(power[:, :3]))))
+        assert trace == want
+        if kind == "nilpotent":
+            # N^4 = 0 ends the ladder; the trace reads zeros past it and passes
+            assert len(powers) == 3 and len(trace) == 5
+        if kind == "unitary":
+            assert len(powers) == len(trace) - 1 == criteria.TAYLOR_SQUARINGS + 1
+
     def test_the_squaring_cap_comes_from_the_classification_margin(self):
         # the least k with 2^(k-1) CLASSIFY_TOL >= ln(1 / TOL_TAYLOR)
         k = criteria.TAYLOR_SQUARINGS
@@ -204,21 +224,37 @@ class TestParsevalMeans:
         w = contractive_matpoly(rng, dim + rows, dim, degree, norm=norm)
         a, _ = w.block_rows(dim)
         grid = max(grid, 2 * degree + 1)
-        m = criteria.realize(a)
-        e = criteria.state_rows(MatPoly.constant(np.eye(dim)), degree + 1)
-        lw = criteria.state_rows(w, degree + 1)
+        m = h2.realize(a)
+        e = h2.state_rows(MatPoly.constant(np.eye(dim)), degree + 1)
+        lw = h2.state_rows(w, degree + 1)
         gram, la = e.conj().T @ e, lw[:dim]
         weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-        got = criteria.parseval_means(m, dim, weights, [rho], grid)[0]
+        got = criteria.parseval_means(linalg.power_ladder(m, grid), dim, weights, [rho], grid)[0]
         assert got.shape == (3, dim, dim)
         got, want = (np.linalg.eigvalsh(g)[:, -1] for g in (got, node_grams(w, rho, grid)))
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15))
+
+    @pytest.mark.parametrize("grid", [1, 7, 64, 300, 512])
+    def test_stacked_rungs_match_each_rung_alone(self, rng, grid):
+        # oracle: one Stein sum of rho M per rung, b = rho M squared on its own
+        a = contractive_matpoly(rng, 3, 3, 2, norm=0.95)
+        m = h2.realize(a)
+        l = rng.standard_normal((2, len(m), len(m))) + 1j * rng.standard_normal((2, len(m), len(m)))
+        weights = l.conj().transpose(0, 2, 1) @ l
+        ladder = (0.5, 0.9, 0.99, 0.999)
+        got = criteria.parseval_means(criteria.companion_powers(a, grid), 3, weights, ladder, grid)
+        assert got.shape == (4, 2, 3, 3)
+        for rung, rho in zip(got, ladder):
+            s, top = linalg.stein_sum(linalg.power_ladder(rho * m, grid), weights, grid)
+            v = np.linalg.solve(np.eye(len(m)) - top, np.eye(len(m), 3))
+            want = v.conj().T @ s @ v
+            assert np.max(np.abs(rung - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 class TestRealize:
     def test_the_state_holds_the_last_terms_of_the_recursion(self, rng):
         a = contractive_matpoly(rng, 2, 2, 3, norm=0.9)
-        m = criteria.realize(a)
+        m = h2.realize(a)
         state = np.eye(len(m), 2)
         padded = np.concatenate([np.zeros((3, 2, 2)), h2.neumann_inverse(a, 12).coeffs])
         for n in range(10):
@@ -228,8 +264,8 @@ class TestRealize:
 
     def test_state_rows_keep_an_empty_kernel(self):
         # an explicit shape: reshape(-1) cannot size a block row of width 0
-        assert criteria.state_rows(MatPoly.zero(3, 0, 2), 4).shape == (3, 0)
-        assert criteria.state_rows(MatPoly.zero(0, 2, 1), 2).shape == (0, 4)
+        assert h2.state_rows(MatPoly.zero(3, 0, 2), 4).shape == (3, 0)
+        assert h2.state_rows(MatPoly.zero(0, 2, 1), 2).shape == (0, 4)
 
 
 class TestConstantSymbol:

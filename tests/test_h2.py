@@ -240,7 +240,7 @@ class TestHardyNorm:
         # A_j scaled by s^(j+1) scales the eigenvalues of its companion by s:
         # A is planted with spectral radius `radius`, B is not constrained
         a, b = random_matpoly(rng, dim + rows, dim, degree).block_rows(dim)
-        s = radius / linalg.spectral_radius(criteria.realize(a))
+        s = radius / linalg.spectral_radius(h2.realize(a))
         a = MatPoly(a.coeffs * (s ** np.arange(1, degree + 2))[:, None, None])
         block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
         gram, converged = criteria.hardy_gram(a, b, block)

@@ -223,17 +223,18 @@ class TestSubspaceIntersection:
 
 class TestStability:
     def test_witness_for_identity(self):
-        lam, h = la.find_non_c0dot_witness(np.array([[1.0]]))
+        radius, (lam, h) = la.find_non_c0dot_witness(np.array([[1.0]]))
+        assert radius == pytest.approx(1.0, abs=1e-12)
         assert abs(lam - 1.0) < 1e-12
         np.testing.assert_allclose(h, [1.0], atol=1e-12)
 
     def test_no_witness_for_strict_contraction(self):
-        assert la.find_non_c0dot_witness(np.array([[0.5]])) is None
+        assert la.find_non_c0dot_witness(np.array([[0.5]])) == (0.5, None)
 
     def test_rotation_witness_matches_eig_oracle(self):
         phi = 0.7
         rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        lam, h = la.find_non_c0dot_witness(rot)
+        _, (lam, h) = la.find_non_c0dot_witness(rot)
         # oracle: eigendecomposition; tie broken toward smaller argument
         assert abs(lam - np.exp(1j * phi)) < 1e-12
         assert np.linalg.norm(rot @ h - lam * h) < 1e-12
@@ -247,8 +248,14 @@ class TestStability:
                 m = random_contraction(rng, n, n, norm=rng.uniform(0.1, 0.98))
             else:
                 m = random_unitary(rng, n)
-            stable = la.spectral_radius(m) < 1.0 - la.CLASSIFY_TOL
-            assert stable == (la.find_non_c0dot_witness(m) is None)
+            radius, witness = la.find_non_c0dot_witness(m)
+            assert abs(radius - la.spectral_radius(m)) <= 1e-12
+            assert (radius < 1.0 - la.CLASSIFY_TOL) == (witness is None)
+
+
+def doubled(b, weights, count):
+    """Smith's doubling of sum_(k<count) (b^k)* N b^k on b's own ladder."""
+    return la.stein_sum(la.power_ladder(b, count), weights, count)
 
 
 class TestSteinSum:
@@ -271,7 +278,7 @@ class TestSteinSum:
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         stack = np.stack([l.conj().T @ l, np.eye(4), h + h.conj().T])
         for weights in (stack[0], stack):
-            got, got_power = la.stein_sum(b, weights, count)
+            got, got_power = doubled(b, weights, count)
             want, want_power = self.term_by_term(b, weights.astype(complex), count)
             assert got.shape == weights.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
@@ -284,15 +291,67 @@ class TestSteinSum:
         # the unitary's powers drift from unitarity by about 2^30 * eps
         u = random_unitary(np.random.default_rng(3), 4)
         count = 2**30 + 2**10 + 1
-        total, power = la.stein_sum(u, np.eye(4), count)
+        total, power = doubled(u, np.eye(4), count)
         assert np.max(np.abs(total / count - np.eye(4))) <= 1e-6
         assert np.max(np.abs(power.conj().T @ power - np.eye(4))) <= 1e-6
-        total, power = la.stein_sum(0.5 * u, np.eye(4), count)
+        total, power = doubled(0.5 * u, np.eye(4), count)
         np.testing.assert_allclose(total, np.eye(4) / 0.75, atol=1e-14)
         assert np.max(np.abs(power)) == 0.0
 
+    @staticmethod
+    def full_doubling(b, weights, count):
+        """Smith's doubling with no early stop: b squared for every binary
+        digit of count, zero powers included."""
+        piece, step = np.asarray(weights, dtype=complex), np.asarray(b, dtype=complex)
+        total, power = np.zeros_like(piece), np.eye(len(step), dtype=complex)
+        while count:
+            if count & 1:
+                total, power = total + power.conj().T @ piece @ power, power @ step
+            count >>= 1
+            if count:
+                piece, step = piece + step.conj().T @ piece @ step, step @ step
+        return total, power
+
+    @pytest.mark.parametrize("count", [1 << 35, 512, 300])
+    @pytest.mark.parametrize("scale", [0.01, 1.0])
+    def test_the_early_stop_gives_the_bits_of_full_doubling(self, count, scale):
+        # 0.01 U: (0.01 U)^256 underflows to exactly zero, so the ladder
+        # stops after 9 powers; the unitary U never reaches zero
+        rng = np.random.default_rng(5)
+        b = scale * random_unitary(rng, 4)
+        l = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        weights = np.stack([l.conj().T @ l, np.eye(4)])
+        powers = la.power_ladder(b, count)
+        assert len(powers) == (9 if scale < 1 else count.bit_length())
+        assert powers[-1].any() == (scale == 1.0)
+        total, power = la.stein_sum(powers, weights, count)
+        want_total, want_power = self.full_doubling(b, weights, count)
+        assert total.tobytes() == want_total.tobytes()
+        assert np.array_equal(power, want_power)
+
+    def test_the_ladder_squares_until_a_power_is_zero(self):
+        # the cyclic shift on C^4 is nilpotent below its corner: N^4 = 0
+        n = np.eye(4, k=-1)
+        powers = la.power_ladder(n, 1 << 35)
+        assert [p.any() for p in powers] == [True, True, False]
+        assert np.array_equal(powers[1], n @ n)
+        assert la.power_ladder(n, 0) == [] and len(la.power_ladder(n, 1)) == 1
+        assert len(la.power_ladder(np.eye(4), 7)) == 3
+
+    def test_radii_sum_the_scaled_matrices_at_once(self):
+        rng = np.random.default_rng(9)
+        m = 0.9 * random_contraction(rng, 5, 5)
+        weights = np.stack([np.eye(5), np.diag([1.0, -1.0, 2.0, 0.0, 1.0])])
+        radii = (0.3, 0.9, 0.999)
+        total, power = la.stein_sum(la.power_ladder(m, 100), weights, 100, radii)
+        assert total.shape == (3, 2, 5, 5) and power.shape == (3, 1, 5, 5)
+        for rho, got, got_power in zip(radii, total, power):
+            want, want_power = doubled(rho * m, weights, 100)
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got_power[0] - want_power)) <= 1e-15
+
     def test_empty_matrix(self):
-        total, power = la.stein_sum(np.zeros((0, 0)), np.zeros((2, 0, 0)), 5)
+        total, power = doubled(np.zeros((0, 0)), np.zeros((2, 0, 0)), 5)
         assert total.shape == (2, 0, 0) and power.shape == (0, 0)
 
     @pytest.mark.parametrize("scale", [0.0, 0.5, 0.9, 0.999])
@@ -300,13 +359,13 @@ class TestSteinSum:
         # b = scale U, U unitary: S_inf = sum_k scale^(2k) I = I / (1 - scale^2);
         # at G = 2^35 the power has vanished and the sum is its limit
         u = random_unitary(np.random.default_rng(7), 4)
-        total, power = la.stein_sum(scale * u, np.eye(4), 1 << 35)
+        total, power = doubled(scale * u, np.eye(4), 1 << 35)
         assert np.linalg.norm(power) ** 2 <= np.finfo(float).eps
         assert np.max(np.abs(total - np.eye(4) / (1 - scale**2))) <= 1e-12 / (1 - scale**2)
 
     def test_a_unimodular_eigenvalue_keeps_its_power(self):
         # b = diag(1, 0.5): the powers never vanish, and the partial sum at
         # 2^35 terms stays finite, 2^35 in the unimodular direction
-        total, power = la.stein_sum(np.diag([1.0, 0.5]), np.eye(2), 1 << 35)
+        total, power = doubled(np.diag([1.0, 0.5]), np.eye(2), 1 << 35)
         assert np.linalg.norm(power) ** 2 > np.finfo(float).eps
         np.testing.assert_allclose(np.diag(total).real, [2.0**35, 1 / 0.75], rtol=1e-12)

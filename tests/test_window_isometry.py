@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liftlab import cli, clt, criteria, linalg
+from liftlab import cli, clt, criteria, h2, linalg
 from liftlab.h2 import MatPoly
 
 from conftest import contractive_matpoly, random_contraction, random_isometry
@@ -34,8 +34,8 @@ def stein_window_gram(problem, ld, w, count: int) -> np.ndarray:
     count - 1 series terms."""
     k = problem.window_dim
     b, a = w.block_rows(ld.basis_tprime.dim)
-    rows = criteria.state_rows(b, a.degree + 1)
-    s, _ = linalg.stein_sum(criteria.realize(a), rows.conj().T @ rows, count)
+    rows = h2.state_rows(b, a.degree + 1)
+    s, _ = linalg.stein_sum(linalg.power_ladder(h2.realize(a), count), rows.conj().T @ rows, count)
     c = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
     x = problem.x[:, :k]
     return x.conj().T @ x + c.conj().T @ s[: a.in_dim, : a.in_dim] @ c
