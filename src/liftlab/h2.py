@@ -21,33 +21,38 @@ coefficients of (I - z A(z))^(-1) C(z), stacked; only
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0
-(I - z S) once.  For an S with `terms` coefficients of size dim x dim,
+(I - z S) once.  ``herglotz_to_symbol`` reads A off J = (F + I)^(-1)
+alone: zA = (F + I)^(-1) (F - I) = I - 2J, so A_k = -2 J_(k+1), with
+no product.  For an S with `terms` coefficients of size dim x dim,
 inverted through `degree`, Newton doubling (Brent & Kung, "Fast
 algorithms for manipulating formal power series", JACM 1978) runs when
 min(terms, degree) >= NEWTON_TERMS_PER_DIM * dim, the recursion on the
-identity otherwise.  ``polymul`` sums term by term unless both
-truncated factors have FFT_MIN_TERMS coefficients or more.  Measured on
-a 2-core Xeon at degree 1024, recursion / Newton in ms:
+identity otherwise.  Its FFTs hold the coefficients on the last axis
+and take the spectra node-last, so a product is one einsum over all
+nodes, at the least 2^a 3^b 5^c length that holds it.  ``polymul``
+sums term by term unless both truncated factors have FFT_MIN_TERMS
+coefficients or more.  Measured on a 2-core Xeon at degree 1024,
+recursion / Newton in ms, medians of 5:
 
     dim  terms   recursion  Newton
-      1      1       4.2      0.7
-      1      8      39        1.2
-      1   1024    2150        1.2
-      3      1       6.9     10.1
-      3      8      38       10.5
-      3    128     739        7.7
-      8      4      23       54
-      8     16      84       54
-     25     32     340      458
-     25     64     817      507
-     50      1     125     2176
+      1      1       5.9      1.5
+      1      8      40        1.1
+      1   1024    1735        1.0
+      3      1       3.5      2.5
+      3      8      23        2.0
+      3    128     426        2.2
+      8      4      15       17
+      8     16      50       15
+     25     32     270      326
+     25     64     507      323
+     50      1      45     2591
 
-Constant symbols stay on the recursion even at dim 1, where Newton is
-faster: the recursion's error in each coefficient is relative to that
-coefficient, the FFT's to the largest one, and ``neumann_inverse`` is
-the tests' per-coefficient oracle, decaying tails included.
-Degree-1024 products: 12 ms direct against 0.3 ms FFT at dim 1, 219
-against 5.9 ms at dim 3.
+Constant symbols stay on the recursion even at dims 1 and 3, where
+Newton is faster: the recursion's error in each coefficient is relative
+to that coefficient, the FFT's to the largest one, and
+``neumann_inverse`` is the tests' per-coefficient oracle, decaying
+tails included.  Degree-1024 products: 6 ms direct against 0.2 ms FFT
+at dim 1, 207 against 2.2 ms at dim 3.
 """
 
 from __future__ import annotations
@@ -107,11 +112,11 @@ class MatPoly:
         return self.coeffs.shape[2]
 
     def __call__(self, z: complex) -> np.ndarray:
-        """Horner evaluation at a point of the closed disc."""
-        acc = np.zeros((self.out_dim, self.in_dim), dtype=complex)
-        for k in range(self.degree, -1, -1):
-            acc = acc * z + self.coeffs[k]
-        return acc
+        """Value at a point of the closed disc: the coefficients summed
+        against the powers 1, z, z^2, ... in one tensordot."""
+        powers = np.full(self.degree + 1, z, dtype=complex)
+        powers[0] = 1.0
+        return np.tensordot(np.cumprod(powers), self.coeffs, axes=1)
 
     def block_rows(self, split: int) -> tuple["MatPoly", "MatPoly"]:
         return MatPoly(self.coeffs[:, :split, :]), MatPoly(self.coeffs[:, split:, :])
@@ -208,8 +213,9 @@ def polymul(p: MatPoly, q: MatPoly, degree: int | None = None) -> MatPoly:
     pc, qc = p.coeffs[: deg + 1], q.coeffs[: deg + 1]
     if min(pc.shape[0], qc.shape[0]) >= FFT_MIN_TERMS:
         size = _fft_size(pc.shape[0] + qc.shape[0] - 1)
-        p_hat, q_hat = np.fft.fft(pc, size, axis=0), np.fft.fft(qc, size, axis=0)
-        return MatPoly(_fft_product(p_hat, q_hat, 0, deg + 1))
+        p_hat = _spectrum(np.moveaxis(pc, 0, -1), size)
+        prod = _fft_product(p_hat, _spectrum(np.moveaxis(qc, 0, -1), size), 0, deg + 1)
+        return MatPoly(np.moveaxis(prod, -1, 0))
     out = np.zeros((deg + 1, p.out_dim, q.in_dim), dtype=complex)
     for k in range(pc.shape[0]):
         hi = min(q.degree, deg - k)
@@ -218,14 +224,31 @@ def polymul(p: MatPoly, q: MatPoly, degree: int | None = None) -> MatPoly:
 
 
 def _fft_size(terms: int) -> int:
-    """The power of two at or above `terms`."""
-    return 1 << max(terms - 1, 0).bit_length()
+    """The smallest 2^a 3^b 5^c at or above `terms`: a length the FFT
+    factors into radix-2, 3 and 5 passes (Frigo & Johnson, "The Design
+    and Implementation of FFTW3", Proc. IEEE 2005)."""
+    best = 1 << max(terms - 1, 0).bit_length()
+    odd = 1
+    while odd < best:
+        part = odd
+        while part < best:
+            best = min(best, part << max(-(-terms // part) - 1, 0).bit_length())
+            part *= 3
+        odd *= 5
+    return best
+
+
+def _spectrum(c: np.ndarray, size: int) -> np.ndarray:
+    """The length-`size` FFT of coefficients stacked on the last axis,
+    shape (n, m, terms): node axis last, shape (n, m, size)."""
+    return np.fft.fft(c, size, axis=-1)
 
 
 def _fft_product(p_hat: np.ndarray, q_hat: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Coefficients lo..hi-1 of the cyclic product of two spectra: a
-    batched matrix product per node, then one inverse FFT."""
-    return np.fft.ifft(p_hat @ q_hat, axis=0)[lo:hi]
+    """Coefficients lo..hi-1, stacked on the last axis, of the cyclic
+    product of two node-last spectra: the products at every node summed
+    over the inner index in one einsum, then one inverse FFT."""
+    return np.fft.ifft(np.einsum("ikl,kjl->ijl", p_hat, q_hat), axis=-1)[..., lo:hi]
 
 
 def neumann_inverse(a: MatPoly, degree: int) -> MatPoly:
@@ -292,17 +315,6 @@ class CircleMeasure:
         dens = sum(v * (b - a) for a, b, v in self.density_pieces) / (2.0 * np.pi)
         return dens + sum(m for _, m in self.point_masses)
 
-    def moment(self, n: int) -> complex:
-        """Integral of conj(zeta)^n against the measure."""
-        if n == 0:
-            return complex(self.total_mass())
-        acc = 0.0 + 0.0j
-        for a, b, v in self.density_pieces:
-            acc += v * (np.exp(-1j * n * b) - np.exp(-1j * n * a)) / (-2j * np.pi * n)
-        for t, m in self.point_masses:
-            acc += m * np.exp(-1j * n * t)
-        return complex(acc)
-
 
 def herglotz_from_measure(mu: CircleMeasure, degree: int) -> MatPoly:
     """Taylor expansion of the circle average of (zeta+z)/(zeta-z).
@@ -310,11 +322,14 @@ def herglotz_from_measure(mu: CircleMeasure, degree: int) -> MatPoly:
     Normalized so that Lebesgue density 1 gives the constant 1; the
     coefficients are mu's total mass followed by twice its moments.
     """
-    coeffs = np.zeros(degree + 1, dtype=complex)
-    coeffs[0] = mu.total_mass()
-    for n in range(1, degree + 1):
-        coeffs[n] = 2.0 * mu.moment(n)
-    return MatPoly.from_scalar_coeffs(coeffs)
+    n = np.arange(1, degree + 1)
+    # the moments, integrals of conj(zeta)^n against mu, for every n at once
+    moments = np.zeros(degree, dtype=complex)
+    for a, b, v in mu.density_pieces:
+        moments += v * (np.exp(-1j * n * b) - np.exp(-1j * n * a)) / (-2j * np.pi * n)
+    for t, m in mu.point_masses:
+        moments += m * np.exp(-1j * n * t)
+    return MatPoly.from_scalar_coeffs(np.concatenate([[mu.total_mass()], 2.0 * moments]))
 
 
 def herglotz_from_A(a: MatPoly, degree: int) -> MatPoly:
@@ -330,6 +345,8 @@ def herglotz_to_symbol(f: MatPoly, degree: int) -> MatPoly:
 
     Requires F(0) = I (so the quotient vanishes at the origin and the
     division by z is exact).  Inverse of herglotz_from_A up to
+    truncation.  With J = (F + I)^(-1), zA = (F + I)^(-1) (F - I) =
+    I - 2J, so A_k = -2 J_(k+1) with no product, exact also after
     truncation.  The output degree is capped at f.degree - 1: the
     division shifts degrees down by one, so the coefficient at
     f.degree would need data beyond the input's truncation.
@@ -340,10 +357,9 @@ def herglotz_to_symbol(f: MatPoly, degree: int) -> MatPoly:
     if np.linalg.norm(f.coeffs[0] - np.eye(dim), 2) > 1e-10:
         raise H2Error("transform inversion needs F(0) = I")
     eff = min(degree, max(f.degree - 1, 0))
-    num = MatPoly(f.coeffs - (np.arange(f.degree + 1) == 0)[:, None, None] * np.eye(dim))
-    den = MatPoly(f.coeffs + (np.arange(f.degree + 1) == 0)[:, None, None] * np.eye(dim))
-    za = polymul(series_inverse(den, eff + 1), num, eff + 1)
-    return MatPoly(za.coeffs[1:])
+    den = f.coeffs.copy()
+    den[0] += np.eye(dim)
+    return MatPoly(-2.0 * series_inverse(MatPoly(den), eff + 1).coeffs[1:])
 
 
 def series_inverse(p: MatPoly, degree: int) -> MatPoly:
@@ -354,17 +370,20 @@ def series_inverse(p: MatPoly, degree: int) -> MatPoly:
     short S the kernel runs the convolution recursion
     J_n = sum_{k=1..n} S_(k-1) J_(n-k); for long S Newton doubling
     (Brent & Kung, JACM 1978), Q <- Q + Q (I - P Q) mod z^(2m), each
-    product an FFT along the coefficient axis with one batched matrix
-    product per node.  Long means p.degree (capped at the requested
-    degree) >= NEWTON_TERMS_PER_DIM * dim.  Measured at degree 1024
-    (table in the module docstring), Newton wins from 1 term at dim 1,
-    from ~4 at dim 3 and from ~50 at dim 25; a constant 50 x 50 symbol
-    takes 125 ms on the recursion and 2.2 s with Newton.
+    product an FFT along the coefficient axis with one einsum over the
+    nodes.  Long means p.degree (capped at the requested degree) >=
+    NEWTON_TERMS_PER_DIM * dim.  Measured at degree 1024 (table in the
+    module docstring), Newton wins from 1 term at dims 1 and 3, from
+    between 4 and 16 at dim 8 and from between 32 and 64 at dim 25; a
+    constant 50 x 50 symbol takes 45 ms on the recursion and 2.6 s with
+    Newton.  The normalisation forms P_0^(-1) P_k and J_k P_0^(-1) as
+    one product each over the stacked coefficients.
     """
     if p.out_dim != p.in_dim:
         raise NotSquare("series inverse needs a square polynomial")
     q0 = np.linalg.inv(p.coeffs[0])
-    return MatPoly(_neumann_coeffs(-(q0 @ p.coeffs[1:]), degree) @ q0)
+    s = -np.tensordot(q0, p.coeffs[1:], axes=(1, 1)).transpose(1, 0, 2)
+    return MatPoly(np.tensordot(_neumann_coeffs(s, degree), q0, axes=(2, 0)))
 
 
 def _newton_pays(terms: int, dim: int, degree: int) -> bool:
@@ -403,21 +422,22 @@ def _newton_inverse(s: np.ndarray, degree: int) -> np.ndarray:
     """
     dim = s.shape[1]
     terms = degree + 1
-    p = np.zeros((min(s.shape[0] + 1, terms), dim, dim), dtype=complex)
-    p[0] = np.eye(dim)
-    p[1:] = -s[: p.shape[0] - 1]
+    # P and Q hold their coefficients on the last axis, as the spectra do
+    p = np.zeros((dim, dim, min(s.shape[0] + 1, terms)), dtype=complex)
+    p[..., 0] = np.eye(dim)
+    p[..., 1:] = -np.moveaxis(s[: p.shape[-1] - 1], 0, -1)
     targets = []
     while terms > 1:
         targets.append(terms)
         terms = (terms + 1) // 2
-    q = p[:1].copy()
+    q = p[..., :1].copy()
     for target in reversed(targets):
-        m = q.shape[0]
+        m = q.shape[-1]
         size = _fft_size(target)
-        q_hat = np.fft.fft(q, size, axis=0)
-        e = _fft_product(np.fft.fft(p[:target], size, axis=0), q_hat, m, target)
-        q = np.concatenate([q, -_fft_product(q_hat, np.fft.fft(e, size, axis=0), 0, target - m)])
-    return q
+        q_hat = _spectrum(q, size)
+        e = _fft_product(_spectrum(p[..., :target], size), q_hat, m, target)
+        q = np.concatenate([q, -_fft_product(q_hat, _spectrum(e, size), 0, target - m)], axis=-1)
+    return np.ascontiguousarray(np.moveaxis(q, -1, 0))
 
 
 def series_exp_scalar(coeffs, degree: int) -> np.ndarray:
@@ -425,11 +445,12 @@ def series_exp_scalar(coeffs, degree: int) -> np.ndarray:
     l = np.zeros(degree + 1, dtype=complex)
     src = np.asarray(coeffs, dtype=complex).reshape(-1)
     l[: min(len(src), degree + 1)] = src[: degree + 1]
-    kl = np.arange(degree + 1) * l
+    # k l_k reversed once: rkl[degree - n : degree] is k l_k for k = n..1
+    rkl = (np.arange(degree + 1) * l)[::-1].copy()
     b = np.zeros(degree + 1, dtype=complex)
     b[0] = np.exp(l[0])
     for n in range(1, degree + 1):
-        b[n] = np.dot(kl[n:0:-1], b[:n]) / n
+        b[n] = rkl[degree - n : degree].dot(b[:n]) / n
     return b
 
 

@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [--check]
 
 It draws the command fixtures from FIXTURE_SEED into inputs/, runs
 every entry of RUNS through ``cli.main`` with the working directory set
@@ -13,15 +13,23 @@ written to.  Before it overwrites a golden it prints every path that
 moved against it, by the comparison tests/test_golden.py makes.  A
 change that moves a golden lists in CHANGES.md every field that moved
 and why; a golden is never regenerated to hide a defect.
+
+With ``--check`` it writes nothing: it runs every entry on the
+committed inputs, prints every path that moved at all (tolerance 0)
+against the committed golden and exit code, marks with ``BEYOND`` the
+paths that moved beyond the golden tolerance, and exits 1 only if
+there is one.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +137,34 @@ def run(name: str, out: Path) -> tuple[int, dict]:
     return code, report
 
 
+def moved_paths(code: int, report: dict, old_code, old) -> tuple[list, list]:
+    """What moved in one run against its golden: every path at
+    tolerance 0, then the paths beyond TOLERANCE."""
+    if old is None:
+        return ["no committed golden"], ["no committed golden"]
+    exact, beyond = mismatches(report, old, 0.0, 0.0), mismatches(report, old, **TOLERANCE)
+    if old_code != code:
+        line = f"exit code {code!r} against {old_code!r}"
+        exact, beyond = [line, *exact], [line, *beyond]
+    return exact, beyond
+
+
+def check() -> int:
+    """Compare every run with its golden and write nothing."""
+    os.chdir(HERE)
+    old_codes = (_load(HERE / "manifest.json") or {}).get("exit_codes", {})
+    flagged = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for name in RUNS:
+            code, report = run(name, Path(scratch) / f"{name}.json")
+            exact, beyond = moved_paths(code, report, old_codes.get(name), _load(HERE / "reports" / f"{name}.json"))
+            for line in exact:
+                print(f"{name}: {line}" + ("  BEYOND" if line in beyond else ""))
+            flagged += len(beyond)
+    print(f"checked {len(RUNS)} reports; {flagged} paths beyond atol {TOLERANCE['atol']:g} + rtol {TOLERANCE['rtol']:g}")
+    return 1 if flagged else 0
+
+
 def main() -> int:
     os.chdir(HERE)
     inputs, reports = HERE / "inputs", HERE / "reports"
@@ -141,10 +177,7 @@ def main() -> int:
         path = reports / f"{name}.json"
         old = _load(path)
         codes[name], report = run(name, path)
-        moved = ["no committed golden"] if old is None else mismatches(report, old, **TOLERANCE)
-        if old_codes.get(name) != codes[name]:
-            moved.insert(0, f"exit code {codes[name]!r} against {old_codes.get(name)!r}")
-        for line in moved:
+        for line in moved_paths(codes[name], report, old_codes.get(name), old)[1]:
             print(f"{name}: {line}")
         path.write_text(serialize.dumps_canonical(report), encoding="utf-8")
     manifest = {"exit_codes": codes, "tolerance": TOLERANCE}
@@ -154,4 +187,6 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    parser = argparse.ArgumentParser(description="Write or check the golden reports.")
+    parser.add_argument("--check", action="store_true", help="compare with the goldens and write nothing")
+    sys.exit(check() if parser.parse_args().check else main())

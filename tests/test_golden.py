@@ -77,3 +77,14 @@ def test_the_comparison_sees_each_kind_of_change():
         "$.verdict", "$.n", "$.trace", "$.value", "$.big"]
     # a key added or dropped does not hide a value that moved beside it
     assert [m.split(":")[0] for m in mismatches({**want, "n": 4, "steps": 11}, want, **tol)] == ["$", "$.n"]
+
+
+def test_the_check_lists_every_move_and_flags_those_beyond_the_tolerance():
+    want = {"value": 0.5, "noise": 1e-16, "verdict": "pass"}
+    got = {"value": 0.5 + 1e-6, "noise": 2e-16, "verdict": "pass"}
+    exact, beyond = regenerate.moved_paths(0, got, 0, want)
+    assert [m.split(":")[0] for m in exact] == ["$.value", "$.noise"]
+    assert beyond == exact[:1]
+    assert regenerate.moved_paths(0, want, 0, want) == ([], [])
+    exact, beyond = regenerate.moved_paths(1, want, 0, want)
+    assert exact == beyond == ["exit code 1 against 0"]

@@ -25,6 +25,24 @@ class TestEval:
         p = random_matpoly(rng, 3, 2, 5)
         np.testing.assert_allclose(p(0.0), p.coeffs[0], atol=1e-15)
 
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 0.9, 0.999, 1.0])
+    def test_matches_horner_at_degree_1024(self, rng, radius):
+        # decaying and flat coefficients, the first like ex3_1's symbol
+        for decay in (0.99, 1.0):
+            p = MatPoly(random_matpoly(rng, 2, 3, 1024).coeffs * (decay ** np.arange(1025))[:, None, None])
+            for angle in rng.uniform(0, 2 * np.pi, 4):
+                z = radius * np.exp(1j * angle)
+                want = horner(p.coeffs, z)
+                assert np.max(np.abs(p(z) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def horner(coeffs, z):
+    """Reference: sum_k P_k z^k by Horner's rule, one step per coefficient."""
+    acc = np.zeros(coeffs.shape[1:], dtype=complex)
+    for k in range(coeffs.shape[0] - 1, -1, -1):
+        acc = acc * z + coeffs[k]
+    return acc
+
 
 class TestCircleGrid:
     def test_constant(self):
@@ -303,11 +321,32 @@ class TestHerglotzFromMeasure:
         f = h2.herglotz_from_measure(mu, 32)
         assert f(0.0)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("degree", [1, 7, 1024])
+    def test_matches_the_per_n_moments(self, degree):
+        mu = h2.CircleMeasure(
+            density_pieces=[(0.0, 1.0, 0.3), (1.5, np.pi, 0.75), (np.pi, 2 * np.pi, 0.25)],
+            point_masses=[(0.0, 0.5), (2.0, 0.125)],
+        )
+        want = [mu.total_mass()] + [2.0 * moment_oracle(mu, n) for n in range(1, degree + 1)]
+        got = h2.herglotz_from_measure(mu, degree).coeffs[:, 0, 0]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_validation(self):
         with pytest.raises(h2.H2Error):
             h2.CircleMeasure(density_pieces=[(0.0, 1.0, -2.0)])
         with pytest.raises(h2.H2Error):
             h2.CircleMeasure(density_pieces=[(0.0, 2.0, 1.0), (1.0, 3.0, 1.0)])
+
+
+def moment_oracle(mu: h2.CircleMeasure, n: int) -> complex:
+    """Reference: the integral of conj(zeta)^n against mu, n >= 1, for
+    one n at a time."""
+    acc = 0.0 + 0.0j
+    for a, b, v in mu.density_pieces:
+        acc += v * (np.exp(-1j * n * b) - np.exp(-1j * n * a)) / (-2j * np.pi * n)
+    for t, m in mu.point_masses:
+        acc += m * np.exp(-1j * n * t)
+    return complex(acc)
 
 
 class TestHerglotzFromA:
@@ -388,6 +427,20 @@ def loop_series_exp(coeffs, degree):
     return b
 
 
+def strided_series_exp(coeffs, degree):
+    """Reference: n b_n = sum_k k l_k b_(n-k) with np.dot on the reversed
+    view kl[n:0:-1], taken afresh at every n."""
+    l = np.zeros(degree + 1, dtype=complex)
+    src = np.asarray(coeffs, dtype=complex).reshape(-1)
+    l[: min(len(src), degree + 1)] = src[: degree + 1]
+    kl = np.arange(degree + 1) * l
+    b = np.zeros(degree + 1, dtype=complex)
+    b[0] = np.exp(l[0])
+    for n in range(1, degree + 1):
+        b[n] = np.dot(kl[n:0:-1], b[:n]) / n
+    return b
+
+
 class TestSeriesExp:
     @pytest.mark.parametrize("terms, degree", [(1, 0), (2, 1), (40, 16), (700, 2047), (3000, 2047)])
     def test_matches_the_loop(self, rng, terms, degree):
@@ -398,6 +451,8 @@ class TestSeriesExp:
         got = h2.series_exp_scalar(l, degree)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # the reversed copy feeds np.dot the same numbers in the same order
+        assert got.tobytes() == strided_series_exp(l, degree).tobytes()
 
     def test_exp_of_a_line(self):
         # exp(a z) = sum a^n z^n / n!
@@ -569,8 +624,53 @@ class TestSeriesKernel:
         assert got.shape == (degree + 1, out_dim, in_dim)
         assert np.max(np.abs(got - direct_product(p.coeffs, q.coeffs, degree))) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("degree", [1024, 1079, 1080, 1081])
+    def test_newton_at_the_edges_of_the_fft_lengths(self, rng, dim, degree):
+        # 1080 = 2^3 3^3 5 is an FFT length; 1081 terms pad to 1125
+        s = contractive_matpoly(rng, dim, dim, 2 * dim + 1, norm=0.9, probe_grid=64)
+        assert h2._newton_pays(s.degree + 1, dim, degree)
+        assert np.max(np.abs(h2._newton_inverse(s.coeffs, degree) - loop_neumann(s.coeffs, degree))) <= 1e-12
+
+    def test_fft_sizes_are_the_least_5_smooth_lengths(self):
+        smooth = [n for n in range(1, 5121) if smooth_part(n) == n]
+        want = np.searchsorted(smooth, np.arange(1, 5001))
+        assert [h2._fft_size(n) for n in range(1, 5001)] == [smooth[i] for i in want]
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_herglotz_to_symbol_matches_the_product_formula(self, rng, dim):
+        if dim == 1:
+            f = h2.herglotz_from_measure(h2.CircleMeasure(
+                density_pieces=[(0.0, np.pi, 0.75), (np.pi, 2 * np.pi, 0.25)], point_masses=[(0.0, 0.5)]), 1024)
+        else:
+            f = h2.herglotz_from_A(contractive_matpoly(rng, 3, 3, 6, norm=0.9, probe_grid=64), 1024)
+        for degree in (1, 100, 1023, 2048):
+            got = h2.herglotz_to_symbol(f, degree).coeffs
+            want = product_formula_symbol(f, degree)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
     def test_herglotz_round_trip_3x3_degree_1024(self, rng):
         a = contractive_matpoly(rng, 3, 3, 6, norm=0.9, probe_grid=64)
         back = h2.herglotz_to_symbol(h2.herglotz_from_A(a, 1024), 1024)
         assert back.degree == 1023
         assert np.max(np.abs(back.coeffs - h2.pad_coeffs(a, back.degree).coeffs)) <= 1e-9
+
+
+def smooth_part(n: int) -> int:
+    """The largest divisor of n of the form 2^a 3^b 5^c."""
+    part = 1
+    for f in (2, 3, 5):
+        while n % (part * f) == 0:
+            part *= f
+    return part
+
+
+def product_formula_symbol(f: MatPoly, degree: int) -> np.ndarray:
+    """Reference: A read off zA = (F + I)^(-1) (F - I), the product
+    formed, truncated through the capped degree plus one."""
+    dim = f.in_dim
+    eff = min(degree, max(f.degree - 1, 0))
+    eye0 = (np.arange(f.degree + 1) == 0)[:, None, None] * np.eye(dim)
+    za = h2.polymul(h2.series_inverse(MatPoly(f.coeffs + eye0), eff + 1), MatPoly(f.coeffs - eye0), eff + 1)
+    return za.coeffs[1:]

@@ -49,8 +49,10 @@ def test_every_layer_records_a_span(tmp_path, rng, monkeypatch):
         # verify_bi_isometry draws no vectors: random_vector and apply_W
         # are called by the randomized oracle the bimodel tests keep
         assert oracle_verdict(bimodel.build_model(shift_symbol(1), grid=16, degree=4)) == "pass"
-        # the commands stream their series; the dense inverse serves Herglotz data
+        # the commands stream their series; the dense inverse serves Herglotz
+        # data, and no command multiplies two series
         h2.herglotz_from_A(MatPoly.constant([[0.5]]), 8)
+        h2.polymul(MatPoly.constant([[0.5]]), MatPoly.constant([[0.5]]))
     assert h2.resolvent_apply_grid is original
     spanned = {name for name, *_ in tracer.spans}
     assert {layer.name for layer in layertrace.LAYERS} <= spanned
