@@ -78,7 +78,10 @@ def build_model(theta: MatPoly, grid: int, degree: int) -> ThetaModel:
     grid means agree exactly and the isometry identities are exact.
     The symbol must be contractive on the grid within CLASSIFY_TOL; the
     range projector of each node's defect keeps the eigenvalues that
-    ``linalg.rank_mask`` keeps.
+    ``linalg.rank_mask`` keeps.  One stacked eigendecomposition of
+    I - Theta* Theta (``linalg.defect_batch``) gives all three: its least
+    eigenvalue at a node is 1 - ||Theta||^2 there, and its eigenvectors
+    carry the defect and the projector.
     """
     if theta.out_dim != theta.in_dim:
         raise BimodelError("model symbol must be square")
@@ -86,14 +89,13 @@ def build_model(theta: MatPoly, grid: int, degree: int) -> ThetaModel:
     if grid < need:
         raise BimodelError(f"grid {grid} too coarse for degree {degree}: need {need}")
     vals = h2.eval_circle_grid(theta, 1.0, grid)
-    sup = np.linalg.norm(vals, 2, axis=(1, 2)).max()
+    d = linalg.defect_batch(vals)
+    sup = float(np.sqrt(max(0.0, 1.0 - np.min(d.eigenvalues, initial=1.0))))
     if sup > 1.0 + linalg.CLASSIFY_TOL:
         raise NotContractiveOnGrid(f"symbol grid norm {sup:.6g} exceeds 1 + tol")
-    delta = linalg.defect_batch(vals)
-    w, v = np.linalg.eigh(delta)
-    keep = linalg.rank_mask(w)
-    proj = (v * keep[:, None, :]) @ linalg.adjoint_batch(v)
-    return ThetaModel(theta, grid, degree, vals, delta, proj)
+    keep = linalg.rank_mask(d.roots)
+    proj = (d.vectors * keep[:, None, :]) @ linalg.adjoint_batch(d.vectors)
+    return ThetaModel(theta, grid, degree, vals, d.root, proj)
 
 
 def vector_norm_sq(model: ThetaModel, v: ModelVector) -> float:
@@ -202,13 +204,19 @@ def verify_bi_isometry(model: ThetaModel) -> CriterionReport:
     ``linalg.rank_mask`` that P keeps, and r2 reads rounding unless P
     and Delta disagree.  The verdict passes iff r1 and r2 are both at
     most 1e-10.
+
+    E(z) is Hermitian, so r1 is read as its largest |eigenvalue|
+    (``linalg.hermitian_norm``), one stacked eigvalsh over the grid.
+    Delta - P Delta is Hermitian only when P and Delta share their
+    eigenvectors, which is what r2 tests, so r2 is read by
+    ``linalg.operator_norm`` over the stack; no SVD is taken.
     """
     theta, delta = model.theta_values, model.delta
     eye = np.eye(model.fiber_dim)
     pythagoras = linalg.adjoint_batch(theta) @ theta + linalg.adjoint_batch(delta) @ delta - eye
     outside = delta - model.range_projectors @ delta
-    r1 = float(np.linalg.norm(pythagoras, 2, axis=(1, 2)).max())
-    r2 = float(np.linalg.norm(outside, 2, axis=(1, 2)).max())
+    r1 = float(linalg.hermitian_norm(pythagoras).max())
+    r2 = float(linalg.operator_norm(outside).max())
     tol = 1e-10
     ok = r1 <= tol and r2 <= tol
     return CriterionReport(

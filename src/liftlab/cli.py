@@ -356,7 +356,7 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         problem = clt.shift_intertwining_problem(rng, mult, 24, t_prime, x_norm=0.9)
         ld = clt.build_omega(problem)
         ld_exp = clt.build_omega_explicit(problem)
-        agree = float(np.linalg.norm(clt.omega_full(ld) - clt.omega_full(ld_exp), 2))
+        agree = linalg.operator_norm(clt.omega_full(ld) - clt.omega_full(ld_exp))
         k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
         raw_r = rng.standard_normal((ks, k)) + 1j * rng.standard_normal((ks, k))
         q, _ = np.linalg.qr(raw_r)
@@ -464,9 +464,7 @@ def _cmd_coiso(cfg: RunConfig) -> int:
         rng = np.random.default_rng(cfg.seed) if cfg.seed else None
         ext = coiso.build_extension(problem, rng=rng)
         co_res = linalg.isometry_gap(ext.conj().T)
-        restr = float(
-            np.linalg.norm(ext @ problem.m_prime.columns - problem.m.columns @ problem.c, 2)
-        )
+        restr = linalg.operator_norm(ext @ problem.m_prime.columns - problem.m.columns @ problem.c)
         values["coisometry_residual"] = co_res
         values["restriction_residual"] = restr
         values["extension"] = serialize.encode_matrix(ext)

@@ -178,6 +178,24 @@ class CLTProblem:
     def t_matrix(self) -> np.ndarray:
         return self.t.matrix()
 
+    # D_X and D_{T'} and their coordinate bases are factored once per
+    # problem; the couplings and the minimal lifting share them
+    @cached_property
+    def d_x(self) -> np.ndarray:
+        return _defect(self.x, self.tol, "X")
+
+    @cached_property
+    def d_tprime(self) -> np.ndarray:
+        return _defect(self.t_prime, self.tol, "T'")
+
+    @cached_property
+    def basis_x(self) -> SubspaceBasis:
+        return linalg.range_basis(self.d_x)
+
+    @cached_property
+    def basis_tprime(self) -> SubspaceBasis:
+        return linalg.range_basis(self.d_tprime)
+
     @property
     def window_dim(self) -> int:
         return self.window_override if self.window_override is not None else self.t.window_dim
@@ -198,18 +216,16 @@ def build_problem(t, t_prime, x, tol: float = TOL, window: int | None = None) ->
         raise CLTError(
             f"X must map C^{spec.dim} into C^{t_prime.shape[0]}, got shape {x.shape}"
         )
-    if linalg.operator_norm(t_prime) > 1.0 + tol:
-        raise NotContraction("T' is not a contraction")
-    if linalg.operator_norm(x) > 1.0 + tol:
-        raise NotContraction("X is not a contraction")
+    problem = CLTProblem(spec, t_prime, x, tol, window)
+    # factoring the defects checks both contractions
+    problem.d_tprime, problem.d_x
     if window is not None and not (0 < window <= spec.dim):
         raise CLTError("window override out of range")
-    problem = CLTProblem(spec, t_prime, x, tol, window)
     tm = problem.t_matrix
     k = problem.window_dim
     if linalg.isometry_gap(tm[:, :k]) > tol:
         raise NotIsometryOnWindow("T fails to be isometric on its window")
-    residual = float(np.linalg.norm((t_prime @ x - x @ tm)[:, :k], 2))
+    residual = linalg.operator_norm((t_prime @ x - x @ tm)[:, :k])
     if residual > tol:
         raise IntertwiningViolated(residual)
     return problem
@@ -236,21 +252,30 @@ class MinimalLifting:
         return np.concatenate([self.u @ v[:p], v[p : len(v) - r]])
 
 
+def _defect(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """linalg.defect, its contraction check raised as NotContraction."""
+    try:
+        return linalg.defect(m, tol)
+    except linalg.NotAContraction:
+        raise NotContraction(f"{name} is not a contraction") from None
+
+
 def minimal_isometric_lifting(
     t_prime,
     degree: int,
     basis: SubspaceBasis | None = None,
     tol: float = TOL,
+    d_tp: np.ndarray | None = None,
 ) -> MinimalLifting:
     """U'(h' + f) = T'h' + (D_{T'}h' shifted into the series slots).
 
     Returns U' in the layout of `MinimalLifting` together with the
-    defect coordinate basis Q of D_{T'}.
+    defect coordinate basis Q of D_{T'}.  A caller that has factored
+    D_{T'} already (``CLTProblem.d_tprime``) passes it as `d_tp`.
     """
     t_prime = linalg.as_matrix(t_prime)
-    if linalg.operator_norm(t_prime) > 1.0 + tol:
-        raise NotContraction("T' is not a contraction")
-    d_tp = linalg.defect(t_prime, tol)
+    if d_tp is None:
+        d_tp = _defect(t_prime, tol, "T'")
     q = basis if basis is not None else linalg.range_basis(d_tp)
     u = np.vstack([t_prime, q.columns.conj().T @ d_tp])
     return MinimalLifting(u, q, degree, t_prime.shape[0])
@@ -284,10 +309,7 @@ def build_omega(p: CLTProblem) -> LiftingData:
     """
     tm = p.t_matrix
     k = p.window_dim
-    d_x = linalg.defect(p.x, p.tol)
-    d_tp = linalg.defect(p.t_prime, p.tol)
-    qx = linalg.range_basis(d_x)
-    qp = linalg.range_basis(d_tp)
+    d_x, d_tp, qx, qp = p.d_x, p.d_tprime, p.basis_x, p.basis_tprime
     g = (qx.columns.conj().T @ d_x @ tm)[:, :k]
     v = np.vstack(
         [
@@ -311,12 +333,9 @@ def build_omega_explicit(p: CLTProblem) -> LiftingData:
     D_X counts as invertible when rank_mask keeps all its singular values.
     """
     tm = p.t_matrix
-    d_x = linalg.defect(p.x, p.tol)
-    d_tp = linalg.defect(p.t_prime, p.tol)
-    qx = linalg.range_basis(d_x)
+    d_x, d_tp, qx, qp = p.d_x, p.d_tprime, p.basis_x, p.basis_tprime
     if qx.dim < d_x.shape[0]:
         raise DefectSingular(f"D_X has numerical rank {qx.dim} < {d_x.shape[0]}")
-    qp = linalg.range_basis(d_tp)
     reach = linalg.pinv(tm.conj().T @ d_x @ d_x @ tm) @ tm.conj().T @ d_x
     omega_full_matrix = np.vstack([d_tp @ p.x @ reach, d_x @ reach])
     omsq = d_x @ tm @ reach
@@ -327,11 +346,11 @@ def build_omega_explicit(p: CLTProblem) -> LiftingData:
             qx.columns.conj().T @ omega_full_matrix[hp_dim:] @ qx.columns,
         ]
     )
-    check = np.linalg.norm(omega @ omega.conj().T @ omega - omega, 2)
+    check = linalg.operator_norm(omega @ omega.conj().T @ omega - omega)
     if check > 1e-8:
         raise CLTError(f"explicit coupling is not a partial isometry ({check:.3e})")
     prod = qx.columns.conj().T @ omsq @ qx.columns
-    if np.linalg.norm(prod - omega.conj().T @ omega, 2) > 1e-8:
+    if linalg.operator_norm(prod - omega.conj().T @ omega) > 1e-8:
         raise CLTError("coupling gram formula disagrees with the assembled operator")
     ker = linalg.kernel_basis(omega)
     ker_star = linalg.kernel_basis(omega.conj().T)
@@ -366,8 +385,7 @@ def assemble_schur_W(ld: LiftingData, r: MatPoly | None) -> MatPoly:
     w = MatPoly(coeffs)
     if w.in_dim:
         grid = max(64, 2 * w.degree + 1) if w.degree else 1  # a constant: one node
-        vals = h2.eval_circle_grid(w, 1.0, grid)
-        sup = max(np.linalg.norm(v, 2) for v in vals)
+        sup = float(linalg.operator_norm(h2.eval_circle_grid(w, 1.0, grid)).max())
         if sup > 1.0 + TOL:
             raise NotContractiveOnGrid(f"grid sup norm {sup:.6g} exceeds 1 + tol")
     return w
@@ -386,22 +404,15 @@ class Lifting:
 
     def residuals(self) -> dict:
         """Lifting-contract residuals, all restricted to the window; each
-        2-norm is read off the Gram matrix of its columns, k x k for the
-        window blocks of the tall Y, not off an SVD of Y."""
+        2-norm is ``linalg.operator_norm``'s, read off the smaller Gram
+        matrix, k x k for the window blocks of the tall Y."""
         k = self.problem.window_dim
         y, tm = self.y, self.problem.t_matrix
         return {
-            "intertwining": _gram_norm(self.minimal.apply(y[:, :k]) - y @ tm[:, :k]),
-            "projection": _gram_norm(y[: self.minimal.h_dim] - self.problem.x),
-            "window_norm": _gram_norm(y[:, :k]),
+            "intertwining": linalg.operator_norm(self.minimal.apply(y[:, :k]) - y @ tm[:, :k]),
+            "projection": linalg.operator_norm(y[: self.minimal.h_dim] - self.problem.x),
+            "window_norm": linalg.operator_norm(y[:, :k]),
         }
-
-
-def _gram_norm(m: np.ndarray) -> float:
-    """||m||, the square root of the largest eigenvalue of m*m."""
-    if m.shape[1] == 0:
-        return 0.0
-    return float(np.sqrt(max(0.0, np.linalg.eigvalsh(m.conj().T @ m)[-1])))
 
 
 def lift(
@@ -440,7 +451,7 @@ def lift(
     y[:h_dim] = p.x
     coords = ld.basis_x.columns.conj().T @ ld.d_x
     np.matmul(states[: a.in_dim].T, coords, out=y[h_dim:])
-    ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, tol=p.tol)
+    ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, d_tp=p.d_tprime)
     return Lifting(p, ld, r, w, y, ml)
 
 

@@ -297,7 +297,7 @@ def radial_isometry_check(
     means = parseval_means(powers, a.in_dim, weights, ladder, grid)
     defect_ladder = [largest_eigenvalue(g[0]) for g in means]
     weighted_ladder = [(1.0 - rho) * largest_eigenvalue(g[1]) for rho, g in zip(ladder, means)]
-    a_defect_dev = [linalg.operator_norm(g[2] - np.eye(a.in_dim)) for g in means]
+    a_defect_dev = linalg.hermitian_norm(means[:, 2] - np.eye(a.in_dim)).tolist()
     trace = taylor_trace(powers, a.in_dim, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
@@ -380,7 +380,7 @@ def boundary_measure_check(
         mass = np.mean(dd - ad, axis=0)
         remainder = np.mean(((1.0 - rho**2) / rho**2) * dd + (dd - (ad + bd)) / rho**2, axis=0)
         mass_ladder.append(largest_eigenvalue(mass))
-        mass_dev.append(linalg.operator_norm(mass - eye))
+        mass_dev.append(linalg.hermitian_norm(mass - eye))
         k_ladder.append(largest_eigenvalue(remainder))
     v_mass = "pass" if mass_dev[-1] <= TOL_MASS else "fail"
     v_k = ladder_verdict(k_ladder, TOL_REMAINDER)
@@ -434,8 +434,8 @@ def lifting_isometry_check(
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
     means = parseval_means(powers, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
     defect_ladder = [largest_eigenvalue(g) for g in means]
-    chain_residual = max(linalg.operator_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
-                         linalg.operator_norm(np.eye(len(gram)) - gram - kk))
+    chain_residual = max(linalg.hermitian_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
+                         linalg.hermitian_norm(np.eye(len(gram)) - gram - kk))
     trace = taylor_trace(powers, a.in_dim, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
@@ -485,21 +485,12 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
             extras={"spectral_radius": radius},
         )
     lam, h = witness
-    seq = [h * lam ** (-n) for n in range(n_max + 1)]
-    rec = max(
-        float(np.linalg.norm(v @ seq[n + 1] - seq[n]))
-        for n in range(n_max)
-    )
-    coupled = max(
-        float(
-            np.linalg.norm(
-                ld.omega_bar @ ld.omega_bar[r_prime:].conj().T @ seq[n + 1]
-                - ld.omega_bar @ seq[n]
-            )
-        )
-        for n in range(n_max)
-    )
-    norms = [float(np.linalg.norm(d)) for d in seq]
+    # the orbit h_n = lam^(-n) h, n <= n_max, as the columns of one array
+    seq = h[:, None] * lam ** -np.arange(n_max + 1)
+    ob = ld.omega_bar
+    rec = math.sqrt(np.max(linalg.sq_norms(v @ seq[:, 1:] - seq[:, :-1])))
+    coupled = math.sqrt(np.max(linalg.sq_norms(ob @ ob[r_prime:].conj().T @ seq[:, 1:] - ob @ seq[:, :-1])))
+    norms = np.sqrt(linalg.sq_norms(seq)).tolist()
     monotone = all(b >= a - 1e-12 for a, b in zip(norms, norms[1:]))
     return CriterionReport(
         criterion_id="obstruction",

@@ -5,7 +5,8 @@ immutable by convention (no function mutates its inputs).  Every
 isometry question reads one measure, ``isometry_gap`` = ||M*M - I||,
 against its caller's own threshold.
 
-Two decisions about floating point noise are made in one place each:
+Two decisions about floating point noise are made in one place each,
+and every spectral norm is read one way:
 
 * the rank rule: ``rank_mask`` keeps a singular value (or an eigenvalue
   of a positive semidefinite matrix) iff it is at least
@@ -13,11 +14,20 @@ Two decisions about floating point noise are made in one place each:
   ``pinv`` cut there, and so does every numerical rank in the package;
 * the clamp: ``defect_batch`` zeroes the eigenvalues of I - M*M below
   ``DEFECT_FLOOR`` before the square root, for one matrix or a stack.
+  It hands back the eigensystem it read the root off, so a caller
+  learns ||M|| (``defect`` checks its contraction there) and the range
+  of the root without factoring M again;
+* the norm rule: no SVD is taken for a norm.  ``operator_norm`` is
+  sqrt(lambda_max) of the smaller Gram matrix, scaled by a power of two
+  first so that it neither overflows nor underflows, for one matrix or
+  a stack; a Hermitian matrix is normed by ``hermitian_norm``, its
+  largest |eigenvalue|, with no product at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,11 +60,45 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def operator_norm(m) -> float:
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+def operator_norm(m):
+    """The spectral norm ||M|| of a matrix, a float, or of each matrix of
+    a (..., rows, cols) stack, an array; 0 for an empty matrix.
+
+    It is sqrt(lambda_max) of the smaller Gram matrix, M*M or M M*.  A
+    matrix whose largest modulus lies outside [2^-301, 2^300] is first
+    scaled by 2^-e, the power of two that brings that modulus into
+    [1/2, 1), so its Gram entries neither overflow nor underflow to
+    zero; inside that range they cannot anyway (the largest diagonal
+    entry is at least 2^-602), and the matrix is used as it is, with no
+    copy.  A scaling by a power of two is exact.  lambda_max is accurate
+    to a few ulps of itself, so the norm agrees with the largest
+    singular value to about 1e-15 relative."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2:
+        raise LinalgError(f"expected a matrix or a stack, got ndim={a.ndim}")
+    if not np.isfinite(a).all():
+        raise LinalgError("matrix has non-finite entries")
+    rows, cols = a.shape[-2:]
+    if rows == 0 or cols == 0:
+        norms = np.zeros(a.shape[:-2])
+    else:
+        e = np.frexp(np.max(np.abs(a), axis=(-2, -1)))[1]
+        # the floor keeps 2^-e finite for subnormal entries
+        e = np.where(np.abs(e) > 300, np.maximum(e, -1021), 0)
+        b = a * np.ldexp(1.0, -e)[..., None, None] if e.any() else a
+        gram = adjoint_batch(b) @ b if cols <= rows else b @ adjoint_batch(b)
+        norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), e)
+    return float(norms) if a.ndim == 2 else norms
+
+
+def hermitian_norm(h):
+    """||H|| = max |eigenvalue| of a Hermitian matrix, a float, or of each
+    matrix of a stack, an array.  eigvalsh reads the lower triangle, so
+    a residual that is Hermitian up to rounding is normed within that
+    rounding; 0 for an empty matrix."""
+    w = np.linalg.eigvalsh(h)
+    norms = np.max(np.abs(w), axis=-1, initial=0.0)
+    return float(norms) if w.ndim == 1 else norms
 
 
 def spectral_radius(m) -> float:
@@ -67,11 +111,12 @@ def spectral_radius(m) -> float:
 
 
 def isometry_gap(m) -> float:
-    """||M*M - I||, how far M is from an isometry; 0 for no columns."""
+    """||M*M - I||, how far M is from an isometry, read by
+    ``hermitian_norm``; 0 for no columns."""
     a = as_matrix(m)
     if a.shape[1] == 0:
         return 0.0
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[1]), 2))
+    return hermitian_norm(a.conj().T @ a - np.eye(a.shape[1]))
 
 
 def sq_norms(values, axis=-2) -> np.ndarray:
@@ -100,10 +145,22 @@ def adjoint_batch(values: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(values, -1, -2))
 
 
-def defect_batch(values: np.ndarray) -> np.ndarray:
-    """Defects (I - M*M)^(1/2) of one matrix or of a stack of matrices.
+class Defect(NamedTuple):
+    """The defect (I - M*M)^(1/2) with the eigensystem it was read off."""
 
-    values has shape (..., rows, cols); the result has shape
+    root: np.ndarray  # (..., cols, cols)
+    # eigenvalues of I - M*M, ascending, before the clamp: the first is 1 - ||M||^2
+    eigenvalues: np.ndarray
+    # eigenvalues of the root, the clamped square roots of `eigenvalues`
+    roots: np.ndarray
+    vectors: np.ndarray  # eigenvectors, shared by I - M*M and the root
+
+
+def defect_batch(values: np.ndarray) -> Defect:
+    """Defects (I - M*M)^(1/2) of one matrix or of a stack of matrices,
+    with the eigensystem of I - M*M they were read off.
+
+    values has shape (..., rows, cols); the root has shape
     (..., cols, cols).  No contraction check: callers evaluating a
     contractive function on a grid may overshoot 1 by rounding, which
     the eigenvalue clamp at DEFECT_FLOOR absorbs.
@@ -113,8 +170,8 @@ def defect_batch(values: np.ndarray) -> np.ndarray:
     n = gram.shape[-1]
     gram = 0.5 * (gram + adjoint_batch(gram))
     w, v = np.linalg.eigh(np.eye(n) - gram)
-    w = np.sqrt(np.where(w < DEFECT_FLOOR, 0.0, w))
-    return (v * w[..., None, :]) @ adjoint_batch(v)
+    roots = np.sqrt(np.where(w < DEFECT_FLOOR, 0.0, w))
+    return Defect((v * roots[..., None, :]) @ adjoint_batch(v), w, roots, v)
 
 
 def power_ladder(m, count: int) -> list:
@@ -197,14 +254,17 @@ class SubspaceBasis:
 def defect(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
     """Defect operator (I - M*M)^(1/2) of a contraction M.
 
-    Raises NotAContraction when the largest singular value exceeds
-    1 + tol; inside the tolerance band, defect_batch's clamp zeroes the
-    eigenvalues of I - M*M that round below zero.
+    Raises NotAContraction when ||M|| exceeds 1 + tol, read off the
+    smallest eigenvalue 1 - ||M||^2 of I - M*M that the root is taken
+    from: ||M|| > 1 + tol iff it is below -tol (2 + tol).  Inside the
+    tolerance band, defect_batch's clamp zeroes the eigenvalues of
+    I - M*M that round below zero.
     """
-    a = as_matrix(m)
-    if operator_norm(a) > 1.0 + tol:
-        raise NotAContraction(f"norm {operator_norm(a):.6g} exceeds 1 + tol")
-    return defect_batch(a)
+    d = defect_batch(as_matrix(m))
+    least = float(np.min(d.eigenvalues, initial=1.0))
+    if least < -tol * (2.0 + tol):
+        raise NotAContraction(f"norm {np.sqrt(1.0 - least):.6g} exceeds 1 + tol")
+    return d.root
 
 
 def defect_adjoint(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
@@ -292,8 +352,9 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
 
 def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
     """The spectral radius of a contraction T, and an eigenpair
-    certifying that adjoint powers of T do not vanish, both read off one
-    eigendecomposition.
+    certifying that adjoint powers of T do not vanish.  The radius is
+    read off the eigenvalues; the eigenvectors are computed, with the
+    eigenvalues again, only when the radius is at least 1 - tol.
 
     The pair is (lam, h) with |lam| >= 1 - tol and h a unit eigenvector
     of T, or None when every eigenvalue lies strictly inside the disc.
@@ -306,6 +367,10 @@ def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):
         raise NotAContraction("input is not a contraction")
     if a.size == 0:
         return 0.0, None
+    # eigenvectors only when there may be a witness to read off them
+    radius = float(np.max(np.abs(np.linalg.eigvals(a))))
+    if radius < 1.0 - tol:
+        return radius, None
     lams, vecs = np.linalg.eig(a)
     radius = float(np.max(np.abs(lams)))
     # quantize moduli so conjugate pairs compare as ties and the argument decides

@@ -689,6 +689,24 @@ class TestObstructionSearch:
         assert rep.extras["recursion_residual"] <= 1e-10
         assert rep.extras["norms_nondecreasing"]
 
+    def test_orbit_matches_the_term_by_term_reference(self):
+        # a rotation coupling with no kernels: the witness is a unimodular
+        # eigenvalue off the real axis, so lam^(-n) is rounded at every n
+        phi = 0.7
+        rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]], dtype=complex)
+        none = linalg.SubspaceBasis.empty(2)
+        ld = clt.LiftingData(np.eye(2), linalg.SubspaceBasis.full(2), none, rot, none, none)
+        rep = criteria.obstruction_search(ld, np.zeros((0, 0)))
+        _, (lam, h) = linalg.find_non_c0dot_witness(rot.conj().T)
+        seq = [h * lam ** (-n) for n in range(criteria.POWER_TERMS + 1)]
+        rec = max(np.linalg.norm(rot.conj().T @ seq[n + 1] - seq[n]) for n in range(criteria.POWER_TERMS))
+        coupled = max(np.linalg.norm(rot @ rot.conj().T @ seq[n + 1] - rot @ seq[n])
+                      for n in range(criteria.POWER_TERMS))
+        assert complex(*rep.extras["lambda"]) == lam
+        assert rep.extras["recursion_residual"] == pytest.approx(rec, abs=1e-14)
+        assert rep.extras["coupled_recursion_residual"] == pytest.approx(coupled, abs=1e-14)
+        np.testing.assert_allclose([v for _, v in rep.taylor_trace], [np.linalg.norm(d) for d in seq], rtol=1e-14)
+
     def test_shift_scenario_is_clean(self, rng):
         p = shift_problem(rng, mult=1, degree=10)
         ld = clt.build_omega(p)

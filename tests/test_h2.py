@@ -291,6 +291,24 @@ class TestResolventGrid:
         z = h2.circle_nodes(0.5, 8)
         np.testing.assert_allclose(vals, 1.0 / (1.0 - 0.5 * z), atol=1e-14)
 
+    @pytest.mark.parametrize("degree, rho", [(0, 0.5), (3, 0.99), (40, 1.0)])
+    def test_one_by_one_division_matches_solve(self, rng, degree, rho):
+        a = contractive_matpoly(rng, 1, 1, degree, norm=0.95)
+        z = h2.circle_nodes(rho, 256)
+        systems = 1.0 - z[:, None, None] * h2.eval_circle_grid(a, rho, 256)
+        d = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+        oracle = np.linalg.solve(systems, np.broadcast_to(d, (256, 1, 3)))
+        for got, want in ((h2.resolvent_apply_grid(a, d, rho, 256), oracle),
+                          (h2.resolvent_apply_grid(a, d[:, 0], rho, 256), oracle[..., 0])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-15
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_singular_node_raises_as_solve_does(self, dim):
+        # A = I: 1 - z A(z) vanishes at the node z = 1 of the unit circle
+        with pytest.raises(np.linalg.LinAlgError):
+            h2.resolvent_apply_grid(MatPoly.constant(np.eye(dim)), np.ones(dim), 1.0, 8)
+
     def test_probe_block_equals_stacked_columns(self, rng):
         a = contractive_matpoly(rng, 3, 3, 2, norm=0.9)
         probes = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))

@@ -33,6 +33,25 @@ class TestDefect:
         with pytest.raises(la.NotAContraction):
             la.defect(np.array([[1.5]]))
 
+    @pytest.mark.parametrize("tol", [la.CLASSIFY_TOL, 1e-8])
+    @pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (6, 3), (2, 5)])
+    def test_raises_exactly_when_the_svd_norm_exceeds_one_plus_tol(self, shape, offset, tol):
+        rng = np.random.default_rng(61)
+        k = min(shape)
+        u, _ = np.linalg.qr(rng.standard_normal((shape[0], k)) + 1j * rng.standard_normal((shape[0], k)))
+        v, _ = np.linalg.qr(rng.standard_normal((shape[1], k)) + 1j * rng.standard_normal((shape[1], k)))
+        sigma = np.linspace(1.0 + tol + offset, 0.3, k)
+        m = (u * sigma) @ v.conj().T
+        expands = np.linalg.norm(m, 2) > 1.0 + tol
+        assert expands == (offset > 0)
+        if expands:
+            with pytest.raises(la.NotAContraction):
+                la.defect(m, tol)
+        else:
+            d = la.defect(m, tol)
+            assert d.shape == (shape[1], shape[1])
+
     def test_adjoint_convention(self):
         rng = np.random.default_rng(3)
         m = random_contraction(rng, 3, 2, norm=0.9)
@@ -56,7 +75,81 @@ def test_defect_identity_large_dim():
     assert np.linalg.norm(d @ d + m.conj().T @ m - np.eye(64), 2) <= 1e-12
 
 
+def _shaped(rng, kind):
+    """A complex matrix of the named shape class."""
+    g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return {
+        "tall": lambda: g(9, 4),
+        "wide": lambda: g(3, 8),
+        "square": lambda: g(6, 6),
+        "rank_deficient": lambda: g(7, 2) @ g(2, 5),
+        "one_by_one": lambda: g(1, 1),
+        "column": lambda: g(5, 1),
+        "row": lambda: g(1, 5),
+    }[kind]()
+
+
+SHAPE_CLASSES = ("tall", "wide", "square", "rank_deficient", "one_by_one", "column", "row")
+
+
+class TestOperatorNorm:
+    """The norm kernel against numpy's SVD norm."""
+
+    @pytest.mark.parametrize("kind", SHAPE_CLASSES)
+    def test_matches_the_svd_norm(self, kind):
+        m = _shaped(np.random.default_rng(41), kind)
+        assert la.operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("kind", SHAPE_CLASSES)
+    def test_a_stack_matches_the_svd_norm_of_each_matrix(self, kind):
+        rng = np.random.default_rng(43)
+        stack = np.stack([_shaped(rng, kind) for _ in range(5)])
+        got = la.operator_norm(stack)
+        assert got.shape == (5,)
+        np.testing.assert_allclose(got, np.linalg.norm(stack, 2, axis=(1, 2)), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 4), (0, 0), (3, 4, 0)])
+    def test_no_rows_or_no_columns_give_zero(self, shape):
+        got = la.operator_norm(np.zeros(shape))
+        assert np.array_equal(got, np.zeros(shape[:-2])) and np.ndim(got) == len(shape) - 2
+
+    def test_the_zero_matrix(self):
+        assert la.operator_norm(np.zeros((3, 2))) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "one_by_one"])
+    def test_scaling_keeps_extreme_matrices_finite(self, kind, scale):
+        m = scale * _shaped(np.random.default_rng(47), kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = m.conj().T @ m if m.shape[1] <= m.shape[0] else m @ m.conj().T
+        # unscaled, the Gram matrix underflows to zero or overflows to inf and nan
+        assert not np.any(gram) if scale < 1 else not np.isfinite(gram).any()
+        assert la.operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0)
+        stacked = la.operator_norm(np.stack([m, 2 * m]))
+        np.testing.assert_allclose(stacked, [np.linalg.norm(m, 2), np.linalg.norm(2 * m, 2)], rtol=1e-13, atol=0)
+
+    def test_rejects_non_finite_entries_and_vectors(self):
+        with pytest.raises(la.LinalgError):
+            la.operator_norm(np.array([[1.0, np.inf]]))
+        with pytest.raises(la.LinalgError):
+            la.operator_norm(np.ones(3))
+
+    def test_hermitian_norm_of_a_stack(self):
+        rng = np.random.default_rng(53)
+        m = np.stack([_shaped(rng, "square") for _ in range(4)])
+        h = m + la.adjoint_batch(m)
+        np.testing.assert_allclose(la.hermitian_norm(h), np.linalg.norm(h, 2, axis=(1, 2)), rtol=1e-13, atol=0)
+        assert la.hermitian_norm(np.zeros((0, 0))) == 0.0
+
+
 class TestIsometryGap:
+    @pytest.mark.parametrize("kind", SHAPE_CLASSES)
+    def test_matches_the_svd_norm(self, kind):
+        m = _shaped(np.random.default_rng(59), kind)
+        m = m / np.sqrt(np.linalg.norm(m, 2))
+        oracle = np.linalg.norm(m.conj().T @ m - np.eye(m.shape[1]), 2)
+        assert la.isometry_gap(m) == pytest.approx(oracle, rel=1e-13, abs=0)
+
     def test_identity(self):
         assert la.isometry_gap(np.eye(3)) == 0.0
 
@@ -230,6 +323,15 @@ class TestStability:
 
     def test_no_witness_for_strict_contraction(self):
         assert la.find_non_c0dot_witness(np.array([[0.5]])) == (0.5, None)
+
+    def test_eigenvectors_only_for_a_witness(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        m = random_contraction(np.random.default_rng(67), 5, 5, norm=0.9)
+        assert la.find_non_c0dot_witness(m)[1] is None and calls == []
+        assert la.find_non_c0dot_witness(random_unitary(np.random.default_rng(67), 5))[1] is not None
+        assert calls == [(5, 5)]
 
     def test_rotation_witness_matches_eig_oracle(self):
         phi = 0.7
