@@ -201,17 +201,21 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
     return 0 if matched else 1
 
 
-def window_isometry_deviation(problem: clt.CLTProblem, ld: clt.LiftingData, w: MatPoly) -> tuple[float, bool]:
+def window_isometry_deviation(
+    problem: clt.CLTProblem, ld: clt.LiftingData, w: MatPoly, comp: h2.Companion | None = None,
+) -> tuple[float, bool]:
     """sup over unit window vectors h of | ||Yh|| - 1 | for the
     untruncated lifting Y = [X; Gamma(.) D_X] of the symbol W = [B; A],
     and whether the Stein sum of its Hardy norms converged; Y itself is
     not built.
     ||Yh||^2 = ||Xh||^2 + ||B (I - zA)^(-1) c||^2 with c = Q* D_X h, so
     the window Gram matrix is X_k* X_k + C* S_inf C, C the window columns
-    of Q* D_X, and the value max(|sqrt(lam_max) - 1|, |1 - sqrt(lam_min)|)."""
+    of Q* D_X, and the value max(|sqrt(lam_max) - 1|, |1 - sqrt(lam_min)|).
+    `comp` is the companion of A, built here unless the caller shares one."""
     k = problem.window_dim
     b, a = w.block_rows(ld.basis_tprime.dim)
-    hardy, converged = criteria.hardy_gram(a, b, (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k])
+    cols = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
+    hardy, converged = criteria.hardy_gram(comp or criteria.companion(a), b, cols)
     x = problem.x[:, :k]
     low, top = np.sqrt(np.clip(np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]], 0.0, None))
     return float(max(abs(top - 1.0), abs(1.0 - low))), converged
@@ -221,13 +225,14 @@ def _scenario_ex3_2(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 4096)
     w = MatPoly.constant([[0.5], [0.5]])
     a, b = w.block_rows(1)
+    comp = criteria.companion(a, grid)
     d_vals = h2.resolvent_apply_grid(a, [1.0], 1.0, grid)
     integrand = (1.0 - 0.25) * linalg.sq_norms(d_vals[:, 0], axis=())
     poisson = float(np.mean(integrand))
-    hardy = float(criteria.hardy_gram(a, b, np.eye(1))[0][0, 0].real)
+    hardy = float(criteria.hardy_gram(comp, b, np.eye(1))[0][0, 0].real)
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
     rep_ri = criteria.radial_isometry_check(
-        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
     )
     values = {"poisson_integral": poisson, "hardy_norm_sq": hardy}
     checks = [
@@ -301,10 +306,12 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
 def _scenario_rk3_1(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 256)
     w0 = np.array([[1.0], [0.0]])
+    comp = criteria.companion(MatPoly.constant(w0[:1]), grid)
     rep_ri = criteria.radial_isometry_check(
         MatPoly.constant(w0), grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        comp=comp,
     )
-    rep_cs = criteria.constant_symbol_check(w0)
+    rep_cs = criteria.constant_symbol_check(w0, comp)
     problem = clt.build_problem(np.eye(1), np.eye(1), np.zeros((1, 1)))
     ld = clt.build_omega(problem)
     rep_ob = criteria.obstruction_search(ld, np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim)))
@@ -329,11 +336,13 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
     a0 = np.array([[0.5, 0.3], [0.0, -0.4]])
     w0 = np.vstack([a0, linalg.defect(a0)])
     w = MatPoly.constant(w0)
-    rep_cs = criteria.constant_symbol_check(w0)
+    a, b = w.block_rows(2)
+    comp = criteria.companion(a, grid)
+    rep_cs = criteria.constant_symbol_check(w0, comp)
     rep_ri = criteria.radial_isometry_check(
-        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
     )
-    hardy, _ = criteria.hardy_gram(*w.block_rows(2), np.eye(2))
+    hardy, _ = criteria.hardy_gram(comp, b, np.eye(2))
     worst = float(np.max(np.abs(np.diag(hardy).real - 1.0)))
     values = {"hardy_norm_deviation": worst, "spectral_radius": rep_cs.extras["spectral_radius"]}
     checks = [
@@ -355,20 +364,20 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         t_prime = raw * (0.8 / np.linalg.norm(raw, 2))
         problem = clt.shift_intertwining_problem(rng, mult, 24, t_prime, x_norm=0.9)
         ld = clt.build_omega(problem)
-        ld_exp = clt.build_omega_explicit(problem)
-        agree = linalg.operator_norm(clt.omega_full(ld) - clt.omega_full(ld_exp))
+        agree = linalg.operator_norm(clt.omega_full(ld) - clt.omega_full(ld, clt.explicit_coupling(problem)))
         k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
         raw_r = rng.standard_normal((ks, k)) + 1j * rng.standard_normal((ks, k))
         q, _ = np.linalg.qr(raw_r)
         r0 = MatPoly.constant(q[:, :k])
         w = clt.assemble_schur_W(ld, r0)
+        comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], grid)
         rep = criteria.lifting_isometry_check(
-            ld, r0, w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+            ld, r0, w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
         )
         rep.criterion_id = f"lifting_isometry_mult{mult}"
-        rep_ob = criteria.obstruction_search(ld, r0.coeffs[0])
+        rep_ob = criteria.obstruction_search(ld, r0.coeffs[0], comp)
         rep_ob.criterion_id = f"obstruction_mult{mult}"
-        dev, converged = window_isometry_deviation(problem, ld, w)
+        dev, converged = window_isometry_deviation(problem, ld, w, comp)
         # the 20 window vectors the sampled check drew: the mult-2 problem stays as it was
         rng.standard_normal(40 * problem.window_dim)
         reports += [rep, rep_ob]
@@ -417,15 +426,15 @@ def _cmd_lift(cfg: RunConfig) -> int:
     except clt.DefectSingular:
         ld = clt.build_omega(problem)
         route = "definitional"
-    lifting = clt.lift(problem, r, degree, ld=ld)
+    lifting = clt.lift(problem, r, degree, ld=ld, count=criteria.ladder_count(grid))
     residuals = lifting.residuals()
-    r_eff = lifting.free_parameter
+    r_eff, comp = lifting.free_parameter, lifting.companion
     rep = criteria.lifting_isometry_check(
-        ld, r_eff, lifting.w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        ld, r_eff, lifting.w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
     )
     reports = [rep]
     if r_eff.degree == 0 and linalg.isometry_gap(r_eff.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
-        reports.append(criteria.obstruction_search(ld, r_eff.coeffs[0]))
+        reports.append(criteria.obstruction_search(ld, r_eff.coeffs[0], comp))
     dims = clt.dims_report(ld, problem)
     values = {"coupling_route": route, "degree": degree, **residuals, **dims.to_dict()}
     checks = [

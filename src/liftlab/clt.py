@@ -15,9 +15,10 @@ of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
 inverts exactly what the kernels leave out.  ``lift`` reads the
 coefficients of Gamma, each r' x r in the defect coordinates, off the
-powers M, M^2, M^4, ... of the companion M of A (``h2.realize``): it
-doubles the stacked states of the coefficients with one product per
-power, and writes Y's rows Gamma_n D_X with one more.
+powers M, M^2, M^4, ... of the companion M of A (``h2.Companion``),
+the ladder the checks of the lifting then read too: it doubles the
+stacked states of the coefficients with one product per power, and
+writes Y's rows Gamma_n D_X with one more.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -302,10 +303,12 @@ def build_omega(p: CLTProblem) -> LiftingData:
     """Definitional construction of the coupling partial isometry.
 
     Solves D_X T h -> D_{T'} X h + D_X h on the window and extends by
-    zero on the orthogonal complement of the closure of D_X T H.  The
-    pseudo-inverse of g = D_X T (window columns, D_X coordinates) and
-    the kernel of g* share the rank_mask rank, so rank Omega + dim ker
-    Omega is the defect dimension r and Omega is a partial isometry.
+    zero on the orthogonal complement of the closure of D_X T H.  One
+    SVD of g* gives both the kernel of g* and the pseudo-inverse of g =
+    D_X T (window columns, D_X coordinates)
+    (``linalg.kernel_and_adjoint_pinv``), so they share the rank_mask
+    rank, rank Omega + dim ker Omega is the defect dimension r and Omega
+    is a partial isometry.
     """
     tm = p.t_matrix
     k = p.window_dim
@@ -317,14 +320,25 @@ def build_omega(p: CLTProblem) -> LiftingData:
             (qx.columns.conj().T @ d_x)[:, :k],
         ]
     )
-    omega = v @ linalg.pinv(g)
-    ker = linalg.kernel_basis(g.conj().T)
+    ker, g_pinv = linalg.kernel_and_adjoint_pinv(g.conj().T)
+    omega = v @ g_pinv
     ker_star = linalg.kernel_basis(v.conj().T)
     return LiftingData(d_x, qx, qp, omega, ker, ker_star)
 
 
 def build_omega_explicit(p: CLTProblem) -> LiftingData:
-    """Closed-form coupling for invertible D_X.
+    """Closed-form coupling for invertible D_X (``explicit_coupling``),
+    with the kernels of Omega and Omega* factored from it."""
+    omega = explicit_coupling(p)
+    ker = linalg.kernel_basis(omega)
+    ker_star = linalg.kernel_basis(omega.conj().T)
+    return LiftingData(p.d_x, p.basis_x, p.basis_tprime, omega, ker, ker_star)
+
+
+def explicit_coupling(p: CLTProblem) -> np.ndarray:
+    """The coupling Omega in defect coordinates, in closed form for
+    invertible D_X; its kernels are not factored, so a caller that
+    compares it with another construction pays for no SVD.
 
     Uses D_X T (T* D_X^2 T)^+ T* D_X and companions; the pseudo-inverse
     (rather than a plain inverse) also covers truncated shifts, whose
@@ -352,17 +366,17 @@ def build_omega_explicit(p: CLTProblem) -> LiftingData:
     prod = qx.columns.conj().T @ omsq @ qx.columns
     if linalg.operator_norm(prod - omega.conj().T @ omega) > 1e-8:
         raise CLTError("coupling gram formula disagrees with the assembled operator")
-    ker = linalg.kernel_basis(omega)
-    ker_star = linalg.kernel_basis(omega.conj().T)
-    return LiftingData(d_x, qx, qp, omega, ker, ker_star)
+    return omega
 
 
-def omega_full(ld: LiftingData) -> np.ndarray:
-    """The coupling as a map between the ambient spaces H -> H' + H."""
+def omega_full(ld: LiftingData, omega_bar: np.ndarray | None = None) -> np.ndarray:
+    """The coupling as a map between the ambient spaces H -> H' + H: ld's
+    own, or `omega_bar` in ld's defect coordinates."""
     qx, qp = ld.basis_x.columns, ld.basis_tprime.columns
+    omega_bar = ld.omega_bar if omega_bar is None else omega_bar
     r_prime = ld.basis_tprime.dim
-    top = qp @ ld.omega_bar[:r_prime]
-    bottom = qx @ ld.omega_bar[r_prime:]
+    top = qp @ omega_bar[:r_prime]
+    bottom = qx @ omega_bar[r_prime:]
     return np.vstack([top, bottom]) @ qx.conj().T
 
 
@@ -401,18 +415,29 @@ class Lifting:
     w: MatPoly
     y: np.ndarray
     minimal: MinimalLifting
+    companion: h2.Companion  # of W's block A; the checks of the lifting read it too
 
     def residuals(self) -> dict:
         """Lifting-contract residuals, all restricted to the window; each
         2-norm is ``linalg.operator_norm``'s, read off the smaller Gram
         matrix, k x k for the window blocks of the tall Y."""
         k = self.problem.window_dim
-        y, tm = self.y, self.problem.t_matrix
+        y = self.y
         return {
-            "intertwining": linalg.operator_norm(self.minimal.apply(y[:, :k]) - y @ tm[:, :k]),
+            "intertwining": linalg.operator_norm(self._intertwining_defect(k)),
             "projection": linalg.operator_norm(y[: self.minimal.h_dim] - self.problem.x),
             "window_norm": linalg.operator_norm(y[:, :k]),
         }
+
+    def _intertwining_defect(self, k: int) -> np.ndarray:
+        """U'Y - YT on the first k columns.  YT is subtracted
+        ``linalg.GRAM_ROWS`` rows at a time, so no second block the size
+        of Y is held beside the difference."""
+        y, tm, step = self.y, self.problem.t_matrix[:, :k], linalg.GRAM_ROWS
+        diff = self.minimal.apply(y[:, :k])
+        for i in range(0, len(y), step):
+            diff[i : i + step] -= y[i : i + step] @ tm
+        return diff
 
 
 def lift(
@@ -420,6 +445,7 @@ def lift(
     r: MatPoly | None,
     degree: int,
     ld: LiftingData | None = None,
+    count: int = 0,
 ) -> Lifting:
     """Build the contractive intertwining lifting for a free parameter.
 
@@ -431,6 +457,12 @@ def lift(
     is.  The ladder stops at a zero power, past which every X_n is zero.
     Gamma_n^T is the first r rows of X_n, and the series rows of Y are
     the stacked Gamma_n times Q* D_X, one product.
+
+    The ladder is that of ``h2.Companion(A, max(degree, count))``, and Y
+    reads its prefix 2^j <= degree.  A caller that checks the lifting
+    next passes the count its checks need
+    (``criteria.ladder_count(grid)``) and hands them
+    ``Lifting.companion``, so A is squared once per command.
     """
     if ld is None:
         ld = build_omega(p)
@@ -439,11 +471,11 @@ def lift(
     w = assemble_schur_W(ld, r)
     r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
     b, a = w.block_rows(r_prime)
-    m = h2.realize(a)
-    # column block n holds X_n = (M^n)^T L^T, shape len(m) x r'
-    states = np.zeros((len(m), (degree + 1) * r_prime), dtype=complex)
+    comp = h2.Companion(a, max(degree, count))
+    # column block n holds X_n = (M^n)^T L^T, shape len(M) x r'
+    states = np.zeros((len(comp.m), (degree + 1) * r_prime), dtype=complex)
     states[:, :r_prime] = h2.state_rows(b, a.degree + 1).T
-    for j, power in enumerate(linalg.power_ladder(m, degree)):
+    for j, power in enumerate(comp.prefix(degree)):
         done = 1 << j
         more = min(done, degree + 1 - done)
         states[:, done * r_prime : (done + more) * r_prime] = power.T @ states[:, : more * r_prime]
@@ -452,7 +484,7 @@ def lift(
     coords = ld.basis_x.columns.conj().T @ ld.d_x
     np.matmul(states[: a.in_dim].T, coords, out=y[h_dim:])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, d_tp=p.d_tprime)
-    return Lifting(p, ld, r, w, y, ml)
+    return Lifting(p, ld, r, w, y, ml, comp)
 
 
 @dataclass(frozen=True)

@@ -44,14 +44,20 @@ S = sum_(k<G) (b^k)* N b^k, b = rho M, the Stein sum that
 node is solved, and the rung is the largest eigenvalue of V* S V.  As
 b^(2^j) = rho^(2^j) M^(2^j), one ladder of powers of M
 (``linalg.power_ladder``) serves every rung, and the rungs are summed
-at once.  With E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A
-and R K*, N is E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect, weighted
-and defect-of-A ladders, and E* K K* E - L_RK* L_RK for the lifting
-parameter defect (K the kernel basis of the coupling, R the free
-parameter).  The lifting's defect chain holds for every state, so it is
-checked as the identities L_W* L_W = E* Omega* Omega E + L_RK* L_RK,
-which holds exactly when (K_*)* Omega = 0 (K_* the kernel basis of
-Omega*), and I = Omega*Omega + K K*.
+at once.  One companion serves every check of a symbol, not only
+every rung: ``companion`` builds the symbol's ``h2.Companion``, its
+ladder squared once through the Taylor trace's cap and the grid, and a
+command hands that one object to every check of the symbol (the
+radial, constant-symbol and lifting checks and the obstruction
+search), to ``hardy_gram`` and to ``clt.lift``.  With E = [I 0 ... 0]
+and L_W, L_A and L_RK the rows of W, A and R K*, N is E*E - L_W* L_W,
+E*E and E*E - L_A* L_A for the radial defect, weighted and defect-of-A
+ladders, and E* K K* E - L_RK* L_RK for the lifting parameter defect
+(K the kernel basis of the coupling, R the free parameter).  The
+lifting's defect chain holds for every state, so it is checked as the
+identities L_W* L_W = E* Omega* Omega E + L_RK* L_RK, which holds
+exactly when (K_*)* Omega = 0 (K_* the kernel basis of Omega*), and
+I = Omega*Omega + K K*.
 
 M_rho is well conditioned.  ``clt.assemble_schur_W`` holds ||W|| <= 1 +
 clt.TOL on the circle, so A is a contraction and Re(I - zA) >= 0 on
@@ -196,53 +202,60 @@ def largest_eigenvalue(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
 
 
-def companion_powers(a: MatPoly, count: int = 1) -> list:
-    """The ladder M, M^2, M^4, ... of ``linalg.power_ladder`` for the
-    companion M of A, through the Taylor trace's 2^TAYLOR_SQUARINGS and
-    through `count`, a grid, when that is larger."""
-    return linalg.power_ladder(h2.realize(a), max(count, 1 << TAYLOR_SQUARINGS))
+def ladder_count(grid: int = 1) -> int:
+    """The count a symbol's ladder is built through: the Taylor trace's
+    2^TAYLOR_SQUARINGS, or `grid` when that is larger."""
+    return max(grid, 1 << TAYLOR_SQUARINGS)
 
 
-def parseval_means(powers: list, dim: int, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
+def companion(a: MatPoly, grid: int = 1) -> h2.Companion:
+    """The companion of A with its ladder M, M^2, M^4, ... through
+    ``ladder_count(grid)``: enough for the Taylor trace, ``hardy_gram``
+    and the rungs of a check on `grid` nodes or fewer."""
+    return h2.Companion(a, ladder_count(grid))
+
+
+def parseval_means(comp: h2.Companion, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
     """The Gram matrices V* S V, V = M_rho^(-1) E* and E* = [I; 0] with
-    dim columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
+    dim A columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
     (I - zM)^(-1) E* d, for each rung and weight N = L*L of an
-    (s, size, size) stack: shape (rungs, s, dim, dim).  powers is the
-    ladder M^(2^j) of ``linalg.power_ladder`` through at least `grid`,
-    and every rung is summed on it at once."""
+    (s, size, size) stack: shape (rungs, s, dim, dim).  Every rung is
+    summed at once on the companion's ladder, which must reach `grid`."""
     radii = [h2.check_radius(rho) for rho in ladder]
-    s, top = linalg.stein_sum(powers[: grid.bit_length()], weights, grid, radii)
-    size = len(powers[0])
-    v = np.linalg.solve(np.eye(size) - top, np.eye(size, dim))
+    s, top = linalg.stein_sum(comp.prefix(grid), weights, grid, radii)
+    size = len(comp.m)
+    v = np.linalg.solve(np.eye(size) - top, np.eye(size, comp.a.in_dim))
     return linalg.adjoint_batch(v) @ s @ v
 
 
-def hardy_gram(a: MatPoly, b: MatPoly, cols: np.ndarray) -> tuple[np.ndarray, bool]:
+def hardy_gram(comp: h2.Companion, b: MatPoly, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     """C* E S_inf E* C, the Gram matrix of c -> ||B(z) (I - z A(z))^(-1) C
-    c||^2 in H^2, and whether the Stein sum converged.  With M the
-    companion of A and L = ``h2.state_rows(B)``, coefficient n of B (I -
-    zA)^(-1) C c is L M^n E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum
-    is doubled TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms,
-    or until a power of M is exactly zero.  When ||M^G||_F^2 <= eps the
-    tail (M^G)* S_inf M^G is below the rounding of S_inf and S_G is the
-    limit; otherwise it is a partial sum that decides nothing."""
+    c||^2 in H^2, and whether the Stein sum converged; A is the symbol of
+    the companion `comp`.  With M the companion of A and L =
+    ``h2.state_rows(B)``, coefficient n of B (I - zA)^(-1) C c is L M^n
+    E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum is doubled
+    TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms, or until a
+    power of M is exactly zero.  When ||M^G||_F^2 <= eps the tail (M^G)*
+    S_inf M^G is below the rounding of S_inf and S_G is the limit;
+    otherwise it is a partial sum that decides nothing."""
+    a, count = comp.a, 1 << TAYLOR_SQUARINGS
     rows = h2.state_rows(b, a.degree + 1)
-    s, power = linalg.stein_sum(companion_powers(a), rows.conj().T @ rows, 1 << TAYLOR_SQUARINGS)
+    s, power = linalg.stein_sum(comp.prefix(count), rows.conj().T @ rows, count)
     converged = bool(np.vdot(power, power).real <= np.finfo(float).eps)
     return cols.conj().T @ s[: a.in_dim, : a.in_dim] @ cols, converged
 
 
-def taylor_trace(powers: list, dim: int, tol: float) -> list:
-    """(n, ||M^n E*||_F) for E* = [I; 0] with dim columns at n = 0, 1, 2,
-    4, ..., read off the ladder powers[k] = M^(2^k) of ``companion_powers``
-    until the verdict at `tol` is a pass or through n =
-    2^TAYLOR_SQUARINGS; past a ladder that stopped at a zero power, the
-    entries are zero."""
-    trace = [(0, math.sqrt(dim))]
+def taylor_trace(comp: h2.Companion, tol: float) -> list:
+    """(n, ||M^n E*||_F) for E* = [I; 0] with dim A columns at n = 0, 1,
+    2, 4, ..., read off the companion's ``column_norms`` until the
+    verdict at `tol` is a pass or through n = 2^TAYLOR_SQUARINGS; past a
+    ladder that stopped at a zero power, the entries are zero."""
+    norms = comp.column_norms[: len(comp.prefix(1 << TAYLOR_SQUARINGS))]
+    trace = [(0, math.sqrt(comp.a.in_dim))]
     for k in range(TAYLOR_SQUARINGS + 1):
         if taylor_verdict(trace, tol) == "pass":
             break
-        trace.append((1 << k, float(np.linalg.norm(powers[min(k, len(powers) - 1)][:, :dim]))))
+        trace.append((1 << k, norms[min(k, len(norms) - 1)]))
     return trace
 
 
@@ -275,6 +288,7 @@ def radial_isometry_check(
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
+    comp: h2.Companion | None = None,
 ) -> CriterionReport:
     """Full radial test of whether the Schur-class symbol generates an
     isometric coefficient map.
@@ -287,18 +301,19 @@ def radial_isometry_check(
     ||W d||^2, ||d||^2 and ||d||^2 - ||A d||^2, read by
     ``parseval_means`` off the companion state of A: the first two as
     their largest value over unit d, the third as its largest deviation
-    from ||d||^2.
+    from ||d||^2.  `comp` is the companion of W's top block A, built
+    here unless the caller shares one (``companion``).
     """
     a = _top_block(w)
-    powers = companion_powers(a, grid)
-    e, lw = np.eye(a.in_dim, len(powers[0])), h2.state_rows(w, a.degree + 1)
+    comp = comp or companion(a, grid)
+    e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, a.degree + 1)
     gram, la = e.conj().T @ e, lw[: a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-    means = parseval_means(powers, a.in_dim, weights, ladder, grid)
+    means = parseval_means(comp, weights, ladder, grid)
     defect_ladder = [largest_eigenvalue(g[0]) for g in means]
     weighted_ladder = [(1.0 - rho) * largest_eigenvalue(g[1]) for rho, g in zip(ladder, means)]
     a_defect_dev = linalg.hermitian_norm(means[:, 2] - np.eye(a.in_dim)).tolist()
-    trace = taylor_trace(powers, a.in_dim, tol_taylor)
+    trace = taylor_trace(comp, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     verdict = combine_verdicts(v_ladder, v_taylor)
@@ -321,10 +336,11 @@ def radial_isometry_check(
     )
 
 
-def constant_symbol_check(w0) -> CriterionReport:
+def constant_symbol_check(w0, comp: h2.Companion | None = None) -> CriterionReport:
     """Constant-symbol special case: pass iff the block column is an
     isometry and its square top block has spectral radius below one,
-    both within CLASSIFY_TOL."""
+    both within CLASSIFY_TOL.  `comp` is the companion of the top block,
+    built here unless the caller shares one."""
     tol = linalg.CLASSIFY_TOL
     m = linalg.as_matrix(w0)
     a0 = m[: m.shape[1], :]
@@ -339,7 +355,7 @@ def constant_symbol_check(w0) -> CriterionReport:
     return CriterionReport(
         criterion_id="constant_symbol",
         verdict="pass" if iso and stable else "fail",
-        taylor_trace=taylor_trace(companion_powers(MatPoly.constant(a0)), a0.shape[1], TOL_TAYLOR),
+        taylor_trace=taylor_trace(comp or companion(MatPoly.constant(a0)), TOL_TAYLOR),
         tolerances={"tol": tol},
         notes="; ".join(parts),
         extras={"spectral_radius": rho_a, "isometry": iso},
@@ -412,6 +428,7 @@ def lifting_isometry_check(
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
+    comp: h2.Companion | None = None,
 ) -> CriterionReport:
     """Isometry test for the lifting generated by the free parameter r,
     from the coupling data and the Schur symbol W that
@@ -424,19 +441,21 @@ def lifting_isometry_check(
     identity ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2
     = ||K* d||^2 - ||R K* d||^2 is checked as two matrix identities on
     the state, and the larger residual is reported as
-    `defect_chain_residual`.
+    `defect_chain_residual`.  `comp` is the companion of W's block A,
+    built here unless the caller shares one (``companion``,
+    ``clt.Lifting.companion``).
     """
     _, a = w.block_rows(ld.basis_tprime.dim)
-    powers = companion_powers(a, grid)
+    comp = comp or companion(a, grid)
     terms, kker = a.degree + 1, ld.ker_omega.columns
-    e, lw = np.eye(a.in_dim, len(powers[0])), h2.state_rows(w, terms)
+    e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, terms)
     lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
-    means = parseval_means(powers, a.in_dim, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
+    means = parseval_means(comp, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
     defect_ladder = [largest_eigenvalue(g) for g in means]
     chain_residual = max(linalg.hermitian_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
                          linalg.hermitian_norm(np.eye(len(gram)) - gram - kk))
-    trace = taylor_trace(powers, a.in_dim, tol_taylor)
+    trace = taylor_trace(comp, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
     v_taylor = taylor_verdict(trace, tol_taylor)
     notes = f"parameter defect ladder: {v_ladder}; taylor decay: {v_taylor}"
@@ -453,7 +472,7 @@ def lifting_isometry_check(
     )
 
 
-def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
+def obstruction_search(ld: LiftingData, r0, comp: h2.Companion | None = None) -> CriterionReport:
     """Search for a bounded backward orbit obstructing isometric lifting.
 
     For a constant isometric parameter, the adjoint of the assembled
@@ -462,7 +481,9 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
     isometric lifting, so a found witness is a fail verdict and an
     empty search is a pass.  Eigenvalues count as unimodular within
     CLASSIFY_TOL.  A witness's orbit is traced for POWER_TERMS steps; an
-    empty search records the dyadic Taylor trace of the top block.
+    empty search records the dyadic Taylor trace of the top block, read
+    off `comp` when the caller shares the companion of the symbol it
+    assembled from r0 (its A is that block).
     """
     tol, n_max = linalg.CLASSIFY_TOL, POWER_TERMS
     r0 = linalg.as_matrix(r0)
@@ -475,11 +496,10 @@ def obstruction_search(ld: LiftingData, r0) -> CriterionReport:
     v = w0[r_prime:].conj().T
     radius, witness = linalg.find_non_c0dot_witness(v, tol)
     if witness is None:
-        a = MatPoly.constant(w0[r_prime:])
         return CriterionReport(
             criterion_id="obstruction",
             verdict="pass",
-            taylor_trace=taylor_trace(companion_powers(a), a.in_dim, TOL_TAYLOR),
+            taylor_trace=taylor_trace(comp or companion(MatPoly.constant(w0[r_prime:])), TOL_TAYLOR),
             tolerances={"tol": tol, "n_max": n_max},
             notes="no unimodular eigenvalue: every bounded backward orbit is trivial",
             extras={"spectral_radius": radius},

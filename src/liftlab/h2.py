@@ -12,9 +12,10 @@ Series layer.  ``realize`` turns A(z) = sum_(j<=p) A_j z^j into its
 companion M, of size dim (p + 1), and coefficient n of Q(z) (I - z
 A(z))^(-1) d is ``state_rows(Q)`` M^n E* d, E* = [I; 0].  So every
 series the lifting and the isometry criteria need is read off the
-powers M, M^2, M^4, ... of ``linalg.power_ladder``: the criteria
-Stein-sum them, and ``clt.lift`` doubles the stacked states of Y's
-coefficients, one product per power.  The convolution recursion is
+powers M, M^2, M^4, ... of ``linalg.power_ladder``, squared once per
+symbol and held by its ``Companion``: the criteria Stein-sum them, and
+``clt.lift`` doubles the stacked states of Y's coefficients, one
+product per power.  The convolution recursion is
 written once, in ``resolvent_terms``, which returns the first `count`
 coefficients of (I - z A(z))^(-1) C(z), stacked; only
 ``_neumann_coeffs`` runs it, with C = I.
@@ -58,6 +59,7 @@ at dim 1, 207 against 2.2 ms at dim 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -190,6 +192,34 @@ def realize(a: MatPoly) -> np.ndarray:
     m = np.eye(dim * terms, k=-dim, dtype=complex)
     m[:dim] = state_rows(a, terms)
     return m
+
+
+class Companion:
+    """A symbol A(z) with its companion M = ``realize(A)`` and the ladder
+    M, M^2, M^4, ..., M^(2^j), 2^j <= count, of ``linalg.power_ladder``,
+    which stops at the first power that is exactly zero.  A command
+    builds one per symbol and hands it to everything that reads the
+    powers of M: the isometry checks and the obstruction search read
+    their rungs and Taylor traces off it, the Hardy limit its Stein sum
+    and a lifting its rows.  It lives as long as the command holds it."""
+
+    def __init__(self, a: MatPoly, count: int):
+        self.a, self.count = a, count
+        self.m = realize(a)
+        self.powers = linalg.power_ladder(self.m, count)
+
+    def prefix(self, count: int) -> list:
+        """The powers M^(2^j) with 2^j <= count: the ladder
+        ``linalg.power_ladder(M, count)`` would build, with its bits."""
+        if count > self.count:
+            raise H2Error(f"the ladder reaches {self.count}, not {count}")
+        return self.powers[: max(count, 0).bit_length()]
+
+    @cached_property
+    def column_norms(self) -> list:
+        """||M^(2^j) E*||_F for each power of the ladder, E* = [I; 0]: the
+        values of the Taylor trace, read once."""
+        return [float(np.linalg.norm(p[:, : self.a.in_dim])) for p in self.powers]
 
 
 def vstack_polys(top: MatPoly, bottom: MatPoly) -> MatPoly:

@@ -21,7 +21,13 @@ and every spectral norm is read one way:
   sqrt(lambda_max) of the smaller Gram matrix, scaled by a power of two
   first so that it neither overflows nor underflows, for one matrix or
   a stack; a Hermitian matrix is normed by ``hermitian_norm``, its
-  largest |eigenvalue|, with no product at all.
+  largest |eigenvalue|, with no product at all;
+* the basis check: ``SubspaceBasis(columns)`` checks that columns given
+  from outside this module are orthonormal, isometry_gap within
+  RANK_TOL.  ``kernel_basis``, ``range_basis``, ``orth_complement``,
+  ``subspace_intersection``, ``SubspaceBasis.full`` and ``empty`` take
+  their columns from an SVD, a QR or the identity, orthonormal by
+  construction, and do not check them again.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ RANK_TOL = 1e-7
 # eigenvalues of I - M*M below this are zeroed: sqrt would amplify 1e-16
 # noise to 1e-8, and the defect of an exact isometry would not vanish
 DEFECT_FLOOR = 1e-13
+# rows of a tall matrix per product when its Gram matrix is summed
+GRAM_ROWS = 256
 
 
 class LinalgError(ValueError):
@@ -72,7 +80,10 @@ def operator_norm(m):
     entry is at least 2^-602), and the matrix is used as it is, with no
     copy.  A scaling by a power of two is exact.  lambda_max is accurate
     to a few ulps of itself, so the norm agrees with the largest
-    singular value to about 1e-15 relative."""
+    singular value to about 1e-15 relative.  A tall matrix's Gram matrix
+    is summed GRAM_ROWS rows at a time, so no conjugate copy of the whole
+    matrix is held: the window blocks of a lifting are thousands of rows
+    tall."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
         raise LinalgError(f"expected a matrix or a stack, got ndim={a.ndim}")
@@ -86,7 +97,11 @@ def operator_norm(m):
         # the floor keeps 2^-e finite for subnormal entries
         e = np.where(np.abs(e) > 300, np.maximum(e, -1021), 0)
         b = a * np.ldexp(1.0, -e)[..., None, None] if e.any() else a
-        gram = adjoint_batch(b) @ b if cols <= rows else b @ adjoint_batch(b)
+        if cols > rows:
+            gram = b @ adjoint_batch(b)
+        else:
+            blocks = (b[..., i : i + GRAM_ROWS, :] for i in range(0, rows, GRAM_ROWS))
+            gram = sum(adjoint_batch(block) @ block for block in blocks)
         norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), e)
     return float(norms) if a.ndim == 2 else norms
 
@@ -206,22 +221,35 @@ def stein_sum(powers: list, weights, count: int, radii=None) -> tuple[np.ndarray
     if radii is not None:
         scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
         piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
-    total, power, done = np.zeros_like(piece), np.eye(piece.shape[-1], dtype=complex), 0
+    total, power, done = None, None, 0
     for j, step in enumerate(powers):
         if (count >> j) & 1:
-            total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
-            power, done = power @ step, done + (1 << j)
+            total, power = _stein_add(total, power, piece, step, scale ** (2 * done))
+            done += 1 << j
         if count >> (j + 1):
             piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
     if count >> len(powers):
-        total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
-        power = power @ powers[-1]
+        total, power = _stein_add(total, power, piece, powers[-1], scale ** (2 * done))
+    if power is None:
+        return np.zeros_like(piece), scale ** count * np.eye(piece.shape[-1], dtype=complex)
     return total, scale ** count * power
+
+
+def _stein_add(total, power, piece, step, weight):
+    """One selected digit of ``stein_sum``: total + weight (b^a)* piece
+    b^a and b^a M^(2^j).  The first digit starts the sum at the piece
+    and the power at the step, with no product by the identity."""
+    if power is None:
+        return piece, step
+    return total + weight * (power.conj().T @ piece @ power), power @ step
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of C^ambient_dim."""
+    """Orthonormal columns spanning a subspace of C^ambient_dim.  Columns
+    given from outside this module are checked, isometry_gap within
+    RANK_TOL; this module's constructors build theirs orthonormal and go
+    through ``_built``, which does not check them again."""
 
     columns: np.ndarray
 
@@ -230,6 +258,14 @@ class SubspaceBasis:
         object.__setattr__(self, "columns", cols)
         if isometry_gap(cols) > RANK_TOL:
             raise LinalgError("columns are not orthonormal within RANK_TOL")
+
+    @classmethod
+    def _built(cls, columns: np.ndarray) -> "SubspaceBasis":
+        """A basis whose complex columns an SVD, a QR or the identity
+        made orthonormal, taken as it is."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "columns", columns)
+        return basis
 
     @property
     def ambient_dim(self) -> int:
@@ -244,11 +280,11 @@ class SubspaceBasis:
 
     @staticmethod
     def full(n: int) -> "SubspaceBasis":
-        return SubspaceBasis(np.eye(n, dtype=complex))
+        return SubspaceBasis._built(np.eye(n, dtype=complex))
 
     @staticmethod
     def empty(n: int) -> "SubspaceBasis":
-        return SubspaceBasis(np.zeros((n, 0), dtype=complex))
+        return SubspaceBasis._built(np.zeros((n, 0), dtype=complex))
 
 
 def defect(m, tol: float = CLASSIFY_TOL) -> np.ndarray:
@@ -288,14 +324,33 @@ def rank_mask(values) -> np.ndarray:
 def kernel_basis(m) -> SubspaceBasis:
     """Orthonormal basis of the numerical kernel: the right singular
     vectors whose singular values rank_mask drops."""
+    return _kernel_svd(as_matrix(m))[0]
+
+
+def kernel_and_adjoint_pinv(m) -> tuple[SubspaceBasis, np.ndarray]:
+    """``kernel_basis(M)`` and the pseudo-inverse of M*, read off one SVD
+    M = U S V*: the kernel is spanned by the columns of V past the
+    rank_mask rank, and (M*)^+ = U S^+ V* inverts the singular values
+    rank_mask keeps, as ``pinv`` does.  The kernel has the bits
+    ``kernel_basis`` gives; the pseudo-inverse agrees with ``pinv(M*)``
+    to rounding, not bit for bit, since ``pinv`` runs numpy's arithmetic
+    on an SVD of conj(M*)."""
     a = as_matrix(m)
-    if a.shape[1] == 0:
-        return SubspaceBasis.empty(0)
-    if a.shape[0] == 0:
-        return SubspaceBasis.full(a.shape[1])
-    _, s, vh = np.linalg.svd(a)
+    basis, svd = _kernel_svd(a)
+    if svd is None:
+        return basis, np.zeros(a.shape, dtype=complex)
+    u, s, vh, rank = svd
+    return basis, (u[:, :rank] / s[:rank]) @ vh[:rank]
+
+
+def _kernel_svd(a: np.ndarray):
+    """The kernel basis of a matrix and the SVD (u, s, vh, rank) it was
+    read off; no SVD for an empty matrix, whose kernel is every column."""
+    if a.size == 0:
+        return SubspaceBasis.full(a.shape[1]), None
+    u, s, vh = np.linalg.svd(a)
     rank = int(np.sum(rank_mask(s)))
-    return SubspaceBasis(vh[rank:].conj().T)
+    return SubspaceBasis._built(vh[rank:].conj().T), (u, s, vh, rank)
 
 
 def range_basis(m) -> SubspaceBasis:
@@ -305,7 +360,7 @@ def range_basis(m) -> SubspaceBasis:
         return SubspaceBasis.empty(a.shape[0])
     u, s, _ = np.linalg.svd(a)
     rank = int(np.sum(rank_mask(s)))
-    return SubspaceBasis(u[:, :rank])
+    return SubspaceBasis._built(u[:, :rank])
 
 
 def pinv(m) -> np.ndarray:
@@ -347,7 +402,7 @@ def subspace_intersection(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
     raw = u.columns @ uu[:, :keep]
     # re-orthonormalize; cosines slightly below 1 leave the columns a hair off
     q, _ = np.linalg.qr(raw)
-    return SubspaceBasis(q[:, :keep])
+    return SubspaceBasis._built(q[:, :keep])
 
 
 def find_non_c0dot_witness(t, tol: float = CLASSIFY_TOL):

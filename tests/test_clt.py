@@ -1,9 +1,11 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liftlab import clt, h2, linalg
+from liftlab import clt, h2, linalg, serialize
 from liftlab.h2 import MatPoly
 
 from conftest import contractive_matpoly, per_term_series, random_contraction, random_isometry, random_unitary
@@ -203,6 +205,54 @@ class TestBuildOmega:
         r0 = np.eye(ld.ker_omega_star.dim, ld.ker_omega.dim)
         w0 = clt.assemble_schur_W(ld, MatPoly.constant(r0)).coeffs[0]
         assert np.linalg.norm(w0.conj().T @ w0 - np.eye(ld.defect_dim), 2) <= 1e-12
+
+
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+def coupling_g(p) -> np.ndarray:
+    """g = Q_X* D_X T on the window, the matrix build_omega factors."""
+    return (p.basis_x.columns.conj().T @ p.d_x @ p.t_matrix)[:, : p.window_dim]
+
+
+def golden_problem(name):
+    return serialize.decode_problem(json.loads((GOLDEN_INPUTS / name).read_text(encoding="utf-8")))
+
+
+class TestSharedSVD:
+    """build_omega reads pinv(g) off the SVD of g* that gives ker g*:
+    against numpy's pseudo-inverse arithmetic (``linalg.pinv``) within
+    1e-13 relative and at the same rank, with the kernel's bits."""
+
+    @staticmethod
+    def check(g):
+        ker, g_pinv = linalg.kernel_and_adjoint_pinv(g.conj().T)
+        want = linalg.pinv(g)
+        assert g_pinv.shape == want.shape
+        assert np.linalg.norm(g_pinv - want, 2) <= 1e-13 * max(np.linalg.norm(want, 2), 1e-300)
+        rank = g.shape[0] - ker.dim
+        assert linalg.range_basis(g_pinv).dim == linalg.range_basis(want).dim == rank
+        assert np.array_equal(ker.columns, linalg.kernel_basis(g.conj().T).columns)
+        return ker
+
+    @pytest.mark.parametrize("name", ["lift.json", "lift_schur.json", "dims.json"])
+    def test_golden_inputs(self, name):
+        p = golden_problem(name)
+        ker = self.check(coupling_g(p))
+        assert np.array_equal(clt.build_omega(p).ker_omega.columns, ker.columns)
+
+    @pytest.mark.parametrize("rank, scale", [(0, 1.0), (1, 1.0), (3, 1e-3), (3, 1e3), (5, 1.0)])
+    def test_random_rank_deficient(self, rng, rank, scale):
+        for rows, cols in ((7, 5), (5, 7), (6, 6)):
+            g = scale * (rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))) @ (
+                rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols)))
+            assert self.check(g).dim == rows - min(rank, rows, cols)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)])
+    def test_empty(self, shape):
+        # no SVD: g* has no rows or no columns, so its kernel is all of C^rows
+        ker, g_pinv = linalg.kernel_and_adjoint_pinv(np.zeros(shape).T)
+        assert g_pinv.shape == shape[::-1] and ker.dim == shape[0]
 
 
 class TestBuildOmegaExplicit:

@@ -112,7 +112,7 @@ class TestTaylorTrace:
     def test_matches_the_neumann_oracle(self, rng, dim, deg):
         # every symbol squares its companion: n = 0, 1, 2, 4, ... until the trace passes
         a = contractive_matpoly(rng, dim, dim, deg, norm=0.95)
-        trace = criteria.taylor_trace(criteria.companion_powers(a), dim, criteria.TOL_TAYLOR)
+        trace = criteria.taylor_trace(criteria.companion(a), criteria.TOL_TAYLOR)
         indices = [k for k, _ in trace]
         assert indices == [0] + [1 << k for k in range(len(trace) - 1)]
         assert criteria.taylor_verdict(trace, criteria.TOL_TAYLOR) == "pass"
@@ -176,8 +176,8 @@ class TestTaylorTrace:
         a = {"decaying": contractive_matpoly(rng, 3, 3, 2, norm=0.95),
              "nilpotent": MatPoly.constant(np.tril(rng.standard_normal((3, 3)), -1)),
              "unitary": MatPoly.constant(random_unitary(rng, 3))}[kind]
-        powers = criteria.companion_powers(a)
-        trace = criteria.taylor_trace(powers, 3, criteria.TOL_TAYLOR)
+        comp = criteria.companion(a)
+        powers, trace = comp.powers, criteria.taylor_trace(comp, criteria.TOL_TAYLOR)
         power, want = h2.realize(a), [(0, np.sqrt(3))]
         for k in range(len(trace) - 1):
             power = power @ power if k else power
@@ -224,12 +224,11 @@ class TestParsevalMeans:
         w = contractive_matpoly(rng, dim + rows, dim, degree, norm=norm)
         a, _ = w.block_rows(dim)
         grid = max(grid, 2 * degree + 1)
-        m = h2.realize(a)
         e = h2.state_rows(MatPoly.constant(np.eye(dim)), degree + 1)
         lw = h2.state_rows(w, degree + 1)
         gram, la = e.conj().T @ e, lw[:dim]
         weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-        got = criteria.parseval_means(linalg.power_ladder(m, grid), dim, weights, [rho], grid)[0]
+        got = criteria.parseval_means(h2.Companion(a, grid), weights, [rho], grid)[0]
         assert got.shape == (3, dim, dim)
         got, want = (np.linalg.eigvalsh(g)[:, -1] for g in (got, node_grams(w, rho, grid)))
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15))
@@ -242,13 +241,47 @@ class TestParsevalMeans:
         l = rng.standard_normal((2, len(m), len(m))) + 1j * rng.standard_normal((2, len(m), len(m)))
         weights = l.conj().transpose(0, 2, 1) @ l
         ladder = (0.5, 0.9, 0.99, 0.999)
-        got = criteria.parseval_means(criteria.companion_powers(a, grid), 3, weights, ladder, grid)
+        got = criteria.parseval_means(criteria.companion(a, grid), weights, ladder, grid)
         assert got.shape == (4, 2, 3, 3)
         for rung, rho in zip(got, ladder):
             s, top = linalg.stein_sum(linalg.power_ladder(rho * m, grid), weights, grid)
             v = np.linalg.solve(np.eye(len(m)) - top, np.eye(len(m), 3))
             want = v.conj().T @ s @ v
             assert np.max(np.abs(rung - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+class TestSharedCompanion:
+    """A companion handed to a check gives the report the check's own
+    companion gives, bit for bit; one too short for the grid is refused."""
+
+    def test_every_check_reads_a_shared_companion_as_its_own(self, rng):
+        kw = {"ladder": (0.9, 0.99), "grid": 128}
+        ld = clt.build_omega(shift_problem(rng, mult=2))
+        r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
+        r = MatPoly.constant(r0)
+        w = clt.assemble_schur_W(ld, r)
+        comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], kw["grid"])
+        a0 = 0.5 * random_unitary(rng, 2)
+        w0 = np.vstack([a0, linalg.defect(a0)])
+        top = criteria.companion(MatPoly.constant(a0), kw["grid"])
+        pairs = [
+            (criteria.lifting_isometry_check(ld, r, w, **kw), criteria.lifting_isometry_check(ld, r, w, comp=comp, **kw)),
+            (criteria.obstruction_search(ld, r0), criteria.obstruction_search(ld, r0, comp)),
+            (criteria.radial_isometry_check(MatPoly.constant(w0), **kw),
+             criteria.radial_isometry_check(MatPoly.constant(w0), comp=top, **kw)),
+            (criteria.constant_symbol_check(w0), criteria.constant_symbol_check(w0, top)),
+        ]
+        for own, shared in pairs:
+            assert own.to_dict() == shared.to_dict()
+        # the obstruction search found no witness, so it read the shared trace
+        assert pairs[1][1].verdict == "pass" and pairs[1][1].taylor_trace
+
+    def test_a_ladder_short_of_the_grid_is_refused(self):
+        w = MatPoly.constant([[0.5], [0.5]])
+        comp = h2.Companion(w.block_rows(1)[0], 64)
+        assert len(comp.prefix(64)) == 7
+        with pytest.raises(h2.H2Error, match="reaches 64"):
+            criteria.radial_isometry_check(w, grid=128, comp=comp)
 
 
 class TestRealize:

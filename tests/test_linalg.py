@@ -80,6 +80,8 @@ def _shaped(rng, kind):
     g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return {
         "tall": lambda: g(9, 4),
+        # its Gram matrix is summed over several blocks of rows
+        "very_tall": lambda: g(3 * la.GRAM_ROWS + 5, 4),
         "wide": lambda: g(3, 8),
         "square": lambda: g(6, 6),
         "rank_deficient": lambda: g(7, 2) @ g(2, 5),
@@ -89,7 +91,7 @@ def _shaped(rng, kind):
     }[kind]()
 
 
-SHAPE_CLASSES = ("tall", "wide", "square", "rank_deficient", "one_by_one", "column", "row")
+SHAPE_CLASSES = ("tall", "very_tall", "wide", "square", "rank_deficient", "one_by_one", "column", "row")
 
 
 class TestOperatorNorm:
@@ -117,7 +119,7 @@ class TestOperatorNorm:
         assert la.operator_norm(np.zeros((3, 2))) == 0.0
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    @pytest.mark.parametrize("kind", ["tall", "wide", "one_by_one"])
+    @pytest.mark.parametrize("kind", ["tall", "very_tall", "wide", "one_by_one"])
     def test_scaling_keeps_extreme_matrices_finite(self, kind, scale):
         m = scale * _shaped(np.random.default_rng(47), kind)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -191,6 +193,43 @@ class TestSubspaceBasis:
         basis = la.SubspaceBasis.empty(4)
         assert (basis.ambient_dim, basis.dim) == (4, 0)
         assert not basis.projector().any()
+
+
+def _basis_input(kind, rng, rows, cols):
+    """A complex matrix of a shape class the basis constructors take
+    without re-checking their columns."""
+    g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return {
+        "tall": lambda: g(rows + cols, cols),
+        "wide": lambda: g(rows, rows + cols),
+        "rank_deficient": lambda: g(rows + 1, 1) @ g(1, cols + 1),
+        "zero_columns": lambda: g(rows, 0),
+        "one_by_one": lambda: g(1, 1),
+    }[kind]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["tall", "wide", "rank_deficient", "zero_columns", "one_by_one"]),
+       st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_constructed_bases_are_orthonormal(kind, seed, rows, cols, scale):
+    """kernel_basis, range_basis, orth_complement and subspace_intersection
+    build their columns orthonormal and do not check them; they pass the
+    check SubspaceBasis makes of a basis given from outside, and that
+    check still rejects columns that are not orthonormal."""
+    rng = np.random.default_rng(seed)
+    m = scale * _basis_input(kind, rng, rows, cols)
+    other = la.range_basis(rng.standard_normal((m.shape[0], 2)))
+    rng_m = la.range_basis(m)
+    bases = [la.kernel_basis(m), rng_m, la.orth_complement(rng_m), la.subspace_intersection(rng_m, other),
+             la.subspace_intersection(rng_m, rng_m)]
+    assert [b.ambient_dim for b in bases] == [m.shape[1]] + [m.shape[0]] * 4
+    assert rng_m.dim + bases[0].dim == m.shape[1]
+    for basis in bases:
+        assert la.isometry_gap(basis.columns) <= la.RANK_TOL
+        la.SubspaceBasis(basis.columns)
+        if basis.dim:
+            with pytest.raises(la.LinalgError, match="not orthonormal"):
+                la.SubspaceBasis(2.0 * basis.columns)
 
 
 class TestKernelBasis:
@@ -430,6 +469,49 @@ class TestSteinSum:
         want_total, want_power = self.full_doubling(b, weights, count)
         assert total.tobytes() == want_total.tobytes()
         assert np.array_equal(power, want_power)
+
+    @staticmethod
+    def from_the_identity(powers, weights, count, radii=None):
+        """The doubling on the ladder with the sum started at 0 and the
+        power at I, so the first selected digit takes I* piece I and
+        I M^(2^j): the products ``stein_sum`` leaves out."""
+        piece, scale = np.asarray(weights, dtype=complex), 1.0
+        if radii is not None:
+            scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
+            piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
+        total, power, done = np.zeros_like(piece), np.eye(piece.shape[-1], dtype=complex), 0
+        for j, step in enumerate(powers):
+            if (count >> j) & 1:
+                total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+                power, done = power @ step, done + (1 << j)
+            if count >> (j + 1):
+                piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
+        if count >> len(powers):
+            total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+            power = power @ powers[-1]
+        return total, scale ** count * power
+
+    @pytest.mark.parametrize("dim, count, scale, radii", [
+        (8, 512, 0.9, None),  # one set digit
+        (25, 1000, 0.9, None),  # several set digits
+        (8, 1000, 0.9, (0.9, 0.99, 0.999)),
+        (8, 1 << 35, 0.01, None),  # the ladder stops at a zero power
+        (8, 1 << 35, 0.01, (0.5, 0.999)),
+        (8, 0, 0.9, None),
+        (8, 0, 0.9, (0.5, 0.999)),
+    ])
+    def test_no_product_with_the_identity_keeps_the_bits(self, dim, count, scale, radii):
+        rng = np.random.default_rng(dim + count % 97)
+        b = scale * random_unitary(rng, dim)
+        l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        weights = np.stack([l.conj().T @ l, np.eye(dim)])
+        powers = la.power_ladder(b, count)
+        if scale < 0.1 and count:
+            assert not powers[-1].any()
+        total, power = la.stein_sum(powers, weights, count, radii)
+        want_total, want_power = self.from_the_identity(powers, weights, count, radii)
+        assert total.shape == want_total.shape and power.shape == want_power.shape
+        assert np.array_equal(total, want_total) and np.array_equal(power, want_power)
 
     def test_the_ladder_squares_until_a_power_is_zero(self):
         # the cyclic shift on C^4 is nilpotent below its corner: N^4 = 0

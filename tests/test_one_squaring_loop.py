@@ -1,4 +1,5 @@
-"""Only ``linalg.power_ladder`` squares a matrix.
+"""Only ``linalg.power_ladder`` squares a matrix, once per symbol, and
+each coupling is factored once.
 
 The Stein rungs, the Taylor trace, the Hardy limit and the rows of a
 lifting all read the powers M, M^2, M^4, ... of one ladder, so a
@@ -7,14 +8,27 @@ squaring anywhere else would form a power twice.  The guard reads
 self-product ``x @ x``, ``np.matmul(x, x)``, ``np.dot(x, x)`` or
 ``x.dot(x)`` with the same expression on both sides.  Docstrings and
 comments are not code and may mention them.
+
+A command builds one ``h2.Companion`` per symbol and hands it to every
+reader, so the ladder itself is built once per symbol: counted by
+wrapping ``linalg.power_ladder``, `examples prop4_6` builds 2 (one per
+multiplicity) and each `lift` 1.  ``clt.build_omega`` takes one SVD of
+g = Q_X* D_X T for both ker g* and pinv(g), and no basis the package
+builds is checked again by ``SubspaceBasis.__post_init__``.  Each count
+comes with a planted violation that the same count sees.
 """
 
 import ast
+import contextlib
+import io
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import liftlab
+from liftlab import cli, clt, criteria, linalg, serialize
 
 PACKAGE = Path(liftlab.__file__).parent
 GUARDED = ("criteria.py", "cli.py", "clt.py", "h2.py")
@@ -67,3 +81,86 @@ def test_the_guard_sees_each_form(tmp_path):
         encoding="utf-8",
     )
     assert [f.split(":")[0] for f in self_products(bad)] == ["line 5", "line 6", "line 7", "line 8"]
+
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+PROP4_6 = ["examples", "prop4_6"]
+LIFTS = {
+    "lift": ["lift", "--input", str(INPUTS / "lift.json")],
+    "lift_schur": ["lift", "--input", str(INPUTS / "lift_schur.json"), "--schur", str(INPUTS / "schur.json")],
+}
+
+
+def recorded(monkeypatch, owner, name) -> list:
+    """The positional arguments of every call to owner.name from now on."""
+    calls, original = [], getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def run(argv, tmp_path) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([*argv, "--out", str(tmp_path / "report.json")])
+
+
+def ladders(monkeypatch, tmp_path, argv) -> int:
+    calls = recorded(monkeypatch, linalg, "power_ladder")
+    assert run(argv, tmp_path) == 0
+    return len(calls)
+
+
+def test_prop4_6_builds_one_ladder_per_multiplicity(monkeypatch, tmp_path):
+    assert ladders(monkeypatch, tmp_path, PROP4_6) == 2
+
+
+@pytest.mark.parametrize("name", sorted(LIFTS))
+def test_each_lift_builds_one_ladder(monkeypatch, tmp_path, name):
+    assert ladders(monkeypatch, tmp_path, LIFTS[name]) == 1
+
+
+def test_the_ladder_count_sees_a_check_that_builds_its_own(monkeypatch, tmp_path):
+    # planted: lifting_isometry_check drops the shared companion and squares A again
+    original = criteria.lifting_isometry_check
+    monkeypatch.setattr(criteria, "lifting_isometry_check", lambda *args, comp=None, **kw: original(*args, **kw))
+    assert ladders(monkeypatch, tmp_path, PROP4_6) == 4
+
+
+def factorings_of_g(monkeypatch) -> int:
+    """SVDs that build_omega takes of g or of g* on the golden dims problem."""
+    problem = serialize.decode_problem(json.loads((INPUTS / "dims.json").read_text(encoding="utf-8")))
+    g = (problem.basis_x.columns.conj().T @ problem.d_x @ problem.t_matrix)[:, : problem.window_dim]
+    calls = recorded(monkeypatch, np.linalg, "svd")
+    clt.build_omega(problem)
+    return sum(any(a.shape == m.shape and np.array_equal(a, m) for m in (g.conj().T, g.conj())) for a, *_ in calls)
+
+
+def test_build_omega_factors_g_once(monkeypatch):
+    assert factorings_of_g(monkeypatch) == 1
+
+
+def test_the_svd_count_sees_a_second_factoring(monkeypatch):
+    # planted: the kernel and the pseudo-inverse each take their own SVD
+    monkeypatch.setattr(linalg, "kernel_and_adjoint_pinv", lambda m: (linalg.kernel_basis(m), linalg.pinv(m.conj().T)))
+    assert factorings_of_g(monkeypatch) == 2
+
+
+def basis_checks(monkeypatch, tmp_path) -> int:
+    calls = recorded(monkeypatch, linalg.SubspaceBasis, "__post_init__")
+    for argv in (PROP4_6, *LIFTS.values()):
+        assert run(argv, tmp_path) == 0
+    return len(calls)
+
+
+def test_no_basis_the_package_builds_is_checked_again(monkeypatch, tmp_path):
+    assert basis_checks(monkeypatch, tmp_path) == 0
+
+
+def test_the_basis_count_sees_a_constructor_that_checks(monkeypatch, tmp_path):
+    # planted: the constructors go through the public, checking, path
+    monkeypatch.setattr(linalg.SubspaceBasis, "_built", classmethod(lambda cls, columns: cls(columns)))
+    assert basis_checks(monkeypatch, tmp_path) > 0
