@@ -31,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -202,7 +202,7 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
 
 
 def window_isometry_deviation(
-    problem: clt.CLTProblem, ld: clt.LiftingData, w: MatPoly, comp: h2.Companion | None = None,
+    problem: clt.CLTProblem, ld: clt.LiftingData, w: MatPoly, comp: h2.Companion,
 ) -> tuple[float, bool]:
     """sup over unit window vectors h of | ||Yh|| - 1 | for the
     untruncated lifting Y = [X; Gamma(.) D_X] of the symbol W = [B; A],
@@ -211,11 +211,11 @@ def window_isometry_deviation(
     ||Yh||^2 = ||Xh||^2 + ||B (I - zA)^(-1) c||^2 with c = Q* D_X h, so
     the window Gram matrix is X_k* X_k + C* S_inf C, C the window columns
     of Q* D_X, and the value max(|sqrt(lam_max) - 1|, |1 - sqrt(lam_min)|).
-    `comp` is the companion of A, built here unless the caller shares one."""
+    `comp` is the companion of A (``criteria.companion``)."""
     k = problem.window_dim
     b, a = w.block_rows(ld.basis_tprime.dim)
     cols = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
-    hardy, converged = criteria.hardy_gram(comp or criteria.companion(a), b, cols)
+    hardy, converged = criteria.hardy_gram(comp.of(a), b, cols)
     x = problem.x[:, :k]
     low, top = np.sqrt(np.clip(np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]], 0.0, None))
     return float(max(abs(top - 1.0), abs(1.0 - low))), converged
@@ -232,7 +232,7 @@ def _scenario_ex3_2(cfg: RunConfig) -> int:
     hardy = float(criteria.hardy_gram(comp, b, np.eye(1))[0][0, 0].real)
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
     rep_ri = criteria.radial_isometry_check(
-        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
+        w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     values = {"poisson_integral": poisson, "hardy_norm_sq": hardy}
     checks = [
@@ -308,13 +308,16 @@ def _scenario_rk3_1(cfg: RunConfig) -> int:
     w0 = np.array([[1.0], [0.0]])
     comp = criteria.companion(MatPoly.constant(w0[:1]), grid)
     rep_ri = criteria.radial_isometry_check(
-        MatPoly.constant(w0), grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
-        comp=comp,
+        MatPoly.constant(w0), comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     rep_cs = criteria.constant_symbol_check(w0, comp)
     problem = clt.build_problem(np.eye(1), np.eye(1), np.zeros((1, 1)))
     ld = clt.build_omega(problem)
-    rep_ob = criteria.obstruction_search(ld, np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim)))
+    # the zero parameter: its symbol W is the coupling itself
+    a_ob = clt.assemble_schur_W(ld, None).block_rows(ld.basis_tprime.dim)[1]
+    rep_ob = criteria.obstruction_search(
+        ld, np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim)), criteria.companion(a_ob),
+    )
     trace = [v for _, v in rep_ri.taylor_trace]
     lam = complex(*rep_ob.extras["lambda"]) if "lambda" in rep_ob.extras else None
     values = {
@@ -340,7 +343,7 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
     comp = criteria.companion(a, grid)
     rep_cs = criteria.constant_symbol_check(w0, comp)
     rep_ri = criteria.radial_isometry_check(
-        w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
+        w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     hardy, _ = criteria.hardy_gram(comp, b, np.eye(2))
     worst = float(np.max(np.abs(np.diag(hardy).real - 1.0)))
@@ -364,7 +367,8 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         t_prime = raw * (0.8 / np.linalg.norm(raw, 2))
         problem = clt.shift_intertwining_problem(rng, mult, 24, t_prime, x_norm=0.9)
         ld = clt.build_omega(problem)
-        agree = linalg.operator_norm(clt.omega_full(ld) - clt.omega_full(ld, clt.explicit_coupling(problem)))
+        ld_exp = replace(ld, omega_bar=clt.explicit_coupling(problem))
+        agree = linalg.operator_norm(clt.omega_full(ld) - clt.omega_full(ld_exp))
         k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
         raw_r = rng.standard_normal((ks, k)) + 1j * rng.standard_normal((ks, k))
         q, _ = np.linalg.qr(raw_r)
@@ -372,7 +376,7 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         w = clt.assemble_schur_W(ld, r0)
         comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], grid)
         rep = criteria.lifting_isometry_check(
-            ld, r0, w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
+            ld, r0, w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
         )
         rep.criterion_id = f"lifting_isometry_mult{mult}"
         rep_ob = criteria.obstruction_search(ld, r0.coeffs[0], comp)
@@ -426,15 +430,21 @@ def _cmd_lift(cfg: RunConfig) -> int:
     except clt.DefectSingular:
         ld = clt.build_omega(problem)
         route = "definitional"
-    lifting = clt.lift(problem, r, degree, ld=ld, count=criteria.ladder_count(grid))
-    residuals = lifting.residuals()
-    r_eff, comp = lifting.free_parameter, lifting.companion
+    if r is None:
+        r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
+    w = clt.assemble_schur_W(ld, r)
+    # one ladder of A serves the checks, which read only W, and then Y
+    comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], max(grid, degree))
     rep = criteria.lifting_isometry_check(
-        ld, r_eff, lifting.w, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor, comp=comp,
+        ld, r, w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     reports = [rep]
-    if r_eff.degree == 0 and linalg.isometry_gap(r_eff.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
-        reports.append(criteria.obstruction_search(ld, r_eff.coeffs[0], comp))
+    if r.degree == 0 and linalg.isometry_gap(r.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
+        reports.append(criteria.obstruction_search(ld, r.coeffs[0], comp))
+    lifting = clt.lift(problem, ld, w, comp, degree)
+    # dropped before the residuals, which hold the command's largest blocks beside Y
+    del comp
+    residuals = lifting.residuals()
     dims = clt.dims_report(ld, problem)
     values = {"coupling_route": route, "degree": degree, **residuals, **dims.to_dict()}
     checks = [

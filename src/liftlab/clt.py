@@ -369,15 +369,23 @@ def explicit_coupling(p: CLTProblem) -> np.ndarray:
     return omega
 
 
-def omega_full(ld: LiftingData, omega_bar: np.ndarray | None = None) -> np.ndarray:
-    """The coupling as a map between the ambient spaces H -> H' + H: ld's
-    own, or `omega_bar` in ld's defect coordinates."""
+def omega_full(ld: LiftingData) -> np.ndarray:
+    """The coupling as a map between the ambient spaces H -> H' + H."""
     qx, qp = ld.basis_x.columns, ld.basis_tprime.columns
-    omega_bar = ld.omega_bar if omega_bar is None else omega_bar
     r_prime = ld.basis_tprime.dim
-    top = qp @ omega_bar[:r_prime]
-    bottom = qx @ omega_bar[r_prime:]
+    top = qp @ ld.omega_bar[:r_prime]
+    bottom = qx @ ld.omega_bar[r_prime:]
     return np.vstack([top, bottom]) @ qx.conj().T
+
+
+def schur_coeffs(ld: LiftingData, r_coeffs: np.ndarray) -> np.ndarray:
+    """The coefficients of W: the coupling Omega at z^0 plus K_* R_n K*
+    for each coefficient R_n of the free parameter, K and K_* the kernel
+    bases of Omega and Omega*.  Unchecked; ``assemble_schur_W`` checks
+    that W is contractive."""
+    coeffs = ld.ker_omega_star.columns @ r_coeffs @ ld.ker_omega.columns.conj().T
+    coeffs[0] += ld.omega_bar
+    return coeffs
 
 
 def assemble_schur_W(ld: LiftingData, r: MatPoly | None) -> MatPoly:
@@ -394,9 +402,7 @@ def assemble_schur_W(ld: LiftingData, r: MatPoly | None) -> MatPoly:
         raise WrongKernelShapes(
             f"free parameter must map C^{k} into C^{k_star}, got {r.in_dim}->{r.out_dim}"
         )
-    coeffs = ld.ker_omega_star.columns @ r.coeffs @ ld.ker_omega.columns.conj().T
-    coeffs[0] += ld.omega_bar
-    w = MatPoly(coeffs)
+    w = MatPoly(schur_coeffs(ld, r.coeffs))
     if w.in_dim:
         grid = max(64, 2 * w.degree + 1) if w.degree else 1  # a constant: one node
         sup = float(linalg.operator_norm(h2.eval_circle_grid(w, 1.0, grid)).max())
@@ -411,67 +417,49 @@ class Lifting:
 
     problem: CLTProblem
     data: LiftingData
-    free_parameter: MatPoly
     w: MatPoly
     y: np.ndarray
     minimal: MinimalLifting
-    companion: h2.Companion  # of W's block A; the checks of the lifting read it too
 
     def residuals(self) -> dict:
         """Lifting-contract residuals, all restricted to the window; each
         2-norm is ``linalg.operator_norm``'s, read off the smaller Gram
         matrix, k x k for the window blocks of the tall Y."""
         k = self.problem.window_dim
-        y = self.y
+        y, tm = self.y, self.problem.t_matrix
+        # U'Y - YT in place, and freed before the window norm copies Y's window
+        defect = self.minimal.apply(y[:, :k])
+        defect -= y @ tm[:, :k]
+        intertwining = linalg.operator_norm(defect)
+        del defect
         return {
-            "intertwining": linalg.operator_norm(self._intertwining_defect(k)),
+            "intertwining": intertwining,
             "projection": linalg.operator_norm(y[: self.minimal.h_dim] - self.problem.x),
             "window_norm": linalg.operator_norm(y[:, :k]),
         }
 
-    def _intertwining_defect(self, k: int) -> np.ndarray:
-        """U'Y - YT on the first k columns.  YT is subtracted
-        ``linalg.GRAM_ROWS`` rows at a time, so no second block the size
-        of Y is held beside the difference."""
-        y, tm, step = self.y, self.problem.t_matrix[:, :k], linalg.GRAM_ROWS
-        diff = self.minimal.apply(y[:, :k])
-        for i in range(0, len(y), step):
-            diff[i : i + step] -= y[i : i + step] @ tm
-        return diff
 
+def lift(p: CLTProblem, ld: LiftingData, w: MatPoly, comp: h2.Companion, degree: int) -> Lifting:
+    """Build the contractive intertwining lifting of the Schur parameter
+    W = [B; A] that ``assemble_schur_W`` assembled from the coupling `ld`
+    and a free parameter.
 
-def lift(
-    p: CLTProblem,
-    r: MatPoly | None,
-    degree: int,
-    ld: LiftingData | None = None,
-    count: int = 0,
-) -> Lifting:
-    """Build the contractive intertwining lifting for a free parameter.
-
-    Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1) from the
-    assembled Schur parameter W = [B; A].  With M the companion of A and
-    L = ``h2.state_rows(B)``, Gamma_n = L M^n E*, so the transposed
-    states X_n = (M^n)^T L^T double: X_(m..2m-1) = (M^m)^T X_(0..m-1),
-    one product per power M^m of ``linalg.power_ladder``, whatever dim T
-    is.  The ladder stops at a zero power, past which every X_n is zero.
+    Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1).  With M the
+    companion of A and L = ``h2.state_rows(B)``, Gamma_n = L M^n E*, so
+    the transposed states X_n = (M^n)^T L^T double: X_(m..2m-1) =
+    (M^m)^T X_(0..m-1), one product per power M^m, whatever dim T is.
+    The ladder stops at a zero power, past which every X_n is zero.
     Gamma_n^T is the first r rows of X_n, and the series rows of Y are
     the stacked Gamma_n times Q* D_X, one product.
 
-    The ladder is that of ``h2.Companion(A, max(degree, count))``, and Y
-    reads its prefix 2^j <= degree.  A caller that checks the lifting
-    next passes the count its checks need
-    (``criteria.ladder_count(grid)``) and hands them
-    ``Lifting.companion``, so A is squared once per command.
+    `comp` is the ``h2.Companion`` of A, its ladder through at least
+    `degree`; Y reads the prefix 2^j <= degree.  The caller builds it
+    once for the command and hands it to the checks of the lifting too,
+    so A is squared once; the lifting does not hold it.
     """
-    if ld is None:
-        ld = build_omega(p)
-    if r is None:
-        r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
-    w = assemble_schur_W(ld, r)
     r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
     b, a = w.block_rows(r_prime)
-    comp = h2.Companion(a, max(degree, count))
+    comp = comp.of(a)
     # column block n holds X_n = (M^n)^T L^T, shape len(M) x r'
     states = np.zeros((len(comp.m), (degree + 1) * r_prime), dtype=complex)
     states[:, :r_prime] = h2.state_rows(b, a.degree + 1).T
@@ -484,7 +472,7 @@ def lift(
     coords = ld.basis_x.columns.conj().T @ ld.d_x
     np.matmul(states[: a.in_dim].T, coords, out=y[h_dim:])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, d_tp=p.d_tprime)
-    return Lifting(p, ld, r, w, y, ml, comp)
+    return Lifting(p, ld, w, y, ml)
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,17 @@ every rung: ``companion`` builds the symbol's ``h2.Companion``, its
 ladder squared once through the Taylor trace's cap and the grid, and a
 command hands that one object to every check of the symbol (the
 radial, constant-symbol and lifting checks and the obstruction
-search), to ``hardy_gram`` and to ``clt.lift``.  With E = [I 0 ... 0]
-and L_W, L_A and L_RK the rows of W, A and R K*, N is E*E - L_W* L_W,
-E*E and E*E - L_A* L_A for the radial defect, weighted and defect-of-A
-ladders, and E* K K* E - L_RK* L_RK for the lifting parameter defect
-(K the kernel basis of the coupling, R the free parameter).  The
-lifting's defect chain holds for every state, so it is checked as the
-identities L_W* L_W = E* Omega* Omega E + L_RK* L_RK, which holds
-exactly when (K_*)* Omega = 0 (K_* the kernel basis of Omega*), and
-I = Omega*Omega + K K*.
+search), to ``hardy_gram`` and to ``clt.lift``.  None of them builds
+one of its own, and each that is also handed W checks that the
+companion is that of W's A, entry for entry (``h2.Companion.of``).
+With E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A and R K*,
+N is E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect,
+weighted and defect-of-A ladders, and E* K K* E - L_RK* L_RK for the
+lifting parameter defect (K the kernel basis of the coupling, R the
+free parameter).  The lifting's defect chain holds for every state, so
+it is checked as the identities L_W* L_W = E* Omega* Omega E + L_RK*
+L_RK, which holds exactly when (K_*)* Omega = 0 (K_* the kernel basis
+of Omega*), and I = Omega*Omega + K K*.
 
 M_rho is well conditioned.  ``clt.assemble_schur_W`` holds ||W|| <= 1 +
 clt.TOL on the circle, so A is a contraction and Re(I - zA) >= 0 on
@@ -109,7 +111,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import h2, linalg
+from . import clt, h2, linalg
 from .clt import LiftingData
 from .h2 import MatPoly
 
@@ -202,17 +204,12 @@ def largest_eigenvalue(gram: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
 
 
-def ladder_count(grid: int = 1) -> int:
-    """The count a symbol's ladder is built through: the Taylor trace's
-    2^TAYLOR_SQUARINGS, or `grid` when that is larger."""
-    return max(grid, 1 << TAYLOR_SQUARINGS)
-
-
 def companion(a: MatPoly, grid: int = 1) -> h2.Companion:
-    """The companion of A with its ladder M, M^2, M^4, ... through
-    ``ladder_count(grid)``: enough for the Taylor trace, ``hardy_gram``
-    and the rungs of a check on `grid` nodes or fewer."""
-    return h2.Companion(a, ladder_count(grid))
+    """The companion of A with its ladder M, M^2, M^4, ... through the
+    Taylor trace's 2^TAYLOR_SQUARINGS, or `grid` when that is larger:
+    enough for the Taylor trace, ``hardy_gram`` and the rungs of a check
+    on `grid` nodes or fewer."""
+    return h2.Companion(a, max(grid, 1 << TAYLOR_SQUARINGS))
 
 
 def parseval_means(comp: h2.Companion, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
@@ -284,11 +281,11 @@ def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
 
 def radial_isometry_check(
     w: MatPoly,
+    comp: h2.Companion,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
-    comp: h2.Companion | None = None,
 ) -> CriterionReport:
     """Full radial test of whether the Schur-class symbol generates an
     isometric coefficient map.
@@ -301,11 +298,11 @@ def radial_isometry_check(
     ||W d||^2, ||d||^2 and ||d||^2 - ||A d||^2, read by
     ``parseval_means`` off the companion state of A: the first two as
     their largest value over unit d, the third as its largest deviation
-    from ||d||^2.  `comp` is the companion of W's top block A, built
-    here unless the caller shares one (``companion``).
+    from ||d||^2.  `comp` is the companion of W's top block A
+    (``companion``), its ladder through at least `grid`.
     """
     a = _top_block(w)
-    comp = comp or companion(a, grid)
+    comp = comp.of(a)
     e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, a.degree + 1)
     gram, la = e.conj().T @ e, lw[: a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
@@ -336,14 +333,15 @@ def radial_isometry_check(
     )
 
 
-def constant_symbol_check(w0, comp: h2.Companion | None = None) -> CriterionReport:
+def constant_symbol_check(w0, comp: h2.Companion) -> CriterionReport:
     """Constant-symbol special case: pass iff the block column is an
     isometry and its square top block has spectral radius below one,
     both within CLASSIFY_TOL.  `comp` is the companion of the top block,
-    built here unless the caller shares one."""
+    whose Taylor trace the report records."""
     tol = linalg.CLASSIFY_TOL
     m = linalg.as_matrix(w0)
     a0 = m[: m.shape[1], :]
+    comp = comp.of(MatPoly.constant(a0))
     rho_a = linalg.spectral_radius(a0)
     iso = linalg.isometry_gap(m) <= tol
     stable = rho_a < 1.0 - tol
@@ -355,7 +353,7 @@ def constant_symbol_check(w0, comp: h2.Companion | None = None) -> CriterionRepo
     return CriterionReport(
         criterion_id="constant_symbol",
         verdict="pass" if iso and stable else "fail",
-        taylor_trace=taylor_trace(comp or companion(MatPoly.constant(a0)), TOL_TAYLOR),
+        taylor_trace=taylor_trace(comp, TOL_TAYLOR),
         tolerances={"tol": tol},
         notes="; ".join(parts),
         extras={"spectral_radius": rho_a, "isometry": iso},
@@ -424,11 +422,11 @@ def lifting_isometry_check(
     ld: LiftingData,
     r: MatPoly,
     w: MatPoly,
+    comp: h2.Companion,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
     tol_int: float = TOL_INT,
     tol_taylor: float = TOL_TAYLOR,
-    comp: h2.Companion | None = None,
 ) -> CriterionReport:
     """Isometry test for the lifting generated by the free parameter r,
     from the coupling data and the Schur symbol W that
@@ -441,12 +439,12 @@ def lifting_isometry_check(
     identity ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2
     = ||K* d||^2 - ||R K* d||^2 is checked as two matrix identities on
     the state, and the larger residual is reported as
-    `defect_chain_residual`.  `comp` is the companion of W's block A,
-    built here unless the caller shares one (``companion``,
-    ``clt.Lifting.companion``).
+    `defect_chain_residual`.  `comp` is the companion of W's block A
+    (``companion``), its ladder through at least `grid`: the one
+    ``clt.lift`` read.
     """
     _, a = w.block_rows(ld.basis_tprime.dim)
-    comp = comp or companion(a, grid)
+    comp = comp.of(a)
     terms, kker = a.degree + 1, ld.ker_omega.columns
     e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, terms)
     lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
@@ -472,7 +470,7 @@ def lifting_isometry_check(
     )
 
 
-def obstruction_search(ld: LiftingData, r0, comp: h2.Companion | None = None) -> CriterionReport:
+def obstruction_search(ld: LiftingData, r0, comp: h2.Companion) -> CriterionReport:
     """Search for a bounded backward orbit obstructing isometric lifting.
 
     For a constant isometric parameter, the adjoint of the assembled
@@ -481,9 +479,12 @@ def obstruction_search(ld: LiftingData, r0, comp: h2.Companion | None = None) ->
     isometric lifting, so a found witness is a fail verdict and an
     empty search is a pass.  Eigenvalues count as unimodular within
     CLASSIFY_TOL.  A witness's orbit is traced for POWER_TERMS steps; an
-    empty search records the dyadic Taylor trace of the top block, read
-    off `comp` when the caller shares the companion of the symbol it
-    assembled from r0 (its A is that block).
+    empty search records the dyadic Taylor trace of the top block.
+
+    `comp` is the companion of the block A of the constant symbol W =
+    ``clt.assemble_schur_W(ld, r0)``, whose coefficients are read here
+    as ``clt.schur_coeffs`` gives them, so the search and the trace read
+    the one A, bit for bit, that every other check of W reads.
     """
     tol, n_max = linalg.CLASSIFY_TOL, POWER_TERMS
     r0 = linalg.as_matrix(r0)
@@ -491,15 +492,16 @@ def obstruction_search(ld: LiftingData, r0, comp: h2.Companion | None = None) ->
         raise NotIsometricR0("the constant free parameter must be isometric")
     if (r0.shape[0], r0.shape[1]) != (ld.ker_omega_star.dim, ld.ker_omega.dim):
         raise NotIsometricR0("free parameter does not match the kernel shapes")
-    w0 = ld.omega_bar + ld.ker_omega_star.columns @ r0 @ ld.ker_omega.columns.conj().T
     r_prime = ld.basis_tprime.dim
-    v = w0[r_prime:].conj().T
+    a0 = clt.schur_coeffs(ld, r0[None])[0, r_prime:]
+    comp = comp.of(MatPoly.constant(a0))
+    v = a0.conj().T
     radius, witness = linalg.find_non_c0dot_witness(v, tol)
     if witness is None:
         return CriterionReport(
             criterion_id="obstruction",
             verdict="pass",
-            taylor_trace=taylor_trace(comp or companion(MatPoly.constant(w0[r_prime:])), TOL_TAYLOR),
+            taylor_trace=taylor_trace(comp, TOL_TAYLOR),
             tolerances={"tol": tol, "n_max": n_max},
             notes="no unimodular eigenvalue: every bounded backward orbit is trivial",
             extras={"spectral_radius": radius},

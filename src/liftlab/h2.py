@@ -201,12 +201,26 @@ class Companion:
     builds one per symbol and hands it to everything that reads the
     powers of M: the isometry checks and the obstruction search read
     their rungs and Taylor traces off it, the Hardy limit its Stein sum
-    and a lifting its rows.  It lives as long as the command holds it."""
+    and a lifting its rows.  The ladder is squared on its first read, so
+    a companion whose powers nobody reads (an obstruction search that
+    finds a witness) costs no product.  It lives as long as the command
+    holds it."""
 
     def __init__(self, a: MatPoly, count: int):
         self.a, self.count = a, count
         self.m = realize(a)
-        self.powers = linalg.power_ladder(self.m, count)
+
+    @cached_property
+    def powers(self) -> list:
+        return linalg.power_ladder(self.m, self.count)
+
+    def of(self, a: MatPoly) -> "Companion":
+        """This companion, once its symbol is checked to be `a`, entry for
+        entry: a function handed the companion of another symbol would
+        read that symbol's powers, so it refuses it."""
+        if not np.array_equal(self.a.coeffs, a.coeffs):
+            raise H2Error("the companion is not that of the symbol it is read for")
+        return self
 
     def prefix(self, count: int) -> list:
         """The powers M^(2^j) with 2^j <= count: the ladder

@@ -42,8 +42,6 @@ RANK_TOL = 1e-7
 # eigenvalues of I - M*M below this are zeroed: sqrt would amplify 1e-16
 # noise to 1e-8, and the defect of an exact isometry would not vanish
 DEFECT_FLOOR = 1e-13
-# rows of a tall matrix per product when its Gram matrix is summed
-GRAM_ROWS = 256
 
 
 class LinalgError(ValueError):
@@ -80,10 +78,7 @@ def operator_norm(m):
     entry is at least 2^-602), and the matrix is used as it is, with no
     copy.  A scaling by a power of two is exact.  lambda_max is accurate
     to a few ulps of itself, so the norm agrees with the largest
-    singular value to about 1e-15 relative.  A tall matrix's Gram matrix
-    is summed GRAM_ROWS rows at a time, so no conjugate copy of the whole
-    matrix is held: the window blocks of a lifting are thousands of rows
-    tall."""
+    singular value to about 1e-15 relative."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2:
         raise LinalgError(f"expected a matrix or a stack, got ndim={a.ndim}")
@@ -97,11 +92,7 @@ def operator_norm(m):
         # the floor keeps 2^-e finite for subnormal entries
         e = np.where(np.abs(e) > 300, np.maximum(e, -1021), 0)
         b = a * np.ldexp(1.0, -e)[..., None, None] if e.any() else a
-        if cols > rows:
-            gram = b @ adjoint_batch(b)
-        else:
-            blocks = (b[..., i : i + GRAM_ROWS, :] for i in range(0, rows, GRAM_ROWS))
-            gram = sum(adjoint_batch(block) @ block for block in blocks)
+        gram = adjoint_batch(b) @ b if cols <= rows else b @ adjoint_batch(b)
         norms = np.ldexp(np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0)), e)
     return float(norms) if a.ndim == 2 else norms
 
@@ -237,10 +228,11 @@ def stein_sum(powers: list, weights, count: int, radii=None) -> tuple[np.ndarray
 
 def _stein_add(total, power, piece, step, weight):
     """One selected digit of ``stein_sum``: total + weight (b^a)* piece
-    b^a and b^a M^(2^j).  The first digit starts the sum at the piece
-    and the power at the step, with no product by the identity."""
+    b^a and b^a M^(2^j).  The first digit starts the sum at a copy of the
+    piece, which may be the caller's weights or a read-only broadcast of
+    them, and the power at the step, with no product by the identity."""
     if power is None:
-        return piece, step
+        return piece.copy(), step
     return total + weight * (power.conj().T @ piece @ power), power @ step
 
 

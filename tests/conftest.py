@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liftlab import clt, h2
 from liftlab.h2 import MatPoly, eval_circle_grid
 
 
@@ -54,3 +55,12 @@ def random_isometry(rng, rows, cols):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+def lifting_of(p, r, degree, ld=None):
+    """``clt.lift`` of the free parameter r (zero when None) on the
+    coupling ld (the definitional one when None), with the companion of
+    its symbol's A squared through `degree`."""
+    ld = clt.build_omega(p) if ld is None else ld
+    w = clt.assemble_schur_W(ld, r)
+    return clt.lift(p, ld, w, h2.Companion(w.block_rows(ld.basis_tprime.dim)[1], degree), degree)

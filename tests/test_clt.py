@@ -8,7 +8,7 @@ import pytest
 from liftlab import clt, h2, linalg, serialize
 from liftlab.h2 import MatPoly
 
-from conftest import contractive_matpoly, per_term_series, random_contraction, random_isometry, random_unitary
+from conftest import contractive_matpoly, lifting_of, per_term_series, random_contraction, random_isometry, random_unitary
 
 
 def window_vectors(problem, rng, count):
@@ -327,7 +327,7 @@ class TestLift:
     def test_identity_problem_zero_x(self, rng):
         u = random_unitary(rng, 2)
         p = clt.build_problem(u, 0.5 * random_unitary(rng, 2), np.zeros((2, 2)))
-        lifting = clt.lift(p, None, 16)
+        lifting = lifting_of(p, None, 16)
         res = lifting.residuals()
         assert res["projection"] == 0.0
         assert res["intertwining"] <= 1e-10
@@ -339,7 +339,7 @@ class TestLift:
             ld = clt.build_omega(p)
             k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
             r = MatPoly.constant(random_contraction(rng, ks, k, norm=rng.uniform(0, 1)))
-            lifting = clt.lift(p, r, 48, ld=ld)
+            lifting = lifting_of(p, r, 48, ld)
             res = lifting.residuals()
             assert res["projection"] <= 1e-12
             assert res["intertwining"] <= 1e-8
@@ -347,7 +347,7 @@ class TestLift:
 
     def test_contraction_on_window_vectors(self, rng):
         p = random_shift_problem(rng, mult=1, degree=8)
-        lifting = clt.lift(p, None, 64)
+        lifting = lifting_of(p, None, 64)
         for h in window_vectors(p, rng, 100):
             assert np.linalg.norm(lifting.y @ h) <= np.linalg.norm(h) * (1 + 1e-10)
 
@@ -358,8 +358,8 @@ class TestLift:
             k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
             r1 = MatPoly.constant(random_isometry(rng, ks, k))
             r2 = MatPoly.constant(-r1.coeffs[0])
-            l1 = clt.lift(p, r1, 24, ld=ld)
-            l2 = clt.lift(p, r2, 24, ld=ld)
+            l1 = lifting_of(p, r1, 24, ld)
+            l2 = lifting_of(p, r2, 24, ld)
             h = window_vectors(p, rng, 1)[0]
             assert np.linalg.norm(l1.y @ h - l2.y @ h) > 1e-6
 
@@ -368,7 +368,7 @@ class TestLift:
         p = random_shift_problem(rng, mult=mult, degree=6)
         ld = clt.build_omega(p)
         r = MatPoly.constant(random_contraction(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, norm=0.9))
-        lifting = clt.lift(p, r, degree, ld=ld)
+        lifting = lifting_of(p, r, degree, ld)
         oracle = dense_lifting(lifting.minimal)
         y, k = lifting.y, p.window_dim
         projection = np.eye(p.t_prime.shape[0], y.shape[0])
@@ -389,7 +389,7 @@ class TestLift:
         ld = clt.build_omega(p)
         shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
         r = contractive_matpoly(rng, *shape, r_degree, norm=0.9)
-        lifting = clt.lift(p, r, degree, ld=ld)
+        lifting = lifting_of(p, r, degree, ld)
         b, a = lifting.w.block_rows(ld.basis_tprime.dim)
         gamma = h2.polymul(b, h2.neumann_inverse(a, degree), degree)
         coords = ld.basis_x.columns.conj().T @ ld.d_x
@@ -405,7 +405,7 @@ class TestLift:
         p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
         ld = clt.build_omega(p)
         r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=0.9)
-        lifting = clt.lift(p, r, degree, ld=ld)
+        lifting = lifting_of(p, r, degree, ld)
         r_prime = ld.basis_tprime.dim
         coords = ld.basis_x.columns.conj().T @ ld.d_x
         series = per_term_series(lifting.w.coeffs, slice(r_prime, None), coords, degree + 1)[:, :r_prime]
@@ -421,7 +421,7 @@ class TestLift:
         p = random_shift_problem(rng, mult=2, degree=6, p_dim=3)
         ld = clt.build_omega(p)
         r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, r_degree, norm=0.9)
-        lifting = clt.lift(p, r, degree, ld=ld)
+        lifting = lifting_of(p, r, degree, ld)
         r_prime = ld.basis_tprime.dim
         coords = ld.basis_x.columns.conj().T @ ld.d_x
         series = per_term_series(lifting.w.coeffs, slice(r_prime, None), coords, degree + 1)[:, :r_prime]
@@ -436,7 +436,7 @@ class TestLift:
         u = random_unitary(rng, 2)
         t_prime = np.zeros((3, 3), dtype=complex)
         t_prime[:2, :2], t_prime[2, 2] = u, 0.5
-        lifting = clt.lift(clt.build_problem(u, t_prime, np.eye(3, 2)), None, degree)
+        lifting = lifting_of(clt.build_problem(u, t_prime, np.eye(3, 2)), None, degree)
         assert lifting.data.defect_dim == 0
         assert lifting.y.shape == (3 + degree + 1, 2)
         assert not np.any(lifting.y[3:])
@@ -453,7 +453,7 @@ class TestLift:
         else:
             t_prime, x = u, np.eye(2)
         p = clt.build_problem(u, t_prime, x)
-        lifting = clt.lift(p, None, 5)
+        lifting = lifting_of(p, None, 5)
         r_prime = lifting.data.basis_tprime.dim
         assert lifting.data.defect_dim == 0
         assert r_prime == int(defect_of_t_prime)
@@ -470,7 +470,7 @@ class TestLift:
         assert ld.basis_tprime.dim == 2
         tracemalloc.start()
         try:
-            clt.lift(p, None, 1024, ld=ld).residuals()
+            lifting_of(p, None, 1024, ld).residuals()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -480,7 +480,7 @@ class TestLift:
         p = random_shift_problem(rng, mult=1, degree=10, p_dim=2, x_norm=0.85)
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        lifting = clt.lift(p, MatPoly.constant(r0), 256, ld=ld)
+        lifting = lifting_of(p, MatPoly.constant(r0), 256, ld)
         for h in window_vectors(p, rng, 20):
             ratio = np.linalg.norm(lifting.y @ h) / np.linalg.norm(h)
             assert abs(ratio - 1.0) <= 1e-6

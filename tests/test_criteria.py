@@ -16,12 +16,41 @@ def shift_problem(rng, mult=1, degree=8, p_dim=2, x_norm=0.85):
     return clt.shift_intertwining_problem(rng, mult, degree, t_prime, x_norm=x_norm)
 
 
+def lifting_with(ld, r, w, **kwargs):
+    """lifting_isometry_check of the symbol w = [B; A] with the companion
+    of A, squared through the check's grid."""
+    a = w.block_rows(ld.basis_tprime.dim)[1]
+    comp = criteria.companion(a, kwargs.get("grid", h2.DEFAULT_GRID))
+    return criteria.lifting_isometry_check(ld, r, w, comp, **kwargs)
+
+
 def lifting_check(ld, r=None, **kwargs):
     """lifting_isometry_check of the free parameter r, zero by default,
     with the symbol ``clt.assemble_schur_W`` assembles from it."""
     if r is None:
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
-    return criteria.lifting_isometry_check(ld, r, clt.assemble_schur_W(ld, r), **kwargs)
+    return lifting_with(ld, r, clt.assemble_schur_W(ld, r), **kwargs)
+
+
+def radial_check(w, **kwargs):
+    """radial_isometry_check of w = [A; B] with the companion of A,
+    squared through the check's grid."""
+    comp = criteria.companion(w.block_rows(w.in_dim)[0], kwargs.get("grid", h2.DEFAULT_GRID))
+    return criteria.radial_isometry_check(w, comp, **kwargs)
+
+
+def constant_check(w0):
+    """constant_symbol_check of the block column w0 with the companion of
+    its top block."""
+    m = linalg.as_matrix(w0)
+    return criteria.constant_symbol_check(w0, criteria.companion(MatPoly.constant(m[: m.shape[1]])))
+
+
+def obstruction(ld, r0):
+    """obstruction_search of the constant parameter r0 with the companion
+    of the block A of the symbol assembled from it."""
+    a0 = clt.schur_coeffs(ld, linalg.as_matrix(r0)[None])[0, ld.basis_tprime.dim :]
+    return criteria.obstruction_search(ld, r0, criteria.companion(MatPoly.constant(a0)))
 
 
 def identity_obstruction_data():
@@ -75,13 +104,13 @@ class TestVerdictRules:
 class TestRadialIsometry:
     def test_constant_isometric_column_passes(self):
         w = MatPoly.constant([[0.0], [1.0]])
-        rep = criteria.radial_isometry_check(w, grid=64)
+        rep = radial_check(w, grid=64)
         assert rep.verdict == "pass"
         assert rep.rho_ladder[-1][1] <= 1e-12
 
     def test_unitary_top_block_fails_flat_trace(self):
         w = MatPoly.constant([[1.0], [0.0]])
-        rep = criteria.radial_isometry_check(w, grid=64)
+        rep = radial_check(w, grid=64)
         assert rep.verdict == "fail"
         trace = [v for _, v in rep.taylor_trace]
         assert max(trace) - min(trace) <= 1e-12
@@ -92,7 +121,7 @@ class TestRadialIsometry:
 
     def test_scalar_half_column_fails_with_positive_limit(self):
         w = MatPoly.constant([[0.5], [0.5]])
-        rep = criteria.radial_isometry_check(w, grid=256)
+        rep = radial_check(w, grid=256)
         assert rep.verdict == "fail"
         # closed form: the defect integrand mean is (1/2)/(1 - rho^2/4)
         for rho, value in rep.rho_ladder:
@@ -101,7 +130,7 @@ class TestRadialIsometry:
     def test_equivalent_formulations_agree(self, rng):
         # the weighted-resolvent and defect-of-A forms give one verdict
         for w0 in ([[0.0], [1.0]], [[0.5], [0.5]], [[1.0], [0.0]]):
-            rep = criteria.radial_isometry_check(MatPoly.constant(w0), grid=128)
+            rep = radial_check(MatPoly.constant(w0), grid=128)
             weighted = rep.extras["weighted_verdict"]
             a_form = rep.extras["a_defect_verdict"]
             assert (weighted == "pass") == (a_form == "pass")
@@ -133,7 +162,7 @@ class TestTaylorTrace:
     def test_slow_decay_stays_inconclusive_at_the_cap(self):
         # c = 1 - 3e-10: the tail n = 2^34, 2^35 holds 5.8e-3 and 3.4e-5,
         # below 0.1 of the head and above tol
-        rep = criteria.radial_isometry_check(self.column(1 - 3e-10), ladder=self.LADDER, grid=128)
+        rep = radial_check(self.column(1 - 3e-10), ladder=self.LADDER, grid=128)
         assert "taylor decay: inconclusive" in rep.notes
         # the radial check truncates nothing, so it records no degree
         assert "degree" not in rep.tolerances
@@ -143,7 +172,7 @@ class TestTaylorTrace:
     def test_a_unimodular_column_fails_at_the_cap(self):
         # A(z) = z: Z_1 = 0, but the state (Z_1, Z_0) has norm 1, so the
         # trace does not pass at n = 1; it stays flat to the cap and fails
-        rep = criteria.radial_isometry_check(self.column(1.0), ladder=self.LADDER, grid=128)
+        rep = radial_check(self.column(1.0), ladder=self.LADDER, grid=128)
         assert rep.verdict == "fail"
         assert "taylor decay: fail" in rep.notes
         assert rep.tolerances["degree_used"] == 2**criteria.TAYLOR_SQUARINGS
@@ -151,7 +180,7 @@ class TestTaylorTrace:
 
     def test_doubling_stops_once_decided(self):
         # 0.8^n: the tail n = 32, 64 still holds 7.9e-4; n = 64, 128 passes
-        rep = criteria.radial_isometry_check(self.column(0.8), ladder=self.LADDER, grid=128)
+        rep = radial_check(self.column(0.8), ladder=self.LADDER, grid=128)
         assert rep.verdict == "pass"
         assert rep.tolerances["degree_used"] == 128
         n = np.array([k for k, _ in rep.taylor_trace])
@@ -160,7 +189,7 @@ class TestTaylorTrace:
 
     def test_a_constant_traces_dyadic_indices_until_it_passes(self):
         # 0.5^n: the tail n = 16, 32 still holds 1.5e-5; n = 32, 64 passes
-        rep = criteria.radial_isometry_check(MatPoly.constant([[0.5], [np.sqrt(0.75)]]), grid=128)
+        rep = radial_check(MatPoly.constant([[0.5], [np.sqrt(0.75)]]), grid=128)
         assert rep.verdict == "pass"
         assert [n for n, _ in rep.taylor_trace] == [0, 1, 2, 4, 8, 16, 32, 64]
         np.testing.assert_allclose([v for _, v in rep.taylor_trace], 0.5 ** np.array([0, 1, 2, 4, 8, 16, 32, 64]),
@@ -251,37 +280,53 @@ class TestParsevalMeans:
 
 
 class TestSharedCompanion:
-    """A companion handed to a check gives the report the check's own
-    companion gives, bit for bit; one too short for the grid is refused."""
+    """Every function handed a symbol beside its companion checks that
+    the companion is that of the symbol's A, so a companion of another
+    symbol, or one too short for the grid, is refused rather than read."""
 
-    def test_every_check_reads_a_shared_companion_as_its_own(self, rng):
+    def test_another_symbols_companion_is_refused(self, rng):
         kw = {"ladder": (0.9, 0.99), "grid": 128}
-        ld = clt.build_omega(shift_problem(rng, mult=2))
+        p = shift_problem(rng, mult=2)
+        ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         r = MatPoly.constant(r0)
         w = clt.assemble_schur_W(ld, r)
-        comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], kw["grid"])
+        a = w.block_rows(ld.basis_tprime.dim)[1]
         a0 = 0.5 * random_unitary(rng, 2)
         w0 = np.vstack([a0, linalg.defect(a0)])
-        top = criteria.companion(MatPoly.constant(a0), kw["grid"])
-        pairs = [
-            (criteria.lifting_isometry_check(ld, r, w, **kw), criteria.lifting_isometry_check(ld, r, w, comp=comp, **kw)),
-            (criteria.obstruction_search(ld, r0), criteria.obstruction_search(ld, r0, comp)),
-            (criteria.radial_isometry_check(MatPoly.constant(w0), **kw),
-             criteria.radial_isometry_check(MatPoly.constant(w0), comp=top, **kw)),
-            (criteria.constant_symbol_check(w0), criteria.constant_symbol_check(w0, top)),
+        # planted: each function is handed the companion of a symbol 1e-15 off its own
+        off = criteria.companion(MatPoly(a.coeffs + 1e-15), kw["grid"])
+        off_top = criteria.companion(MatPoly.constant(a0 + 1e-15), kw["grid"])
+        refused = [
+            lambda: criteria.lifting_isometry_check(ld, r, w, off, **kw),
+            lambda: criteria.obstruction_search(ld, r0, off),
+            lambda: criteria.radial_isometry_check(MatPoly.constant(w0), off_top, **kw),
+            lambda: criteria.constant_symbol_check(w0, off_top),
+            lambda: cli.window_isometry_deviation(p, ld, w, off),
+            lambda: clt.lift(p, ld, w, off, 16),
         ]
-        for own, shared in pairs:
-            assert own.to_dict() == shared.to_dict()
-        # the obstruction search found no witness, so it read the shared trace
-        assert pairs[1][1].verdict == "pass" and pairs[1][1].taylor_trace
+        for call in refused:
+            with pytest.raises(h2.H2Error, match="not that of the symbol"):
+                call()
+        # its own companion is read, and the obstruction search, which
+        # found no witness, records the trace of that one ladder
+        comp = criteria.companion(a, kw["grid"])
+        assert criteria.obstruction_search(ld, r0, comp).taylor_trace == criteria.taylor_trace(comp, criteria.TOL_TAYLOR)
 
     def test_a_ladder_short_of_the_grid_is_refused(self):
         w = MatPoly.constant([[0.5], [0.5]])
         comp = h2.Companion(w.block_rows(1)[0], 64)
         assert len(comp.prefix(64)) == 7
         with pytest.raises(h2.H2Error, match="reaches 64"):
-            criteria.radial_isometry_check(w, grid=128, comp=comp)
+            criteria.radial_isometry_check(w, comp, grid=128)
+
+    def test_the_ladder_is_squared_on_its_first_read(self, monkeypatch):
+        calls = []
+        original = linalg.power_ladder
+        monkeypatch.setattr(linalg, "power_ladder", lambda *args: calls.append(args) or original(*args))
+        comp = criteria.companion(MatPoly.constant([[0.5]]))
+        assert calls == []
+        assert len(comp.prefix(4)) == 3 and len(calls) == 1
 
 
 class TestRealize:
@@ -303,23 +348,23 @@ class TestRealize:
 
 class TestConstantSymbol:
     def test_stable_isometric_column_passes(self):
-        rep = criteria.constant_symbol_check(np.array([[0.0], [1.0]]))
+        rep = constant_check(np.array([[0.0], [1.0]]))
         assert rep.verdict == "pass"
 
     def test_unitary_top_block_fails(self):
-        rep = criteria.constant_symbol_check(np.array([[1.0], [0.0]]))
+        rep = constant_check(np.array([[1.0], [0.0]]))
         assert rep.verdict == "fail"
         assert "spectral radius" in rep.notes
 
     def test_scalar_contraction_with_defect_row(self):
         c = 0.6
         w0 = np.array([[c], [np.sqrt(1 - c**2)]])
-        rep = criteria.constant_symbol_check(w0)
+        rep = constant_check(w0)
         assert rep.verdict == "pass"
         assert rep.extras["spectral_radius"] == pytest.approx(c)
 
     def test_non_isometric_fails(self):
-        rep = criteria.constant_symbol_check(np.array([[0.5], [0.5]]))
+        rep = constant_check(np.array([[0.5], [0.5]]))
         assert rep.verdict == "fail"
         assert "not an isometry" in rep.notes
 
@@ -463,7 +508,7 @@ def einsum_oracle(ld, r, w, ladder, grid):
 
 
 def assert_matches_the_oracle(ld, r, w, ladder, grid):
-    rep = criteria.lifting_isometry_check(ld, r, w, ladder=ladder, grid=grid)
+    rep = lifting_with(ld, r, w, ladder=ladder, grid=grid)
     want_ladder, want_residual = einsum_oracle(ld, r, w, ladder, grid)
     assert np.max(np.abs(np.array([v for _, v in rep.rho_ladder]) - want_ladder)) <= 1e-12
     assert abs(rep.extras["defect_chain_residual"] - want_residual) <= 1e-12
@@ -586,19 +631,19 @@ class TestLiftingIsometryPaths:
              "degree2": contractive_matpoly(rng, *shape, 2, norm=0.9)}[parameter]
         w = clt.assemble_schur_W(ld, r)
         calls = self.count_calls(monkeypatch)
-        criteria.lifting_isometry_check(ld, r, w, ladder=(0.9, 0.99), grid=128)
+        lifting_with(ld, r, w, ladder=(0.9, 0.99), grid=128)
         assert calls == []
 
     @pytest.mark.parametrize("w0", [[[0.5], [0.5]], [[1.0], [0.0]], [[0.5, 0.3], [0.0, -0.4], [0.2, 0.1]]])
     def test_a_constant_radial_check_solves_and_streams_nothing(self, monkeypatch, w0):
         calls = self.count_calls(monkeypatch)
-        criteria.radial_isometry_check(MatPoly.constant(w0), grid=256)
+        radial_check(MatPoly.constant(w0), grid=256)
         assert calls == []
 
     def test_a_polynomial_radial_check_solves_and_streams_nothing(self, rng, monkeypatch):
         w = contractive_matpoly(rng, 3, 2, 3, norm=0.95)
         calls = self.count_calls(monkeypatch)
-        criteria.radial_isometry_check(w, grid=256)
+        radial_check(w, grid=256)
         assert calls == []
 
 
@@ -619,7 +664,7 @@ def test_constant_chain_residual_reads_both_identities(omega_scale, w_scale):
     # W*W = Omega*Omega holds for equal scales, I = Omega*Omega for a unit
     # Omega; the other identity is off by 1 - 0.5^2 in each case
     u = random_isometry(np.random.default_rng(5), 4, 2)
-    rep = criteria.lifting_isometry_check(*planted_lifting(omega_scale * u, w_scale * u), ladder=(0.9,), grid=16)
+    rep = lifting_with(*planted_lifting(omega_scale * u, w_scale * u), ladder=(0.9,), grid=16)
     assert rep.extras["defect_chain_residual"] == pytest.approx(0.75, abs=1e-12)
 
 
@@ -639,10 +684,10 @@ class TestSpectralBoundary:
         dim = w0.shape[1]
         ld, r, w = planted_lifting(np.vstack([w0[dim:], w0[:dim]]))
         return {
-            "radial": criteria.radial_isometry_check(MatPoly.constant(w0)).verdict,
-            "lifting": criteria.lifting_isometry_check(ld, r, w).verdict,
-            "constant_symbol": criteria.constant_symbol_check(w0).verdict,
-            "obstruction": criteria.obstruction_search(ld, np.zeros((0, 0))).verdict,
+            "radial": radial_check(MatPoly.constant(w0)).verdict,
+            "lifting": lifting_with(ld, r, w).verdict,
+            "constant_symbol": constant_check(w0).verdict,
+            "obstruction": obstruction(ld, np.zeros((0, 0))).verdict,
         }
 
     def test_a_unimodular_eigenvalue_fails_every_route(self):
@@ -676,8 +721,8 @@ class TestRoutesAgree:
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         w = clt.assemble_schur_W(ld, MatPoly.constant(r0))
-        rep = criteria.lifting_isometry_check(ld, MatPoly.constant(r0), w, ladder=(0.9, 0.99), grid=128)
-        ob = criteria.obstruction_search(ld, r0)
+        rep = lifting_with(ld, MatPoly.constant(r0), w, ladder=(0.9, 0.99), grid=128)
+        ob = obstruction(ld, r0)
         radius = linalg.spectral_radius(w.coeffs[0, ld.basis_tprime.dim :])
         assert rep.verdict == ob.verdict, f"spectral radius {radius!r}: lifting {rep.verdict}, obstruction {ob.verdict}"
 
@@ -685,8 +730,8 @@ class TestRoutesAgree:
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 4), rows=st.integers(0, 3))
     def test_constant_symbol_check_agrees_with_the_radial_check(self, seed, dim, rows):
         w0 = random_isometry(np.random.default_rng(seed), dim + rows, dim)
-        cs = criteria.constant_symbol_check(w0)
-        ri = criteria.radial_isometry_check(MatPoly.constant(w0), grid=256)
+        cs = constant_check(w0)
+        ri = radial_check(MatPoly.constant(w0), grid=256)
         radius = cs.extras["spectral_radius"]
         assert cs.verdict == ri.verdict, f"spectral radius {radius!r}: constant {cs.verdict}, radial {ri.verdict}"
 
@@ -695,7 +740,7 @@ class TestRoutesAgree:
         p, ld = identity_obstruction_data()
         r0 = np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim))
         rep = lifting_check(ld, MatPoly.constant(r0), grid=64)
-        assert rep.verdict == criteria.obstruction_search(ld, r0).verdict == "fail"
+        assert rep.verdict == obstruction(ld, r0).verdict == "fail"
 
 
 @pytest.mark.parametrize("seed", [8107, 8123])
@@ -715,7 +760,7 @@ class TestObstructionSearch:
     def test_identity_coupling_finds_unit_eigenvalue(self):
         p, ld = identity_obstruction_data()
         r0 = np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim))
-        rep = criteria.obstruction_search(ld, r0)
+        rep = obstruction(ld, r0)
         assert rep.verdict == "fail"
         lam = complex(*rep.extras["lambda"])
         assert abs(lam - 1.0) <= 1e-9
@@ -729,7 +774,7 @@ class TestObstructionSearch:
         rot = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]], dtype=complex)
         none = linalg.SubspaceBasis.empty(2)
         ld = clt.LiftingData(np.eye(2), linalg.SubspaceBasis.full(2), none, rot, none, none)
-        rep = criteria.obstruction_search(ld, np.zeros((0, 0)))
+        rep = obstruction(ld, np.zeros((0, 0)))
         _, (lam, h) = linalg.find_non_c0dot_witness(rot.conj().T)
         seq = [h * lam ** (-n) for n in range(criteria.POWER_TERMS + 1)]
         rec = max(np.linalg.norm(rot.conj().T @ seq[n + 1] - seq[n]) for n in range(criteria.POWER_TERMS))
@@ -744,7 +789,7 @@ class TestObstructionSearch:
         p = shift_problem(rng, mult=1, degree=10)
         ld = clt.build_omega(p)
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        rep = criteria.obstruction_search(ld, r0)
+        rep = obstruction(ld, r0)
         assert rep.verdict == "pass"
         assert rep.extras["spectral_radius"] < 1.0
 
@@ -753,11 +798,11 @@ class TestObstructionSearch:
         ld = clt.build_omega(p)
         bad = 0.5 * random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
         with pytest.raises(criteria.NotIsometricR0):
-            criteria.obstruction_search(ld, bad)
+            obstruction(ld, bad)
 
     def test_rejects_a_parameter_into_no_space(self):
         # C^1 -> C^0 is no isometry, though it has no entries
         full = linalg.SubspaceBasis.full(1)
         ld = clt.LiftingData(np.eye(1), full, full, np.zeros((2, 1)), full, linalg.SubspaceBasis.empty(2))
         with pytest.raises(criteria.NotIsometricR0, match="must be isometric"):
-            criteria.obstruction_search(ld, np.zeros((0, 1)))
+            obstruction(ld, np.zeros((0, 1)))

@@ -80,8 +80,6 @@ def _shaped(rng, kind):
     g = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return {
         "tall": lambda: g(9, 4),
-        # its Gram matrix is summed over several blocks of rows
-        "very_tall": lambda: g(3 * la.GRAM_ROWS + 5, 4),
         "wide": lambda: g(3, 8),
         "square": lambda: g(6, 6),
         "rank_deficient": lambda: g(7, 2) @ g(2, 5),
@@ -91,7 +89,7 @@ def _shaped(rng, kind):
     }[kind]()
 
 
-SHAPE_CLASSES = ("tall", "very_tall", "wide", "square", "rank_deficient", "one_by_one", "column", "row")
+SHAPE_CLASSES = ("tall", "wide", "square", "rank_deficient", "one_by_one", "column", "row")
 
 
 class TestOperatorNorm:
@@ -119,7 +117,7 @@ class TestOperatorNorm:
         assert la.operator_norm(np.zeros((3, 2))) == 0.0
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
-    @pytest.mark.parametrize("kind", ["tall", "very_tall", "wide", "one_by_one"])
+    @pytest.mark.parametrize("kind", ["tall", "wide", "one_by_one"])
     def test_scaling_keeps_extreme_matrices_finite(self, kind, scale):
         m = scale * _shaped(np.random.default_rng(47), kind)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -499,6 +497,8 @@ class TestSteinSum:
         (8, 1 << 35, 0.01, (0.5, 0.999)),
         (8, 0, 0.9, None),
         (8, 0, 0.9, (0.5, 0.999)),
+        (8, 1, 0.9, None),  # the sum is the first piece alone
+        (8, 1, 0.9, (0.5, 0.999)),
     ])
     def test_no_product_with_the_identity_keeps_the_bits(self, dim, count, scale, radii):
         rng = np.random.default_rng(dim + count % 97)
@@ -512,6 +512,8 @@ class TestSteinSum:
         want_total, want_power = self.from_the_identity(powers, weights, count, radii)
         assert total.shape == want_total.shape and power.shape == want_power.shape
         assert np.array_equal(total, want_total) and np.array_equal(power, want_power)
+        # the result is the caller's to write to: it shares no memory with the weights
+        assert total.flags.writeable and not np.shares_memory(total, weights)
 
     def test_the_ladder_squares_until_a_power_is_zero(self):
         # the cyclic shift on C^4 is nilpotent below its corner: N^4 = 0

@@ -124,9 +124,10 @@ def test_each_lift_builds_one_ladder(monkeypatch, tmp_path, name):
 
 
 def test_the_ladder_count_sees_a_check_that_builds_its_own(monkeypatch, tmp_path):
-    # planted: lifting_isometry_check drops the shared companion and squares A again
+    # planted: lifting_isometry_check sets the shared companion aside and squares A again
     original = criteria.lifting_isometry_check
-    monkeypatch.setattr(criteria, "lifting_isometry_check", lambda *args, comp=None, **kw: original(*args, **kw))
+    monkeypatch.setattr(criteria, "lifting_isometry_check",
+                        lambda ld, r, w, comp, **kw: original(ld, r, w, criteria.companion(comp.a, kw["grid"]), **kw))
     assert ladders(monkeypatch, tmp_path, PROP4_6) == 4
 
 

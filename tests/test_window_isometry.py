@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from liftlab import cli, clt, criteria, h2, linalg
 from liftlab.h2 import MatPoly
 
-from conftest import contractive_matpoly, random_contraction, random_isometry
+from conftest import contractive_matpoly, lifting_of, random_contraction, random_isometry
 
 
 def window_gram_of_y(problem, lifting) -> np.ndarray:
@@ -57,7 +57,7 @@ def test_the_window_gram_of_y_is_the_truncated_stein_sum(seed, mult, degree, r_d
     shape = (ld.ker_omega_star.dim, ld.ker_omega.dim)
     r = MatPoly.constant(random_isometry(rng, *shape)) if r_degree == 0 else \
         contractive_matpoly(rng, *shape, r_degree, norm=0.9)
-    lifting = clt.lift(problem, r, degree, ld=ld)
+    lifting = lifting_of(problem, r, degree, ld)
     want = stein_window_gram(problem, ld, lifting.w, degree + 1)
     assert np.linalg.norm(window_gram_of_y(problem, lifting) - want, 2) <= 1e-13 * max(1.0, np.linalg.norm(want, 2))
 
@@ -75,10 +75,11 @@ def slow_problem():
 
 def test_the_limit_decides_where_degree_512_does_not():
     problem, ld, r0 = slow_problem()
-    lifting = clt.lift(problem, r0, 512, ld=ld)
+    lifting = lifting_of(problem, r0, 512, ld)
     assert linalg.spectral_radius(lifting.w.coeffs[0, ld.basis_tprime.dim :]) >= 0.999
     truncated = deviation(window_gram_of_y(problem, lifting))
-    dev, converged = cli.window_isometry_deviation(problem, ld, lifting.w)
+    a = lifting.w.block_rows(ld.basis_tprime.dim)[1]
+    dev, converged = cli.window_isometry_deviation(problem, ld, lifting.w, criteria.companion(a))
     assert truncated > 1e-4 > 1e-12 > dev and converged
     # the truncation is the Stein sum after 513 terms, not a sampling artefact
     assert truncated == pytest.approx(deviation(stein_window_gram(problem, ld, lifting.w, 513)), rel=1e-9)
@@ -92,7 +93,8 @@ def test_a_unimodular_eigenvalue_reaches_the_cap_and_fails():
     full, empty = linalg.SubspaceBasis.full, linalg.SubspaceBasis.empty
     ld = clt.LiftingData(np.diag([0.0, 1.0]), full(2), full(1), np.vstack([b, a]), empty(2), empty(3))
     problem = SimpleNamespace(window_dim=2, x=np.array([[1.0, 0.0]]))
-    dev, converged = cli.window_isometry_deviation(problem, ld, MatPoly.constant(np.vstack([b, a])))
+    w = MatPoly.constant(np.vstack([b, a]))
+    dev, converged = cli.window_isometry_deviation(problem, ld, w, criteria.companion(MatPoly.constant(a)))
     assert not converged
     assert np.isfinite(dev) and dev <= 1e-12
 
