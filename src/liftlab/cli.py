@@ -21,6 +21,8 @@ Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
 
+Every command runs its BLAS on one thread (``linalg.OneBlasThread``).
+
 Exit codes: 0 expected verdicts matched, 1 verdict mismatch, 2 input
 error.
 """
@@ -512,29 +514,30 @@ def _cmd_dims(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    try:
-        if cfg.command == "examples":
-            return _SCENARIO_FUNCS[cfg.scenario](cfg)
-        if cfg.command == "lift":
-            return _cmd_lift(cfg)
-        if cfg.command == "bimodel":
-            return _cmd_bimodel(cfg)
-        if cfg.command == "coiso":
-            return _cmd_coiso(cfg)
-        if cfg.command == "dims":
-            return _cmd_dims(cfg)
-        parser.error(f"unknown command {cfg.command}")
-    except (serialize.SchemaError, json.JSONDecodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    with linalg.OneBlasThread():
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        cfg = config_from_args(args)
+        try:
+            if cfg.command == "examples":
+                return _SCENARIO_FUNCS[cfg.scenario](cfg)
+            if cfg.command == "lift":
+                return _cmd_lift(cfg)
+            if cfg.command == "bimodel":
+                return _cmd_bimodel(cfg)
+            if cfg.command == "coiso":
+                return _cmd_coiso(cfg)
+            if cfg.command == "dims":
+                return _cmd_dims(cfg)
+            parser.error(f"unknown command {cfg.command}")
+        except (serialize.SchemaError, json.JSONDecodeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (clt.CLTError, coiso.CoisoError, bimodel.BimodelError, criteria.CriteriaError,
+                h2.H2Error, linalg.LinalgError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return 2
-    except (clt.CLTError, coiso.CoisoError, bimodel.BimodelError, criteria.CriteriaError,
-            h2.H2Error, linalg.LinalgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

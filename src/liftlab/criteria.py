@@ -212,6 +212,14 @@ def companion(a: MatPoly, grid: int = 1) -> h2.Companion:
     return h2.Companion(a, max(grid, 1 << TAYLOR_SQUARINGS))
 
 
+def _corner(block: np.ndarray, size: int) -> np.ndarray:
+    """E* N E for E = [I 0] with `size` columns: the square block N in
+    the top-left corner of a zero size x size matrix, with no product."""
+    out = np.zeros((size, size), dtype=complex)
+    out[: len(block), : len(block)] = block
+    return out
+
+
 def parseval_means(comp: h2.Companion, weights: np.ndarray, ladder, grid: int) -> np.ndarray:
     """The Gram matrices V* S V, V = M_rho^(-1) E* and E* = [I; 0] with
     dim A columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
@@ -303,8 +311,8 @@ def radial_isometry_check(
     """
     a = _top_block(w)
     comp = comp.of(a)
-    e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, a.degree + 1)
-    gram, la = e.conj().T @ e, lw[: a.out_dim]
+    lw = h2.state_rows(w, a.degree + 1)
+    gram, la = _corner(np.eye(a.in_dim), len(comp.m)), lw[: a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
     means = parseval_means(comp, weights, ladder, grid)
     defect_ladder = [largest_eigenvalue(g[0]) for g in means]
@@ -446,12 +454,12 @@ def lifting_isometry_check(
     _, a = w.block_rows(ld.basis_tprime.dim)
     comp = comp.of(a)
     terms, kker = a.degree + 1, ld.ker_omega.columns
-    e, lw = np.eye(a.in_dim, len(comp.m)), h2.state_rows(w, terms)
+    size, lw = len(comp.m), h2.state_rows(w, terms)
     lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
-    means = parseval_means(comp, (e.conj().T @ kk @ e - rr)[None], ladder, grid)[:, 0]
+    means = parseval_means(comp, (_corner(kk, size) - rr)[None], ladder, grid)[:, 0]
     defect_ladder = [largest_eigenvalue(g) for g in means]
-    chain_residual = max(linalg.hermitian_norm(lw.conj().T @ lw - e.conj().T @ gram @ e - rr),
+    chain_residual = max(linalg.hermitian_norm(lw.conj().T @ lw - _corner(gram, size) - rr),
                          linalg.hermitian_norm(np.eye(len(gram)) - gram - kk))
     trace = taylor_trace(comp, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)

@@ -6,7 +6,8 @@ isometry question reads one measure, ``isometry_gap`` = ||M*M - I||,
 against its caller's own threshold.
 
 Two decisions about floating point noise are made in one place each,
-and every spectral norm is read one way:
+every spectral norm is read one way, and the BLAS's thread count is set
+in one place:
 
 * the rank rule: ``rank_mask`` keeps a singular value (or an eigenvalue
   of a positive semidefinite matrix) iff it is at least
@@ -27,11 +28,22 @@ and every spectral norm is read one way:
   RANK_TOL.  ``kernel_basis``, ``range_basis``, ``orth_complement``,
   ``subspace_intersection``, ``SubspaceBasis.full`` and ``empty`` take
   their columns from an SVD, a QR or the identity, orthonormal by
-  construction, and do not check them again.
+  construction, and do not check them again;
+* the thread rule: inside ``with OneBlasThread():`` the BLAS runs on one
+  thread, and on any exit it runs again on the count found on entry.
+  ``cli.main`` enters it around every command, and nothing else does.
+  On the scenarios and the benchmark's problems every matrix a command
+  factors is at most 53 x 50, and the tallest operand, the truncated
+  lifting of ``lift --degree 1024``, is 2052 x 25.  At those sizes one
+  thread takes the wall time of two, and OpenBLAS's second thread only
+  spins: a benchmark `lifting` pass used about twice its wall time in
+  CPU time with two threads, and about once with the rule.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -54,6 +66,60 @@ class NotAContraction(LinalgError):
 
 class DimensionMismatch(LinalgError):
     pass
+
+
+@functools.cache
+def blas_thread_entry_points():
+    """The BLAS's (get_num_threads, set_num_threads) functions, or None.
+
+    Looked up once, on first use and not at import: each shared object
+    mapped into the process (``/proc/self/maps``) whose path names
+    OpenBLAS is opened, and the first that exports both functions under
+    the prefix ``scipy_openblas`` or ``openblas`` and the suffix ``64_``
+    or none gives them.  That takes 0.5-0.7 ms on a 2-core Xeon, and a
+    get and set about 1 us; numpy has imported ctypes already, so
+    importing this module costs nothing more.  A
+    numpy built on another BLAS, or a system without /proc, finds None,
+    and ``OneBlasThread`` then leaves the thread count alone."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+class OneBlasThread:
+    """The thread rule (module docstring): the BLAS runs on one thread
+    inside the ``with`` block, and on leaving it, by a return or an
+    exception, on the count it ran on before.  Without the entry points
+    of ``blas_thread_entry_points`` it changes nothing."""
+
+    def __enter__(self) -> "OneBlasThread":
+        self._restore = None
+        points = blas_thread_entry_points()
+        if points is not None:
+            get, put = points
+            self._restore = functools.partial(put, get())
+            put(1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._restore is not None:
+            self._restore()
 
 
 def as_matrix(m) -> np.ndarray:

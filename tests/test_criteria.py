@@ -278,6 +278,15 @@ class TestParsevalMeans:
             want = v.conj().T @ s @ v
             assert np.max(np.abs(rung - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("dim, size", [(1, 1), (3, 3), (3, 9), (25, 25), (2, 8)])
+    def test_the_corner_has_the_bits_of_the_product_with_e(self, rng, dim, size):
+        # E = [I 0] is exact, so E* N E has N's bits in its corner and zeros elsewhere
+        e = np.eye(dim, size)
+        n = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for block, want in ((n, e.conj().T @ n @ e), (np.eye(dim), e.conj().T @ e)):
+            got = criteria._corner(block, size)
+            assert got.shape == (size, size) and np.array_equal(got, want)
+
 
 class TestSharedCompanion:
     """Every function handed a symbol beside its companion checks that
