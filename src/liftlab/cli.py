@@ -17,6 +17,12 @@ left out, and the report's `config` records null for it.  ex3_1 is the
 only scenario that reads `--degree`: no other one truncates a series.
 The `config` echo lists every RunConfig field, at its default where the
 command takes no such flag.
+
+`lift` and prop4_6 decide a lifting the same way (``_decide_lifting``),
+off one companion of its Schur symbol; `lift` reads `window_norm` off
+the window Gram matrix and builds the truncated Y at `--degree` only for
+its intertwining residual.  An `expect` block that ``serialize`` cannot
+decode exits 2 like any other bad input.
 Reports are deterministic JSON (identical config and seed give
 byte-identical output); radial ladders and Taylor traces can be dumped
 as CSV next to the report.
@@ -32,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -203,38 +210,30 @@ def _finish(cfg: RunConfig, reports, values, checks) -> int:
     return 0 if matched else 1
 
 
-def window_isometry_deviation(
-    problem: clt.CLTProblem, ld: clt.LiftingData, w: MatPoly, comp: h2.Companion,
-) -> tuple[float, bool]:
-    """sup over unit window vectors h of | ||Yh|| - 1 | for the
-    untruncated lifting Y = [X; Gamma(.) D_X] of the symbol W = [B; A],
-    and whether the Stein sum of its Hardy norms converged; Y itself is
-    not built.
-    ||Yh||^2 = ||Xh||^2 + ||B (I - zA)^(-1) c||^2 with c = Q* D_X h, so
-    the window Gram matrix is X_k* X_k + C* S_inf C, C the window columns
-    of Q* D_X, and the value max(|sqrt(lam_max) - 1|, |1 - sqrt(lam_min)|).
-    `comp` is the companion of A (``criteria.companion``)."""
-    k = problem.window_dim
-    b, a = w.block_rows(ld.basis_tprime.dim)
-    cols = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
-    hardy, converged = criteria.hardy_gram(comp.of(a), b, cols)
-    x = problem.x[:, :k]
-    low, top = np.sqrt(np.clip(np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]], 0.0, None))
-    return float(max(abs(top - 1.0), abs(1.0 - low))), converged
+def _decide_lifting(cfg: RunConfig, grid: int, problem: clt.CLTProblem, ld: clt.LiftingData,
+                    r: MatPoly, comp: h2.Companion) -> tuple[list, tuple]:
+    """The lifting check of the free parameter r, the obstruction search
+    when r is constant and isometric, and ``criteria.window_gram_extremes``,
+    all off the one companion `comp` of r's Schur symbol."""
+    reports = [criteria.lifting_isometry_check(
+        ld, r, comp, ladder=cfg.ladder, grid=grid, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+    )]
+    if r.degree == 0 and linalg.isometry_gap(r.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
+        reports.append(criteria.obstruction_search(ld, r.coeffs[0], comp))
+    return reports, criteria.window_gram_extremes(problem, ld, comp)
 
 
 def _scenario_ex3_2(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 4096)
     w = MatPoly.constant([[0.5], [0.5]])
-    a, b = w.block_rows(1)
-    comp = criteria.companion(a, grid)
-    d_vals = h2.resolvent_apply_grid(a, [1.0], 1.0, grid)
+    comp = criteria.companion(w, grid=grid)
+    d_vals = h2.resolvent_apply_grid(comp.a, [1.0], 1.0, grid)
     integrand = (1.0 - 0.25) * linalg.sq_norms(d_vals[:, 0], axis=())
     poisson = float(np.mean(integrand))
-    hardy = float(criteria.hardy_gram(comp, b, np.eye(1))[0][0, 0].real)
+    hardy = float(criteria.hardy_gram(comp, np.eye(1))[0][0, 0].real)
     rep_bm = criteria.boundary_measure_check(w, grid=grid, ladder=cfg.ladder)
     rep_ri = criteria.radial_isometry_check(
-        w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
     values = {"poisson_integral": poisson, "hardy_norm_sq": hardy}
     checks = [
@@ -307,19 +306,16 @@ def _scenario_ex3_1(cfg: RunConfig) -> int:
 
 def _scenario_rk3_1(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 256)
-    w0 = np.array([[1.0], [0.0]])
-    comp = criteria.companion(MatPoly.constant(w0[:1]), grid)
+    comp = criteria.companion(MatPoly.constant([[1.0], [0.0]]), grid=grid)
     rep_ri = criteria.radial_isometry_check(
-        MatPoly.constant(w0), comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
-    rep_cs = criteria.constant_symbol_check(w0, comp)
+    rep_cs = criteria.constant_symbol_check(comp)
     problem = clt.build_problem(np.eye(1), np.eye(1), np.zeros((1, 1)))
     ld = clt.build_omega(problem)
     # the zero parameter: its symbol W is the coupling itself
-    a_ob = clt.assemble_schur_W(ld, None).block_rows(ld.basis_tprime.dim)[1]
-    rep_ob = criteria.obstruction_search(
-        ld, np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim)), criteria.companion(a_ob),
-    )
+    comp_ob = criteria.companion(clt.assemble_schur_W(ld, None), ld.basis_tprime.dim)
+    rep_ob = criteria.obstruction_search(ld, np.zeros((ld.ker_omega_star.dim, ld.ker_omega.dim)), comp_ob)
     trace = [v for _, v in rep_ri.taylor_trace]
     lam = complex(*rep_ob.extras["lambda"]) if "lambda" in rep_ob.extras else None
     values = {
@@ -340,14 +336,12 @@ def _scenario_cor3_3(cfg: RunConfig) -> int:
     grid = _given(cfg.grid, 512)
     a0 = np.array([[0.5, 0.3], [0.0, -0.4]])
     w0 = np.vstack([a0, linalg.defect(a0)])
-    w = MatPoly.constant(w0)
-    a, b = w.block_rows(2)
-    comp = criteria.companion(a, grid)
-    rep_cs = criteria.constant_symbol_check(w0, comp)
+    comp = criteria.companion(MatPoly.constant(w0), grid=grid)
+    rep_cs = criteria.constant_symbol_check(comp)
     rep_ri = criteria.radial_isometry_check(
-        w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
+        comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
     )
-    hardy, _ = criteria.hardy_gram(comp, b, np.eye(2))
+    hardy, _ = criteria.hardy_gram(comp, np.eye(2))
     worst = float(np.max(np.abs(np.diag(hardy).real - 1.0)))
     values = {"hardy_norm_deviation": worst, "spectral_radius": rep_cs.extras["spectral_radius"]}
     checks = [
@@ -375,24 +369,21 @@ def _scenario_prop4_6(cfg: RunConfig) -> int:
         raw_r = rng.standard_normal((ks, k)) + 1j * rng.standard_normal((ks, k))
         q, _ = np.linalg.qr(raw_r)
         r0 = MatPoly.constant(q[:, :k])
-        w = clt.assemble_schur_W(ld, r0)
-        comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], grid)
-        rep = criteria.lifting_isometry_check(
-            ld, r0, w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
-        )
-        rep.criterion_id = f"lifting_isometry_mult{mult}"
-        rep_ob = criteria.obstruction_search(ld, r0.coeffs[0], comp)
-        rep_ob.criterion_id = f"obstruction_mult{mult}"
-        dev, converged = window_isometry_deviation(problem, ld, w, comp)
+        comp = criteria.companion(clt.assemble_schur_W(ld, r0), ld.basis_tprime.dim, grid=grid)
+        reps, (low, top, converged) = _decide_lifting(cfg, grid, problem, ld, r0, comp)
+        for rep in reps:
+            rep.criterion_id += f"_mult{mult}"
+        dev = max(abs(math.sqrt(max(top, 0.0)) - 1.0), abs(1.0 - math.sqrt(max(low, 0.0))))
         # the 20 window vectors the sampled check drew: the mult-2 problem stays as it was
         rng.standard_normal(40 * problem.window_dim)
-        reports += [rep, rep_ob]
+        reports += reps
         values[f"mult{mult}_coupling_agreement"] = agree
         values[f"mult{mult}_isometry_deviation"] = dev
         values[f"mult{mult}_hardy_converged"] = converged
+        # r0 is an isometry, so the obstruction search ran
         checks += [
-            (f"mult {mult}: lifting isometry criterion passes", rep.verdict == "pass"),
-            (f"mult {mult}: no obstruction witness", rep_ob.verdict == "pass"),
+            (f"mult {mult}: lifting isometry criterion passes", reps[0].verdict == "pass"),
+            (f"mult {mult}: no obstruction witness", [rep.verdict for rep in reps[1:]] == ["pass"]),
             (f"mult {mult}: lifted map is isometric within 1e-4", converged and dev <= 1e-4),
             (f"mult {mult}: coupling constructions agree within 1e-8", agree <= 1e-8),
         ]
@@ -408,22 +399,11 @@ _SCENARIO_FUNCS = {
 }
 
 
-def _expected_checks(expect, reports) -> list:
-    checks = []
-    if isinstance(expect, dict):
-        by_id = {r.criterion_id: r.verdict for r in reports}
-        for cid, want in expect.items():
-            got = by_id.get(cid)
-            checks.append((f"expected {cid} = {want}", got == want))
-    return checks
-
-
 def _cmd_lift(cfg: RunConfig) -> int:
     doc = _load_json(cfg.input)
     problem = serialize.decode_problem(doc)
-    r = None
-    if cfg.schur:
-        r = serialize.decode_matpoly(_load_json(cfg.schur))
+    expect = serialize.decode_expect(doc, "lift")
+    r = serialize.decode_matpoly(_load_json(cfg.schur)) if cfg.schur else None
     degree = _given(cfg.degree, 256)
     grid = _given(cfg.grid, 512)
     try:
@@ -434,27 +414,23 @@ def _cmd_lift(cfg: RunConfig) -> int:
         route = "definitional"
     if r is None:
         r = MatPoly.zero(ld.ker_omega_star.dim, ld.ker_omega.dim)
-    w = clt.assemble_schur_W(ld, r)
-    # one ladder of A serves the checks, which read only W, and then Y
-    comp = criteria.companion(w.block_rows(ld.basis_tprime.dim)[1], max(grid, degree))
-    rep = criteria.lifting_isometry_check(
-        ld, r, w, comp, grid=grid, ladder=cfg.ladder, tol_int=cfg.tol_int, tol_taylor=cfg.tol_taylor,
-    )
-    reports = [rep]
-    if r.degree == 0 and linalg.isometry_gap(r.coeffs[0]) <= criteria.PARAMETER_ISOMETRY_TOL:
-        reports.append(criteria.obstruction_search(ld, r.coeffs[0], comp))
-    lifting = clt.lift(problem, ld, w, comp, degree)
+    # one ladder of A serves the checks, the window Gram matrix and then Y
+    comp = criteria.companion(clt.assemble_schur_W(ld, r), ld.basis_tprime.dim, grid=max(grid, degree))
+    reports, (_, top, converged) = _decide_lifting(cfg, grid, problem, ld, r, comp)
+    lifting = clt.lift(problem, ld, comp, degree)
     # dropped before the residuals, which hold the command's largest blocks beside Y
     del comp
     residuals = lifting.residuals()
+    window_norm = math.sqrt(max(top, 0.0))
     dims = clt.dims_report(ld, problem)
-    values = {"coupling_route": route, "degree": degree, **residuals, **dims.to_dict()}
+    values = {"coupling_route": route, "degree": degree, **residuals, "window_norm": window_norm,
+              "hardy_converged": converged, **dims.to_dict()}
     checks = [
-        ("projection onto the base space reproduces X", residuals["projection"] <= 1e-12),
         ("lifting intertwines on the window", residuals["intertwining"] <= 1e-8),
-        ("lifting is contractive on the window", residuals["window_norm"] <= 1.0 + 1e-8),
+        ("lifting is contractive on the window", window_norm <= 1.0 + 1e-8),
     ]
-    checks += _expected_checks(doc.get("expect"), reports)
+    verdicts = {rep.criterion_id: rep.verdict for rep in reports}
+    checks += [(f"expected {cid} = {want}", verdicts.get(cid) == want) for cid, want in expect.items()]
     return _finish(cfg, reports, values, checks)
 
 
@@ -466,11 +442,11 @@ def _cmd_bimodel(cfg: RunConfig) -> int:
         theta = serialize.decode_matpoly(doc)
     else:
         theta = serialize.decode_matpoly(doc.get("symbol"), "$.symbol")
+    want = serialize.decode_expect(doc, "bimodel")
     grid = _given(cfg.grid, 256)
     degree = _given(cfg.degree, 64)
     model = bimodel.build_model(theta, grid, degree)
     rep = bimodel.verify_bi_isometry(model)
-    want = doc.get("expect", "pass")
     checks = [(f"model verification = {want}", rep.verdict == want)]
     return _finish(cfg, [rep], {"grid": grid, "degree": degree}, checks)
 
@@ -478,6 +454,7 @@ def _cmd_bimodel(cfg: RunConfig) -> int:
 def _cmd_coiso(cfg: RunConfig) -> int:
     doc = _load_json(cfg.input)
     problem = serialize.decode_extension_problem(doc)
+    expect = serialize.decode_expect(doc, "coiso")
     feas = coiso.can_extend(problem)
     values = dict(feas.to_dict())
     checks = []
@@ -493,51 +470,32 @@ def _cmd_coiso(cfg: RunConfig) -> int:
             ("extension is a coisometry within 1e-10", co_res <= 1e-10),
             ("extension restricts to C within 1e-10", restr <= 1e-10),
         ]
-    expect = doc.get("expect")
-    if isinstance(expect, dict) and "feasible" in expect:
-        checks.append((f"feasibility = {expect['feasible']}", feas.feasible == bool(expect["feasible"])))
+    checks += [(f"feasibility = {want}", feas.feasible == want) for want in expect.values()]
     return _finish(cfg, [], values, checks)
 
 
 def _cmd_dims(cfg: RunConfig) -> int:
     doc = _load_json(cfg.input)
     problem = serialize.decode_problem(doc)
-    ld = clt.build_omega(problem)
-    rep = clt.dims_report(ld, problem)
-    values = rep.to_dict()
-    checks = []
-    expect = doc.get("expect")
-    if isinstance(expect, dict):
-        for key, want in expect.items():
-            checks.append((f"expected {key} = {want}", values.get(key) == want))
+    expect = serialize.decode_expect(doc, "dims")
+    values = clt.dims_report(clt.build_omega(problem), problem).to_dict()
+    checks = [(f"expected {key} = {want}", values[key] == want) for key, want in expect.items()]
     return _finish(cfg, [], values, checks)
+
+
+_COMMAND_FUNCS = {"examples": lambda cfg: _SCENARIO_FUNCS[cfg.scenario](cfg), "lift": _cmd_lift,
+                  "bimodel": _cmd_bimodel, "coiso": _cmd_coiso, "dims": _cmd_dims}
 
 
 def main(argv=None) -> int:
     with linalg.OneBlasThread():
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        cfg = config_from_args(args)
+        cfg = config_from_args(build_parser().parse_args(argv))
         try:
-            if cfg.command == "examples":
-                return _SCENARIO_FUNCS[cfg.scenario](cfg)
-            if cfg.command == "lift":
-                return _cmd_lift(cfg)
-            if cfg.command == "bimodel":
-                return _cmd_bimodel(cfg)
-            if cfg.command == "coiso":
-                return _cmd_coiso(cfg)
-            if cfg.command == "dims":
-                return _cmd_dims(cfg)
-            parser.error(f"unknown command {cfg.command}")
-        except (serialize.SchemaError, json.JSONDecodeError, OSError) as exc:
+            return _COMMAND_FUNCS[cfg.command](cfg)
+        except (serialize.SchemaError, json.JSONDecodeError, OSError, clt.CLTError, coiso.CoisoError,
+                bimodel.BimodelError, criteria.CriteriaError, h2.H2Error, linalg.LinalgError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (clt.CLTError, coiso.CoisoError, bimodel.BimodelError, criteria.CriteriaError,
-                h2.H2Error, linalg.LinalgError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 2
 
 
 if __name__ == "__main__":

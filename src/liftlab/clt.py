@@ -14,11 +14,11 @@ of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
 of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
 inverts exactly what the kernels leave out.  ``lift`` reads the
-coefficients of Gamma, each r' x r in the defect coordinates, off the
-powers M, M^2, M^4, ... of the companion M of A (``h2.Companion``),
-the ladder the checks of the lifting then read too: it doubles the
-stacked states of the coefficients with one product per power, and
-writes Y's rows Gamma_n D_X with one more.
+coefficients of Gamma = B (I - zA)^(-1), each r' x r in the defect
+coordinates, off the ``h2.Companion`` of W = [B; A] that the checks of
+the lifting read too: it doubles the stacked states with one product
+per power M^(2^j), and writes Y's rows Gamma_n D_X with one more.
+``Lifting.residuals`` reads only the intertwining residual off Y.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -294,10 +294,6 @@ class LiftingData:
     ker_omega: SubspaceBasis
     ker_omega_star: SubspaceBasis
 
-    @property
-    def defect_dim(self) -> int:
-        return self.basis_x.dim
-
 
 def build_omega(p: CLTProblem) -> LiftingData:
     """Definitional construction of the coupling partial isometry.
@@ -422,27 +418,21 @@ class Lifting:
     minimal: MinimalLifting
 
     def residuals(self) -> dict:
-        """Lifting-contract residuals, all restricted to the window; each
-        2-norm is ``linalg.operator_norm``'s, read off the smaller Gram
-        matrix, k x k for the window blocks of the tall Y."""
+        """The intertwining residual ||U'Y - YT|| on the window, the
+        2-norm of ``linalg.operator_norm``, read off the k x k Gram
+        matrix of the tall block."""
         k = self.problem.window_dim
         y, tm = self.y, self.problem.t_matrix
-        # U'Y - YT in place, and freed before the window norm copies Y's window
+        # U'Y - YT in place
         defect = self.minimal.apply(y[:, :k])
         defect -= y @ tm[:, :k]
-        intertwining = linalg.operator_norm(defect)
-        del defect
-        return {
-            "intertwining": intertwining,
-            "projection": linalg.operator_norm(y[: self.minimal.h_dim] - self.problem.x),
-            "window_norm": linalg.operator_norm(y[:, :k]),
-        }
+        return {"intertwining": linalg.operator_norm(defect)}
 
 
-def lift(p: CLTProblem, ld: LiftingData, w: MatPoly, comp: h2.Companion, degree: int) -> Lifting:
+def lift(p: CLTProblem, ld: LiftingData, comp: h2.Companion, degree: int) -> Lifting:
     """Build the contractive intertwining lifting of the Schur parameter
     W = [B; A] that ``assemble_schur_W`` assembled from the coupling `ld`
-    and a free parameter.
+    and a free parameter; `comp` is W's ``h2.Companion``.
 
     Y h = X h + Gamma(.) D_X h with Gamma = B (I - zA)^(-1).  With M the
     companion of A and L = ``h2.state_rows(B)``, Gamma_n = L M^n E*, so
@@ -450,19 +440,19 @@ def lift(p: CLTProblem, ld: LiftingData, w: MatPoly, comp: h2.Companion, degree:
     (M^m)^T X_(0..m-1), one product per power M^m, whatever dim T is.
     The ladder stops at a zero power, past which every X_n is zero.
     Gamma_n^T is the first r rows of X_n, and the series rows of Y are
-    the stacked Gamma_n times Q* D_X, one product.
+    the stacked Gamma_n times Q* D_X, one product.  Y's top rows are X
+    itself, copied, so P_H' Y = X holds by construction, bit for bit:
+    the projection onto H' reads the rows it was written.
 
-    `comp` is the ``h2.Companion`` of A, its ladder through at least
-    `degree`; Y reads the prefix 2^j <= degree.  The caller builds it
-    once for the command and hands it to the checks of the lifting too,
-    so A is squared once; the lifting does not hold it.
+    The ladder of `comp` reaches at least `degree`; Y reads the prefix
+    2^j <= degree.  The caller builds the companion once for the command
+    and hands it to the checks of the lifting too, so A is squared once;
+    the lifting does not hold it.
     """
-    r_prime, h_dim = ld.basis_tprime.dim, p.x.shape[0]
-    b, a = w.block_rows(r_prime)
-    comp = comp.of(a)
+    r_prime, h_dim, a = ld.basis_tprime.dim, p.x.shape[0], comp.a
     # column block n holds X_n = (M^n)^T L^T, shape len(M) x r'
     states = np.zeros((len(comp.m), (degree + 1) * r_prime), dtype=complex)
-    states[:, :r_prime] = h2.state_rows(b, a.degree + 1).T
+    states[:, :r_prime] = h2.state_rows(comp.b, a.degree + 1).T
     for j, power in enumerate(comp.prefix(degree)):
         done = 1 << j
         more = min(done, degree + 1 - done)
@@ -472,7 +462,7 @@ def lift(p: CLTProblem, ld: LiftingData, w: MatPoly, comp: h2.Companion, degree:
     coords = ld.basis_x.columns.conj().T @ ld.d_x
     np.matmul(states[: a.in_dim].T, coords, out=y[h_dim:])
     ml = minimal_isometric_lifting(p.t_prime, degree, basis=ld.basis_tprime, d_tp=p.d_tprime)
-    return Lifting(p, ld, w, y, ml)
+    return Lifting(p, ld, comp.w, y, ml)
 
 
 @dataclass(frozen=True)

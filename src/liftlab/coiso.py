@@ -12,6 +12,7 @@ generator is supplied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,15 @@ class ExtensionProblem:
         if self.m.dim and linalg.range_basis(c).dim < self.m.dim:
             raise NotDenseRange("C does not have full numerical rank onto M")
 
+    @cached_property
+    def d_c_star(self) -> np.ndarray:
+        """D_C*, factored once: the feasibility test and the extension share it and its range."""
+        return linalg.defect_adjoint(self.c, self.tol)
+
+    @cached_property
+    def defect_range(self) -> SubspaceBasis:
+        return linalg.range_basis(self.d_c_star)
+
 
 @dataclass(frozen=True)
 class ExtensionFeasibility:
@@ -83,8 +93,7 @@ def can_extend(p: ExtensionProblem) -> ExtensionFeasibility:
     extension must absorb: the complement of M and the adjoint defect."""
     room = p.h_prime_dim - p.m_prime.dim
     complement = p.h_dim - p.m.dim
-    dcs = linalg.defect_adjoint(p.c, p.tol)
-    rank_dcs = linalg.range_basis(dcs).dim
+    rank_dcs = p.defect_range.dim
     return ExtensionFeasibility(room >= complement + rank_dcs, room, complement, rank_dcs)
 
 
@@ -105,8 +114,7 @@ def build_extension(p: ExtensionProblem, rng: np.random.Generator | None = None)
     qm, qmp = p.m.columns, p.m_prime.columns
     m_perp = linalg.orth_complement(p.m)
     mp_perp = linalg.orth_complement(p.m_prime)
-    dcs = linalg.defect_adjoint(p.c, p.tol)
-    e = linalg.range_basis(dcs)
+    dcs, e = p.d_c_star, p.defect_range
     q = e.dim
     y_dim = m_perp.dim
     x_cols = mp_perp.columns[:, :q]

@@ -45,18 +45,15 @@ node is solved, and the rung is the largest eigenvalue of V* S V.  As
 b^(2^j) = rho^(2^j) M^(2^j), one ladder of powers of M
 (``linalg.power_ladder``) serves every rung, and the rungs are summed
 at once.  One companion serves every check of a symbol, not only
-every rung: ``companion`` builds the symbol's ``h2.Companion``, its
-ladder squared once through the Taylor trace's cap and the grid, and a
-command hands that one object to every check of the symbol (the
-radial, constant-symbol and lifting checks and the obstruction
-search), to ``hardy_gram`` and to ``clt.lift``.  None of them builds
-one of its own, and each that is also handed W checks that the
-companion is that of W's A, entry for entry (``h2.Companion.of``).
-With E = [I 0 ... 0] and L_W, L_A and L_RK the rows of W, A and R K*,
-N is E*E - L_W* L_W, E*E and E*E - L_A* L_A for the radial defect,
-weighted and defect-of-A ladders, and E* K K* E - L_RK* L_RK for the
-lifting parameter defect (K the kernel basis of the coupling, R the
-free parameter).  The lifting's defect chain holds for every state, so
+every rung: ``companion`` builds the ``h2.Companion`` of W, which holds
+W, A and B, its ladder squared once through the Taylor trace's cap and
+the grid.  It is the only symbol argument of every check of W, of
+``hardy_gram``, ``window_gram_extremes`` and ``clt.lift``, so none of
+them splits W or squares A again.  With E = [I 0 ... 0] and L_W, L_A
+and L_RK the rows of W, A and R K*, N is E*E - L_W* L_W, E*E and E*E -
+L_A* L_A for the radial defect, weighted and defect-of-A ladders, and
+E* K K* E - L_RK* L_RK for the lifting parameter defect (K the kernel
+basis of the coupling, R the free parameter).  The lifting's defect chain holds for every state, so
 it is checked as the identities L_W* L_W = E* Omega* Omega E + L_RK*
 L_RK, which holds exactly when (K_*)* Omega = 0 (K_* the kernel basis
 of Omega*), and I = Omega*Omega + K K*.
@@ -111,8 +108,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import clt, h2, linalg
-from .clt import LiftingData
+from . import h2, linalg
+from .clt import CLTProblem, LiftingData
 from .h2 import MatPoly
 
 DEFAULT_LADDER = (0.9, 0.99, 0.999)
@@ -192,24 +189,20 @@ def combine_verdicts(*verdicts: str) -> str:
     return "inconclusive"
 
 
-def _top_block(w: MatPoly) -> MatPoly:
-    """The square block A on top of W = [A; B]."""
-    if w.out_dim < w.in_dim:
-        raise CriteriaError("symbol needs at least as many rows as columns")
-    return w.block_rows(w.in_dim)[0]
-
-
 def largest_eigenvalue(gram: np.ndarray) -> float:
     """sup of d* G d over unit d for a Hermitian G; 0 for an empty G."""
     return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
 
 
-def companion(a: MatPoly, grid: int = 1) -> h2.Companion:
-    """The companion of A with its ladder M, M^2, M^4, ... through the
-    Taylor trace's 2^TAYLOR_SQUARINGS, or `grid` when that is larger:
-    enough for the Taylor trace, ``hardy_gram`` and the rungs of a check
-    on `grid` nodes or fewer."""
-    return h2.Companion(a, max(grid, 1 << TAYLOR_SQUARINGS))
+def companion(w: MatPoly, start: int = 0, *, grid: int = 1) -> h2.Companion:
+    """The companion of the Schur symbol W whose square block A starts at
+    row `start`, with its ladder M, M^2, M^4, ... through the Taylor
+    trace's 2^TAYLOR_SQUARINGS, or `grid` when that is larger: enough for
+    the Taylor trace, ``hardy_gram`` and the rungs of a check on `grid`
+    nodes or fewer.  The only place a companion is built."""
+    if not 0 <= start <= w.out_dim - w.in_dim:
+        raise CriteriaError(f"the symbol has no square block at row {start}")
+    return h2.Companion(w, start, max(grid, 1 << TAYLOR_SQUARINGS))
 
 
 def _corner(block: np.ndarray, size: int) -> np.ndarray:
@@ -233,10 +226,10 @@ def parseval_means(comp: h2.Companion, weights: np.ndarray, ladder, grid: int) -
     return linalg.adjoint_batch(v) @ s @ v
 
 
-def hardy_gram(comp: h2.Companion, b: MatPoly, cols: np.ndarray) -> tuple[np.ndarray, bool]:
+def hardy_gram(comp: h2.Companion, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     """C* E S_inf E* C, the Gram matrix of c -> ||B(z) (I - z A(z))^(-1) C
-    c||^2 in H^2, and whether the Stein sum converged; A is the symbol of
-    the companion `comp`.  With M the companion of A and L =
+    c||^2 in H^2, and whether the Stein sum converged; W = [B; A] is the
+    symbol of the companion `comp`.  With M the companion of A and L =
     ``h2.state_rows(B)``, coefficient n of B (I - zA)^(-1) C c is L M^n
     E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum is doubled
     TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms, or until a
@@ -244,10 +237,24 @@ def hardy_gram(comp: h2.Companion, b: MatPoly, cols: np.ndarray) -> tuple[np.nda
     S_inf M^G is below the rounding of S_inf and S_G is the limit;
     otherwise it is a partial sum that decides nothing."""
     a, count = comp.a, 1 << TAYLOR_SQUARINGS
-    rows = h2.state_rows(b, a.degree + 1)
+    rows = h2.state_rows(comp.b, a.degree + 1)
     s, power = linalg.stein_sum(comp.prefix(count), rows.conj().T @ rows, count)
     converged = bool(np.vdot(power, power).real <= np.finfo(float).eps)
     return cols.conj().T @ s[: a.in_dim, : a.in_dim] @ cols, converged
+
+
+def window_gram_extremes(problem: CLTProblem, ld: LiftingData, comp: h2.Companion) -> tuple[float, float, bool]:
+    """The least and largest eigenvalues of the window Gram matrix of the
+    untruncated lifting Y = [X; Gamma(.) D_X] of the symbol W = [B; A],
+    and whether ``hardy_gram`` converged; Y is not built.  ||Yh||^2 =
+    ||Xh||^2 + ||B (I - zA)^(-1) c||^2, c = Q* D_X h, so the matrix is
+    X_k* X_k + C* S_inf C, C the window columns of Q* D_X."""
+    k = problem.window_dim
+    cols = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
+    hardy, converged = hardy_gram(comp, cols)
+    x = problem.x[:, :k]
+    low, top = np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]]
+    return float(low), float(top), converged
 
 
 def taylor_trace(comp: h2.Companion, tol: float) -> list:
@@ -288,7 +295,6 @@ def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
 
 
 def radial_isometry_check(
-    w: MatPoly,
     comp: h2.Companion,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
@@ -306,13 +312,12 @@ def radial_isometry_check(
     ||W d||^2, ||d||^2 and ||d||^2 - ||A d||^2, read by
     ``parseval_means`` off the companion state of A: the first two as
     their largest value over unit d, the third as its largest deviation
-    from ||d||^2.  `comp` is the companion of W's top block A
-    (``companion``), its ladder through at least `grid`.
+    from ||d||^2.  `comp` is the companion of the symbol W and its square
+    block A (``companion``), its ladder through at least `grid`.
     """
-    a = _top_block(w)
-    comp = comp.of(a)
-    lw = h2.state_rows(w, a.degree + 1)
-    gram, la = _corner(np.eye(a.in_dim), len(comp.m)), lw[: a.out_dim]
+    a = comp.a
+    lw = h2.state_rows(comp.w, a.degree + 1)
+    gram, la = _corner(np.eye(a.in_dim), len(comp.m)), lw[comp.start : comp.start + a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
     means = parseval_means(comp, weights, ladder, grid)
     defect_ladder = [largest_eigenvalue(g[0]) for g in means]
@@ -341,15 +346,13 @@ def radial_isometry_check(
     )
 
 
-def constant_symbol_check(w0, comp: h2.Companion) -> CriterionReport:
-    """Constant-symbol special case: pass iff the block column is an
-    isometry and its square top block has spectral radius below one,
-    both within CLASSIFY_TOL.  `comp` is the companion of the top block,
-    whose Taylor trace the report records."""
+def constant_symbol_check(comp: h2.Companion) -> CriterionReport:
+    """Constant-symbol special case: pass iff the block column W_0 is an
+    isometry and its square block A_0 has spectral radius below one,
+    both within CLASSIFY_TOL.  `comp` is the companion of the constant
+    symbol W_0, whose Taylor trace the report records."""
     tol = linalg.CLASSIFY_TOL
-    m = linalg.as_matrix(w0)
-    a0 = m[: m.shape[1], :]
-    comp = comp.of(MatPoly.constant(a0))
+    m, a0 = comp.w.coeffs[0], comp.a.coeffs[0]
     rho_a = linalg.spectral_radius(a0)
     iso = linalg.isometry_gap(m) <= tol
     stable = rho_a < 1.0 - tol
@@ -388,7 +391,7 @@ def boundary_measure_check(
     mass and remainder ladders by the largest eigenvalue, the mass
     deviation by ||H - I||, H the mass Gram matrix.
     """
-    a = _top_block(w)
+    a = companion(w).a
     eye = np.eye(a.in_dim)
     mass_ladder, mass_dev, k_ladder = [], [], []
     for rho in ladder:
@@ -429,7 +432,6 @@ def boundary_measure_check(
 def lifting_isometry_check(
     ld: LiftingData,
     r: MatPoly,
-    w: MatPoly,
     comp: h2.Companion,
     ladder=DEFAULT_LADDER,
     grid: int = h2.DEFAULT_GRID,
@@ -437,8 +439,9 @@ def lifting_isometry_check(
     tol_taylor: float = TOL_TAYLOR,
 ) -> CriterionReport:
     """Isometry test for the lifting generated by the free parameter r,
-    from the coupling data and the Schur symbol W that
-    ``clt.assemble_schur_W`` assembled from them; no lifting Y is read.
+    from the coupling data and the companion of the Schur symbol W = [B;
+    A] that ``clt.assemble_schur_W`` assembled from them; no lifting Y is
+    read.
 
     Checks the free-parameter defect integral over the kernel component
     of the resolvent (vacuous for a trivial kernel) and the Taylor decay
@@ -447,14 +450,12 @@ def lifting_isometry_check(
     identity ||d||^2 - ||W d||^2 = ||d||^2 - ||Omega d||^2 - ||R K* d||^2
     = ||K* d||^2 - ||R K* d||^2 is checked as two matrix identities on
     the state, and the larger residual is reported as
-    `defect_chain_residual`.  `comp` is the companion of W's block A
+    `defect_chain_residual`.  `comp` is the companion of W
     (``companion``), its ladder through at least `grid`: the one
-    ``clt.lift`` read.
+    ``clt.lift`` reads.
     """
-    _, a = w.block_rows(ld.basis_tprime.dim)
-    comp = comp.of(a)
-    terms, kker = a.degree + 1, ld.ker_omega.columns
-    size, lw = len(comp.m), h2.state_rows(w, terms)
+    terms, kker = comp.a.degree + 1, ld.ker_omega.columns
+    size, lw = len(comp.m), h2.state_rows(comp.w, terms)
     lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
     means = parseval_means(comp, (_corner(kk, size) - rr)[None], ladder, grid)[:, 0]
@@ -489,10 +490,9 @@ def obstruction_search(ld: LiftingData, r0, comp: h2.Companion) -> CriterionRepo
     CLASSIFY_TOL.  A witness's orbit is traced for POWER_TERMS steps; an
     empty search records the dyadic Taylor trace of the top block.
 
-    `comp` is the companion of the block A of the constant symbol W =
-    ``clt.assemble_schur_W(ld, r0)``, whose coefficients are read here
-    as ``clt.schur_coeffs`` gives them, so the search and the trace read
-    the one A, bit for bit, that every other check of W reads.
+    `comp` is the companion of the constant symbol W =
+    ``clt.assemble_schur_W(ld, r0)``, so the search and the trace read
+    the one A that every other check of W reads.
     """
     tol, n_max = linalg.CLASSIFY_TOL, POWER_TERMS
     r0 = linalg.as_matrix(r0)
@@ -501,9 +501,7 @@ def obstruction_search(ld: LiftingData, r0, comp: h2.Companion) -> CriterionRepo
     if (r0.shape[0], r0.shape[1]) != (ld.ker_omega_star.dim, ld.ker_omega.dim):
         raise NotIsometricR0("free parameter does not match the kernel shapes")
     r_prime = ld.basis_tprime.dim
-    a0 = clt.schur_coeffs(ld, r0[None])[0, r_prime:]
-    comp = comp.of(MatPoly.constant(a0))
-    v = a0.conj().T
+    v = comp.a.coeffs[0].conj().T
     radius, witness = linalg.find_non_c0dot_witness(v, tol)
     if witness is None:
         return CriterionReport(

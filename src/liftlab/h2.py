@@ -13,7 +13,8 @@ companion M, of size dim (p + 1), and coefficient n of Q(z) (I - z
 A(z))^(-1) d is ``state_rows(Q)`` M^n E* d, E* = [I; 0].  So every
 series the lifting and the isometry criteria need is read off the
 powers M, M^2, M^4, ... of ``linalg.power_ladder``, squared once per
-symbol and held by its ``Companion``: the criteria Stein-sum them, and
+symbol and held by its ``Companion``, with the symbol W = [B; A] split
+once: the criteria Stein-sum the powers, and
 ``clt.lift`` doubles the stacked states of Y's coefficients, one
 product per power.  The convolution recursion is
 written once, in ``resolvent_terms``, which returns the first `count`
@@ -195,32 +196,29 @@ def realize(a: MatPoly) -> np.ndarray:
 
 
 class Companion:
-    """A symbol A(z) with its companion M = ``realize(A)`` and the ladder
-    M, M^2, M^4, ..., M^(2^j), 2^j <= count, of ``linalg.power_ladder``,
-    which stops at the first power that is exactly zero.  A command
-    builds one per symbol and hands it to everything that reads the
-    powers of M: the isometry checks and the obstruction search read
-    their rungs and Taylor traces off it, the Hardy limit its Stein sum
-    and a lifting its rows.  The ladder is squared on its first read, so
-    a companion whose powers nobody reads (an obstruction search that
-    finds a witness) costs no product.  It lives as long as the command
-    holds it."""
+    """A Schur symbol W, its square block A(z) = sum_(j<=p) A_j z^j from
+    row `start`, the rest B of its rows, A's companion M = ``realize(A)``
+    and the ladder M, M^2, ..., M^(2^j), 2^j <= count, of
+    ``linalg.power_ladder``, which stops at the first zero power.  W is
+    split here only, so A, B and the powers are always W's own.  A
+    command builds one per symbol (``criteria.companion``) and hands it,
+    as the symbol, to every check, the Hardy limit and the lifting.  M
+    and the ladder are built on their first read, so a companion whose
+    powers nobody reads costs no product."""
 
-    def __init__(self, a: MatPoly, count: int):
-        self.a, self.count = a, count
-        self.m = realize(a)
+    def __init__(self, w: MatPoly, start: int, count: int):
+        dim, c = w.in_dim, w.coeffs
+        self.w, self.start, self.count = w, start, count
+        self.a = MatPoly(c[:, start : start + dim])
+        self.b = MatPoly(np.concatenate([c[:, :start], c[:, start + dim :]], axis=1))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        return realize(self.a)
 
     @cached_property
     def powers(self) -> list:
         return linalg.power_ladder(self.m, self.count)
-
-    def of(self, a: MatPoly) -> "Companion":
-        """This companion, once its symbol is checked to be `a`, entry for
-        entry: a function handed the companion of another symbol would
-        read that symbol's powers, so it refuses it."""
-        if not np.array_equal(self.a.coeffs, a.coeffs):
-            raise H2Error("the companion is not that of the symbol it is read for")
-        return self
 
     def prefix(self, count: int) -> list:
         """The powers M^(2^j) with 2^j <= count: the ladder

@@ -6,6 +6,7 @@ degree.  Operator specifications are a tagged union:
 {"dense": matrix} | {"shift": {"mult": d, "degree": n}} |
 {"mult_op": {"symbol": polynomial, "degree": n}}.
 
+An input file's "expect" block is decoded here too (``decode_expect``).
 Decoding errors raise SchemaError with the JSON path of the offending
 node.  dumps_canonical emits byte-stable output for fixed input.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -104,6 +106,44 @@ def _integer(obj, key: str, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise SchemaError(path, f'"{key}" must be an integer')
     return int(value)
+
+
+VERDICTS = ("pass", "fail", "inconclusive")
+# what an "expect" entry may hold: a test of its JSON value, and its description
+_VERDICT = (lambda v: isinstance(v, str) and v in VERDICTS, f"one of {', '.join(VERDICTS)}")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+# the entries each command's "expect" object may name; bimodel expects one verdict
+EXPECT_ENTRIES = {
+    "lift": dict.fromkeys(("lifting_isometry", "obstruction"), _VERDICT),
+    "coiso": {"feasible": _FLAG},
+    "dims": {**{f.name: _COUNT for f in fields(clt.DimsReport)},
+             **dict.fromkeys(("kernel_inequality", "defect_inequality", "meet_inequality"), _FLAG)},
+}
+
+
+def _expected(value, rule, path: str):
+    test, what = rule
+    if not test(value):
+        raise SchemaError(path, f"must be {what}")
+    return value
+
+
+def decode_expect(doc: dict, command: str, path: str = "$.expect"):
+    """The "expect" entry of an input file of `command`: an object of the
+    entries EXPECT_ENTRIES allows, {} when absent or null, or for
+    `bimodel` one verdict, "pass" when absent or null."""
+    expect = doc.get("expect")
+    if command == "bimodel":
+        return "pass" if expect is None else _expected(expect, _VERDICT, path)
+    expect = {} if expect is None else expect
+    if not isinstance(expect, dict):
+        raise SchemaError(path, "must be an object")
+    entries = EXPECT_ENTRIES[command]
+    for key in expect:
+        if key not in entries:
+            raise SchemaError(f"{path}.{key}", f"{command} expects only {', '.join(entries)}")
+    return {key: _expected(value, entries[key], f"{path}.{key}") for key, value in expect.items()}
 
 
 def encode_operator_spec(spec) -> dict:

@@ -60,7 +60,6 @@ def rng():
 def lifting_of(p, r, degree, ld=None):
     """``clt.lift`` of the free parameter r (zero when None) on the
     coupling ld (the definitional one when None), with the companion of
-    its symbol's A squared through `degree`."""
+    its symbol squared through `degree`."""
     ld = clt.build_omega(p) if ld is None else ld
-    w = clt.assemble_schur_W(ld, r)
-    return clt.lift(p, ld, w, h2.Companion(w.block_rows(ld.basis_tprime.dim)[1], degree), degree)
+    return clt.lift(p, ld, h2.Companion(clt.assemble_schur_W(ld, r), ld.basis_tprime.dim, degree), degree)

@@ -357,6 +357,26 @@ MALFORMED = {
     ),
     # a JSON integer beyond the float range raised OverflowError
     "lift_huge_integer_entry": ("lift", lambda rng: with_entry(shift_problem_doc(rng), "X", [10**400, 0]), "at $.X[0][0]:"),
+    # an "expect" block is input too: one that cannot be read is no mismatch
+    "lift_expect_string": ("lift", lambda rng: shift_problem_doc(rng, "pass"), "at $.expect:"),
+    "lift_expect_unknown_verdict": (
+        "lift", lambda rng: shift_problem_doc(rng, {"lifting_isometry": "maybe"}), "at $.expect.lifting_isometry:",
+    ),
+    "lift_expect_unknown_criterion": ("lift", lambda rng: shift_problem_doc(rng, {"radial": "fail"}), "at $.expect.radial:"),
+    "dims_expect_array": ("dims", lambda rng: shift_problem_doc(rng, [1, 2]), "at $.expect:"),
+    "dims_expect_unknown_key": ("dims", lambda rng: shift_problem_doc(rng, {"dim_kernel": 1}), "at $.expect.dim_kernel:"),
+    "dims_expect_bool_count": ("dims", lambda rng: shift_problem_doc(rng, {"dim_ker": True}), "at $.expect.dim_ker:"),
+    "dims_expect_count_flag": (
+        "dims", lambda rng: shift_problem_doc(rng, {"kernel_inequality": 1}), "at $.expect.kernel_inequality:",
+    ),
+    "coiso_expect_feasible_string": (
+        "coiso", lambda rng: with_field(extension_doc(rng, 5), "expect", {"feasible": "no"}), "at $.expect.feasible:",
+    ),
+    "coiso_expect_unknown_key": (
+        "coiso", lambda rng: with_field(extension_doc(rng, 5), "expect", {"room": 3}), "at $.expect.room:",
+    ),
+    "bimodel_expect_number": ("bimodel", lambda rng: with_field(symbol_doc(rng), "expect", 5), "at $.expect:"),
+    "bimodel_expect_typo": ("bimodel", lambda rng: with_field(symbol_doc(rng), "expect", "passs"), "at $.expect:"),
 }
 
 
@@ -366,3 +386,22 @@ def test_malformed_input_exits_2_naming_the_path(tmp_path, rng, capsys, name):
     path = write_json(tmp_path / "input.json", make_doc(rng))
     assert cli.main([command, "--input", path]) == 2
     assert where in capsys.readouterr().err
+
+
+# each command's "expect" with a valid value that does not hold: a mismatch, exit 1
+UNMET = {
+    "lift": lambda rng: ["lift", shift_problem_doc(rng, {"lifting_isometry": "pass"})],
+    "dims": lambda rng: ["dims", shift_problem_doc(rng, {"dim_defect_tprime": 2, "dim_ker": 99})],
+    "coiso": lambda rng: ["coiso", with_field(extension_doc(rng, 5), "expect", {"feasible": False})],
+    "bimodel": lambda rng: ["bimodel", with_field(symbol_doc(rng), "expect", "fail")],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNMET))
+def test_an_expectation_that_does_not_hold_exits_1(tmp_path, rng, command):
+    name, doc = UNMET[command](rng)
+    out = tmp_path / "report.json"
+    argv = [name, "--input", write_json(tmp_path / "input.json", doc), "--out", str(out)]
+    assert cli.main(argv + (["--grid", "64", "--degree", "8"] if name == "bimodel" else [])) == 1
+    expected = json.loads(out.read_text(encoding="utf-8"))["expected"]
+    assert list(expected.values()).count(False) == 1

@@ -164,7 +164,7 @@ class TestBuildOmega:
         u = random_unitary(rng, 3)
         p = clt.build_problem(u, u, np.eye(3))
         ld = clt.build_omega(p)
-        assert ld.defect_dim == 0
+        assert ld.basis_x.dim == 0
         assert ld.omega_bar.shape[1] == 0
 
     def test_isometry_identity(self, rng):
@@ -201,10 +201,10 @@ class TestBuildOmega:
         ld = clt.build_omega(p)
         om = ld.omega_bar
         assert np.linalg.norm(om @ om.conj().T @ om - om, 2) <= 1e-12
-        assert linalg.range_basis(om).dim + ld.ker_omega.dim == ld.defect_dim
+        assert linalg.range_basis(om).dim + ld.ker_omega.dim == ld.basis_x.dim
         r0 = np.eye(ld.ker_omega_star.dim, ld.ker_omega.dim)
         w0 = clt.assemble_schur_W(ld, MatPoly.constant(r0)).coeffs[0]
-        assert np.linalg.norm(w0.conj().T @ w0 - np.eye(ld.defect_dim), 2) <= 1e-12
+        assert np.linalg.norm(w0.conj().T @ w0 - np.eye(ld.basis_x.dim), 2) <= 1e-12
 
 
 GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
@@ -307,7 +307,7 @@ class TestAssembleW:
         r0 = random_isometry(rng, ks, k)
         w = clt.assemble_schur_W(ld, MatPoly.constant(r0))
         w0 = w.coeffs[0]
-        np.testing.assert_allclose(w0.conj().T @ w0, np.eye(ld.defect_dim), atol=1e-10)
+        np.testing.assert_allclose(w0.conj().T @ w0, np.eye(ld.basis_x.dim), atol=1e-10)
 
     def test_wrong_shapes_rejected(self, rng):
         p = random_shift_problem(rng)
@@ -329,9 +329,10 @@ class TestLift:
         p = clt.build_problem(u, 0.5 * random_unitary(rng, 2), np.zeros((2, 2)))
         lifting = lifting_of(p, None, 16)
         res = lifting.residuals()
-        assert res["projection"] == 0.0
-        assert res["intertwining"] <= 1e-10
-        assert res["window_norm"] <= 1.0 + 1e-10
+        # Y's top rows are X, written, not computed
+        assert np.array_equal(lifting.y[:2], p.x)
+        assert list(res) == ["intertwining"] and res["intertwining"] <= 1e-10
+        assert linalg.operator_norm(lifting.y) <= 1.0 + 1e-10
 
     def test_contract_on_random_problems(self, rng):
         for _ in range(10):
@@ -340,10 +341,9 @@ class TestLift:
             k, ks = ld.ker_omega.dim, ld.ker_omega_star.dim
             r = MatPoly.constant(random_contraction(rng, ks, k, norm=rng.uniform(0, 1)))
             lifting = lifting_of(p, r, 48, ld)
-            res = lifting.residuals()
-            assert res["projection"] <= 1e-12
-            assert res["intertwining"] <= 1e-8
-            assert res["window_norm"] <= 1.0 + 1e-8
+            assert np.array_equal(lifting.y[: p.x.shape[0]], p.x)
+            assert lifting.residuals()["intertwining"] <= 1e-8
+            assert linalg.operator_norm(lifting.y[:, : p.window_dim]) <= 1.0 + 1e-8
 
     def test_contraction_on_window_vectors(self, rng):
         p = random_shift_problem(rng, mult=1, degree=8)
@@ -371,15 +371,10 @@ class TestLift:
         lifting = lifting_of(p, r, degree, ld)
         oracle = dense_lifting(lifting.minimal)
         y, k = lifting.y, p.window_dim
-        projection = np.eye(p.t_prime.shape[0], y.shape[0])
-        want = {
-            "intertwining": np.linalg.norm((oracle @ y - y @ p.t_matrix)[:, :k], 2),
-            "projection": np.linalg.norm(projection @ y - p.x, 2),
-            "window_norm": np.linalg.norm(y[:, :k], 2),
-        }
-        got = lifting.residuals()
-        for key, value in want.items():
-            assert abs(got[key] - value) <= 1e-12, key
+        want = np.linalg.norm((oracle @ y - y @ p.t_matrix)[:, :k], 2)
+        assert lifting.residuals() == {"intertwining": pytest.approx(want, abs=1e-12)}
+        # the projection onto H' is X, bit for bit
+        assert np.array_equal(np.eye(p.t_prime.shape[0], y.shape[0]) @ y, p.x)
 
     @pytest.mark.parametrize("degree", [8, 1024])
     @pytest.mark.parametrize("r_degree", [0, 2])
@@ -437,7 +432,7 @@ class TestLift:
         t_prime = np.zeros((3, 3), dtype=complex)
         t_prime[:2, :2], t_prime[2, 2] = u, 0.5
         lifting = lifting_of(clt.build_problem(u, t_prime, np.eye(3, 2)), None, degree)
-        assert lifting.data.defect_dim == 0
+        assert lifting.data.basis_x.dim == 0
         assert lifting.y.shape == (3 + degree + 1, 2)
         assert not np.any(lifting.y[3:])
 
@@ -455,7 +450,7 @@ class TestLift:
         p = clt.build_problem(u, t_prime, x)
         lifting = lifting_of(p, None, 5)
         r_prime = lifting.data.basis_tprime.dim
-        assert lifting.data.defect_dim == 0
+        assert lifting.data.basis_x.dim == 0
         assert r_prime == int(defect_of_t_prime)
         assert lifting.y.shape == (x.shape[0] + 6 * r_prime, 2)
         assert np.array_equal(lifting.y[: x.shape[0]], x)

@@ -1,7 +1,11 @@
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from liftlab import coiso, linalg
+from liftlab import cli, coiso, linalg
 from liftlab.linalg import SubspaceBasis
 
 from conftest import random_contraction, random_isometry, random_unitary
@@ -117,3 +121,40 @@ class TestBuildExtension:
             assert np.linalg.norm(ext @ ext.conj().T - np.eye(3), 2) <= 1e-10
             assert np.linalg.norm(ext @ p.m_prime.columns - p.m.columns @ p.c, 2) <= 1e-10
         assert np.linalg.norm(a - b, 2) > 1e-6
+
+
+FEASIBLE = Path(__file__).resolve().parent / "golden" / "inputs" / "coiso_feasible.json"
+
+
+def factorings_of_the_adjoint_defect(monkeypatch, tmp_path, seed: int) -> tuple[int, int]:
+    """The D_C* that one `coiso` command on the golden feasible input
+    factors, and the range bases it takes of them."""
+    defects, bases = [], []
+    defect_adjoint, range_basis = linalg.defect_adjoint, linalg.range_basis
+
+    def recorded_defect(*args):
+        defects.append(defect_adjoint(*args))
+        return defects[-1]
+
+    def recorded_basis(m):
+        bases.append(m)
+        return range_basis(m)
+
+    monkeypatch.setattr(linalg, "defect_adjoint", recorded_defect)
+    monkeypatch.setattr(linalg, "range_basis", recorded_basis)
+    argv = ["coiso", "--input", str(FEASIBLE), "--seed", str(seed), "--out", str(tmp_path / "report.json")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return len(defects), sum(any(m is d for d in defects) for m in bases)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_coiso_factors_the_adjoint_defect_once(monkeypatch, tmp_path, seed):
+    # can_extend and build_extension share the problem's D_C* and its range
+    assert factorings_of_the_adjoint_defect(monkeypatch, tmp_path, seed) == (1, 1)
+
+
+def test_the_count_sees_a_second_factoring(monkeypatch, tmp_path):
+    # planted: build_extension factors D_C* again instead of reading the problem's
+    monkeypatch.setattr(coiso.ExtensionProblem, "d_c_star", property(lambda p: linalg.defect_adjoint(p.c, p.tol)))
+    assert factorings_of_the_adjoint_defect(monkeypatch, tmp_path, 0) == (2, 1)

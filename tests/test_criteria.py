@@ -17,11 +17,10 @@ def shift_problem(rng, mult=1, degree=8, p_dim=2, x_norm=0.85):
 
 
 def lifting_with(ld, r, w, **kwargs):
-    """lifting_isometry_check of the symbol w = [B; A] with the companion
-    of A, squared through the check's grid."""
-    a = w.block_rows(ld.basis_tprime.dim)[1]
-    comp = criteria.companion(a, kwargs.get("grid", h2.DEFAULT_GRID))
-    return criteria.lifting_isometry_check(ld, r, w, comp, **kwargs)
+    """lifting_isometry_check of the symbol w = [B; A] through its
+    companion, squared through the check's grid."""
+    comp = criteria.companion(w, ld.basis_tprime.dim, grid=kwargs.get("grid", h2.DEFAULT_GRID))
+    return criteria.lifting_isometry_check(ld, r, comp, **kwargs)
 
 
 def lifting_check(ld, r=None, **kwargs):
@@ -33,24 +32,22 @@ def lifting_check(ld, r=None, **kwargs):
 
 
 def radial_check(w, **kwargs):
-    """radial_isometry_check of w = [A; B] with the companion of A,
-    squared through the check's grid."""
-    comp = criteria.companion(w.block_rows(w.in_dim)[0], kwargs.get("grid", h2.DEFAULT_GRID))
-    return criteria.radial_isometry_check(w, comp, **kwargs)
+    """radial_isometry_check of w = [A; B] through its companion, squared
+    through the check's grid."""
+    return criteria.radial_isometry_check(criteria.companion(w, grid=kwargs.get("grid", h2.DEFAULT_GRID)), **kwargs)
 
 
 def constant_check(w0):
-    """constant_symbol_check of the block column w0 with the companion of
-    its top block."""
-    m = linalg.as_matrix(w0)
-    return criteria.constant_symbol_check(w0, criteria.companion(MatPoly.constant(m[: m.shape[1]])))
+    """constant_symbol_check of the block column w0 = [A_0; B_0]."""
+    return criteria.constant_symbol_check(criteria.companion(MatPoly.constant(w0)))
 
 
 def obstruction(ld, r0):
     """obstruction_search of the constant parameter r0 with the companion
-    of the block A of the symbol assembled from it."""
-    a0 = clt.schur_coeffs(ld, linalg.as_matrix(r0)[None])[0, ld.basis_tprime.dim :]
-    return criteria.obstruction_search(ld, r0, criteria.companion(MatPoly.constant(a0)))
+    of the symbol its coefficients give, unchecked, so a parameter that
+    is no contraction reaches the search."""
+    w = MatPoly(clt.schur_coeffs(ld, linalg.as_matrix(r0)[None]))
+    return criteria.obstruction_search(ld, r0, criteria.companion(w, ld.basis_tprime.dim))
 
 
 def identity_obstruction_data():
@@ -257,7 +254,7 @@ class TestParsevalMeans:
         lw = h2.state_rows(w, degree + 1)
         gram, la = e.conj().T @ e, lw[:dim]
         weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
-        got = criteria.parseval_means(h2.Companion(a, grid), weights, [rho], grid)[0]
+        got = criteria.parseval_means(h2.Companion(a, 0, grid), weights, [rho], grid)[0]
         assert got.shape == (3, dim, dim)
         got, want = (np.linalg.eigvalsh(g)[:, -1] for g in (got, node_grams(w, rho, grid)))
         assert np.all(np.abs(got - want) <= np.maximum(1e-12 * np.abs(want), 1e-15))
@@ -270,7 +267,7 @@ class TestParsevalMeans:
         l = rng.standard_normal((2, len(m), len(m))) + 1j * rng.standard_normal((2, len(m), len(m)))
         weights = l.conj().transpose(0, 2, 1) @ l
         ladder = (0.5, 0.9, 0.99, 0.999)
-        got = criteria.parseval_means(criteria.companion(a, grid), weights, ladder, grid)
+        got = criteria.parseval_means(criteria.companion(a, grid=grid), weights, ladder, grid)
         assert got.shape == (4, 2, 3, 3)
         for rung, rho in zip(got, ladder):
             s, top = linalg.stein_sum(linalg.power_ladder(rho * m, grid), weights, grid)
@@ -289,45 +286,42 @@ class TestParsevalMeans:
 
 
 class TestSharedCompanion:
-    """Every function handed a symbol beside its companion checks that
-    the companion is that of the symbol's A, so a companion of another
-    symbol, or one too short for the grid, is refused rather than read."""
+    """The companion is the symbol argument of every reader: it holds W
+    and the A and B split from it, so a reader cannot be handed a symbol
+    and a companion that disagree, and one too short for the grid is
+    refused rather than read."""
 
-    def test_another_symbols_companion_is_refused(self, rng):
-        kw = {"ladder": (0.9, 0.99), "grid": 128}
-        p = shift_problem(rng, mult=2)
-        ld = clt.build_omega(p)
+    @pytest.mark.parametrize("start", [0, 2])
+    def test_a_and_b_are_the_symbols_own_rows(self, rng, start):
+        w = contractive_matpoly(rng, 5, 3, 2)
+        comp = criteria.companion(w, start)
+        rows = np.arange(5)
+        inside = (rows >= start) & (rows < start + 3)
+        assert comp.w is w
+        assert np.array_equal(comp.a.coeffs, w.coeffs[:, inside])
+        assert np.array_equal(comp.b.coeffs, w.coeffs[:, ~inside])
+        assert np.array_equal(comp.m, h2.realize(comp.a))
+
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_a_row_with_no_square_block_is_refused(self, rng, start):
+        with pytest.raises(criteria.CriteriaError, match=f"no square block at row {start}"):
+            criteria.companion(contractive_matpoly(rng, 5, 3, 0), start)
+
+    def test_the_obstruction_search_records_the_trace_of_the_shared_ladder(self, rng):
+        # an obstruction search that finds no witness records the trace
+        # of the one ladder the lifting check reads
+        ld = clt.build_omega(shift_problem(rng, mult=2))
         r0 = random_isometry(rng, ld.ker_omega_star.dim, ld.ker_omega.dim)
-        r = MatPoly.constant(r0)
-        w = clt.assemble_schur_W(ld, r)
-        a = w.block_rows(ld.basis_tprime.dim)[1]
-        a0 = 0.5 * random_unitary(rng, 2)
-        w0 = np.vstack([a0, linalg.defect(a0)])
-        # planted: each function is handed the companion of a symbol 1e-15 off its own
-        off = criteria.companion(MatPoly(a.coeffs + 1e-15), kw["grid"])
-        off_top = criteria.companion(MatPoly.constant(a0 + 1e-15), kw["grid"])
-        refused = [
-            lambda: criteria.lifting_isometry_check(ld, r, w, off, **kw),
-            lambda: criteria.obstruction_search(ld, r0, off),
-            lambda: criteria.radial_isometry_check(MatPoly.constant(w0), off_top, **kw),
-            lambda: criteria.constant_symbol_check(w0, off_top),
-            lambda: cli.window_isometry_deviation(p, ld, w, off),
-            lambda: clt.lift(p, ld, w, off, 16),
-        ]
-        for call in refused:
-            with pytest.raises(h2.H2Error, match="not that of the symbol"):
-                call()
-        # its own companion is read, and the obstruction search, which
-        # found no witness, records the trace of that one ladder
-        comp = criteria.companion(a, kw["grid"])
-        assert criteria.obstruction_search(ld, r0, comp).taylor_trace == criteria.taylor_trace(comp, criteria.TOL_TAYLOR)
+        comp = criteria.companion(clt.assemble_schur_W(ld, MatPoly.constant(r0)), ld.basis_tprime.dim, grid=128)
+        rep = criteria.obstruction_search(ld, r0, comp)
+        assert rep.verdict == "pass"
+        assert rep.taylor_trace == criteria.taylor_trace(comp, criteria.TOL_TAYLOR)
 
     def test_a_ladder_short_of_the_grid_is_refused(self):
-        w = MatPoly.constant([[0.5], [0.5]])
-        comp = h2.Companion(w.block_rows(1)[0], 64)
+        comp = h2.Companion(MatPoly.constant([[0.5], [0.5]]), 0, 64)
         assert len(comp.prefix(64)) == 7
         with pytest.raises(h2.H2Error, match="reaches 64"):
-            criteria.radial_isometry_check(w, comp, grid=128)
+            criteria.radial_isometry_check(comp, grid=128)
 
     def test_the_ladder_is_squared_on_its_first_read(self, monkeypatch):
         calls = []

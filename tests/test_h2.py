@@ -215,13 +215,18 @@ class TestGamma:
         g = gamma_terms(MatPoly.constant(w0), slice(0, 1), slice(1, None), [1.0], 65)
         np.testing.assert_allclose(g[:, 0], 0.5 ** (np.arange(65) + 1), atol=1e-15)
         half = MatPoly.constant([[0.5]])
-        hardy, _ = criteria.hardy_gram(criteria.companion(half), half, np.eye(1))
+        hardy, _ = hardy_gram(half, half, np.eye(1))
         assert abs(hardy[0, 0] - 1.0 / 3.0) <= 1e-15
 
     def test_zero_bottom_block(self, rng):
         a = contractive_matpoly(rng, 2, 2, 2, norm=0.8)
         w = h2.vstack_polys(a, MatPoly.zero(1, 2, a.degree))
         assert np.max(np.abs(gamma_terms(w, slice(0, 2), slice(2, None), np.eye(2), 17))) <= 1e-14
+
+
+def hardy_gram(a: MatPoly, b: MatPoly, block):
+    """criteria.hardy_gram of the symbol W = [A; B] and the columns block."""
+    return criteria.hardy_gram(criteria.companion(h2.vstack_polys(a, b)), block)
 
 
 def hardy_oracle(a: MatPoly, b: MatPoly, block) -> np.ndarray:
@@ -244,14 +249,14 @@ class TestHardyNorm:
     def test_constant(self):
         # A = 0 and B = [3; 4]: Gamma d is the constant (3, 4)
         a, b = MatPoly.constant([[0.0]]), MatPoly.constant([[3.0], [4.0]])
-        gram, converged = criteria.hardy_gram(criteria.companion(a), b, np.eye(1))
+        gram, converged = hardy_gram(a, b, np.eye(1))
         assert gram[0, 0] == pytest.approx(25.0) and converged
 
     def test_orthonormal_coefficients(self):
         # A the nilpotent shift and B = I: Gamma e_1 = e_1 + e_2 z, two
         # orthonormal coefficients
         a = MatPoly.constant([[0.0, 0.0], [1.0, 0.0]])
-        gram, _ = criteria.hardy_gram(criteria.companion(a), MatPoly.constant(np.eye(2)), np.eye(2)[:, :1])
+        gram, _ = hardy_gram(a, MatPoly.constant(np.eye(2)), np.eye(2)[:, :1])
         assert gram[0, 0] == pytest.approx(2.0)
 
     @pytest.mark.parametrize("dim, rows, m, degree, radius",
@@ -263,7 +268,7 @@ class TestHardyNorm:
         s = radius / linalg.spectral_radius(h2.realize(a))
         a = MatPoly(a.coeffs * (s ** np.arange(1, degree + 2))[:, None, None])
         block = rng.standard_normal((dim, m)) + 1j * rng.standard_normal((dim, m))
-        gram, converged = criteria.hardy_gram(criteria.companion(a), b, block)
+        gram, converged = hardy_gram(a, b, block)
         want = hardy_oracle(a, b, block)
         assert converged
         assert np.linalg.norm(gram - want, 2) <= 1e-12 * np.linalg.norm(want, 2)
@@ -273,7 +278,7 @@ class TestHardyNorm:
         # at the cap, finite, and exact in the decaying direction
         a = MatPoly.constant(np.diag([1.0, 0.5]))
         b = MatPoly.constant(np.diag([0.0, np.sqrt(0.75)]))
-        gram, converged = criteria.hardy_gram(criteria.companion(a), b, np.eye(2))
+        gram, converged = hardy_gram(a, b, np.eye(2))
         assert not converged
         assert np.all(np.isfinite(gram)) and gram[1, 1].real == pytest.approx(1.0, rel=1e-14)
 

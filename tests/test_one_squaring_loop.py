@@ -9,7 +9,10 @@ self-product ``x @ x``, ``np.matmul(x, x)``, ``np.dot(x, x)`` or
 ``x.dot(x)`` with the same expression on both sides.  Docstrings and
 comments are not code and may mention them.
 
-A command builds one ``h2.Companion`` per symbol and hands it to every
+A command builds one ``h2.Companion`` per symbol, through
+``criteria.companion``, which alone splits the symbol W into its blocks;
+a second guard reads every module of the package with ``ast`` and finds
+no other construction.  The command hands that companion to every
 reader, so the ladder itself is built once per symbol: counted by
 wrapping ``linalg.power_ladder``, `examples prop4_6` builds 2 (one per
 multiplicity) and each `lift` 1.  ``clt.build_omega`` takes one SVD of
@@ -83,6 +86,52 @@ def test_the_guard_sees_each_form(tmp_path):
     assert [f.split(":")[0] for f in self_products(bad)] == ["line 5", "line 6", "line 7", "line 8"]
 
 
+def companion_constructions(path: Path) -> list:
+    """Where the module at `path` calls ``h2.Companion``, as
+    "<module>.<enclosing scope>: line n": called by that name, through
+    an attribute of that name, or by a name imported for it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {"Companion"} | {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                             for alias in node.names if alias.name == "Companion"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id in names) or \
+                        (isinstance(func, ast.Attribute) and func.attr == "Companion"):
+                    found.append(f"{scope}: line {child.lineno}")
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(tree, path.stem)
+    return found
+
+
+def test_only_criteria_companion_builds_a_companion():
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in companion_constructions(path)]
+    assert [entry.split(":")[0] for entry in found] == ["criteria.companion"]
+
+
+def test_the_companion_guard_sees_each_form(tmp_path):
+    bad = tmp_path / "cli.py"
+    bad.write_text(
+        '"""h2.Companion(w, 0, 1) in a docstring is fine."""\n'
+        "from . import h2\n"
+        "from .h2 import Companion as Built\n"
+        "def run(w):\n"
+        "    # h2.Companion(w, 0, 1) in a comment is fine\n"
+        "    return h2.Companion(w, 0, 1)\n"
+        "class Holder:\n"
+        "    def build(self, w):\n"
+        "        return Built(w, 0, 1)\n"
+        "LATE = Companion(None, 0, 1)\n",
+        encoding="utf-8",
+    )
+    assert companion_constructions(bad) == ["cli.run: line 6", "cli.Holder.build: line 9", "cli: line 10"]
+
+
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 PROP4_6 = ["examples", "prop4_6"]
 LIFTS = {
@@ -126,8 +175,8 @@ def test_each_lift_builds_one_ladder(monkeypatch, tmp_path, name):
 def test_the_ladder_count_sees_a_check_that_builds_its_own(monkeypatch, tmp_path):
     # planted: lifting_isometry_check sets the shared companion aside and squares A again
     original = criteria.lifting_isometry_check
-    monkeypatch.setattr(criteria, "lifting_isometry_check",
-                        lambda ld, r, w, comp, **kw: original(ld, r, w, criteria.companion(comp.a, kw["grid"]), **kw))
+    monkeypatch.setattr(criteria, "lifting_isometry_check", lambda ld, r, comp, **kw: original(
+        ld, r, criteria.companion(comp.w, comp.start, grid=kw["grid"]), **kw))
     assert ladders(monkeypatch, tmp_path, PROP4_6) == 4
 
 

@@ -90,7 +90,7 @@ def test_an_exception_restores_the_count(threads, monkeypatch, tmp_path):
     def broken(cfg):
         raise RuntimeError("planted")
 
-    monkeypatch.setattr(cli, "_cmd_dims", broken)
+    monkeypatch.setitem(cli._COMMAND_FUNCS, "dims", broken)
     with pytest.raises(RuntimeError, match="planted"):
         cli.main(["dims", "--input", str(tmp_path / "unread.json")])
     assert threads() == 2

@@ -50,8 +50,9 @@ def fixture() -> SimpleNamespace:
     r = contractive_matpoly(rng, ld.ker_omega_star.dim, ld.ker_omega.dim, 1, norm=0.9)
     w_lift = clt.assemble_schur_W(ld, r)
     a_lift = MatPoly(w_lift.coeffs[:, ld.basis_tprime.dim :])
-    radial = criteria.radial_isometry_check(w, criteria.companion(a, GRID), ladder=LADDER, grid=GRID)
-    lift_rep = criteria.lifting_isometry_check(ld, r, w_lift, criteria.companion(a_lift, GRID), ladder=LADDER, grid=GRID)
+    radial = criteria.radial_isometry_check(criteria.companion(w, grid=GRID), ladder=LADDER, grid=GRID)
+    lift_rep = criteria.lifting_isometry_check(ld, r, criteria.companion(w_lift, ld.basis_tprime.dim, grid=GRID),
+                                               ladder=LADDER, grid=GRID)
     return SimpleNamespace(
         w=w, a=a, radial=radial, radial_states=states(a, radial.taylor_trace[-1][0]),
         boundary=criteria.boundary_measure_check(w, ladder=LADDER, grid=GRID),
