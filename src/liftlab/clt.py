@@ -27,8 +27,11 @@ it to [T'h'; Q* D_{T'} h'; f_0; ...; f_{degree-1}], so it is stored as
 the (p + r') x p column [T'; Q* D_{T'}] alone; the shift moves each
 slot down one place by slicing and the top slot f_degree falls off.
 Block rows (the P onto H', the H'/H split of the coupling) and window
-columns are taken by slicing as well; only T itself is a dense matrix,
-being no larger than D_X.
+columns are taken by slicing as well.  A truncated shift T is never
+built: m T, m T* and T* m are shifted copies of m's blocks, which have
+the bits of the dense products, its window isometry gap is 0 or 1 by
+structure, and the range of D_{T*} is its degree-0 slot.  ``DenseOp``
+and ``MultOp`` multiply by their matrix, built once.
 """
 
 from __future__ import annotations
@@ -75,8 +78,37 @@ class NotContractiveOnGrid(CLTError):
     pass
 
 
+class _DenseProducts:
+    """The products of T for a spec held as a dense matrix, ``matrix()``
+    built once."""
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        return self.matrix()
+
+    def right(self, m: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """m T, or its first `cols` columns."""
+        return m @ (self.dense if cols is None else self.dense[:, :cols])
+
+    def right_adjoint(self, m: np.ndarray) -> np.ndarray:
+        """m T*."""
+        return m @ self.dense.conj().T
+
+    def left_adjoint(self, m: np.ndarray) -> np.ndarray:
+        """T* m."""
+        return self.dense.conj().T @ m
+
+    def window_gap(self, k: int) -> float:
+        """``linalg.isometry_gap`` of T's first k columns."""
+        return linalg.isometry_gap(self.dense[:, :k])
+
+    def adjoint_defect_range(self, tol: float) -> SubspaceBasis:
+        """The range of D_{T*} = (I - T T*)^(1/2)."""
+        return linalg.range_basis(linalg.defect_adjoint(self.dense, tol))
+
+
 @dataclass(frozen=True)
-class DenseOp:
+class DenseOp(_DenseProducts):
     """Isometry given by an explicit matrix; window is the whole space."""
 
     matrix_data: np.ndarray
@@ -99,7 +131,13 @@ class DenseOp:
 @dataclass(frozen=True)
 class TruncatedShift:
     """Coordinate shift on degree-truncated power series with vector
-    coefficients; exact (and isometric) on inputs of degree < `degree`."""
+    coefficients; exact (and isometric) on inputs of degree < `degree`.
+
+    It is applied by slicing, never built: T moves block n of `mult`
+    coordinates to block n + 1 and drops the top block, so a product
+    with its 0/1 matrix is a copy of whole blocks with zeros added, and
+    the shifted copy has the bits of the dense product.  ``matrix`` is
+    the dense reference for tests."""
 
     mult: int
     degree: int
@@ -119,9 +157,46 @@ class TruncatedShift:
             m[hi : hi + self.mult, lo:hi] = np.eye(self.mult)
         return m
 
+    def right(self, m: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """m T, or its first `cols` columns: column block n is block
+        n + 1 of m, and the top block is zero.  Columns that are all in
+        m are a view of it, with no copy."""
+        e, n = self.mult, self.dim
+        cols = n if cols is None else cols
+        if cols <= n - e:
+            return m[:, e : e + cols]
+        out = np.zeros((m.shape[0], cols), dtype=complex)
+        out[:, : n - e] = m[:, e:]
+        return out
+
+    def right_adjoint(self, m: np.ndarray) -> np.ndarray:
+        """m T*: column block n + 1 is block n of m, block 0 is zero."""
+        out = np.zeros((m.shape[0], self.dim), dtype=complex)
+        out[:, self.mult :] = m[:, : self.dim - self.mult]
+        return out
+
+    def left_adjoint(self, m: np.ndarray) -> np.ndarray:
+        """T* m: row block n is block n + 1 of m, the top block is zero."""
+        out = np.zeros((self.dim, m.shape[1]), dtype=complex)
+        out[: self.dim - self.mult] = m[self.mult :]
+        return out
+
+    def window_gap(self, k: int) -> float:
+        """``linalg.isometry_gap`` of the first k columns, exact by
+        structure: they are distinct coordinate vectors up to
+        mult * degree, past which the top block's columns are zero, and
+        a zero column puts -1 in T*T - I."""
+        return 0.0 if k <= self.window_dim else 1.0
+
+    def adjoint_defect_range(self, tol: float) -> SubspaceBasis:
+        """The range of D_{T*}: I - T T* is the projection onto the
+        degree-0 slot, which T leaves empty, so the range is the first
+        `mult` coordinates, whatever the tolerance."""
+        return SubspaceBasis.coordinates(self.dim, self.mult)
+
 
 @dataclass(frozen=True)
-class MultOp:
+class MultOp(_DenseProducts):
     """Multiplication by a square matrix polynomial on the truncation;
     exact on inputs of degree <= degree - deg(symbol)."""
 
@@ -175,10 +250,6 @@ class CLTProblem:
     tol: float = TOL
     window_override: int | None = None
 
-    @cached_property
-    def t_matrix(self) -> np.ndarray:
-        return self.t.matrix()
-
     # D_X and D_{T'} and their coordinate bases are factored once per
     # problem; the couplings and the minimal lifting share them
     @cached_property
@@ -222,11 +293,10 @@ def build_problem(t, t_prime, x, tol: float = TOL, window: int | None = None) ->
     problem.d_tprime, problem.d_x
     if window is not None and not (0 < window <= spec.dim):
         raise CLTError("window override out of range")
-    tm = problem.t_matrix
     k = problem.window_dim
-    if linalg.isometry_gap(tm[:, :k]) > tol:
+    if spec.window_gap(k) > tol:
         raise NotIsometryOnWindow("T fails to be isometric on its window")
-    residual = linalg.operator_norm((t_prime @ x - x @ tm)[:, :k])
+    residual = linalg.operator_norm((t_prime @ x)[:, :k] - spec.right(x, k))
     if residual > tol:
         raise IntertwiningViolated(residual)
     return problem
@@ -306,10 +376,9 @@ def build_omega(p: CLTProblem) -> LiftingData:
     rank, rank Omega + dim ker Omega is the defect dimension r and Omega
     is a partial isometry.
     """
-    tm = p.t_matrix
     k = p.window_dim
     d_x, d_tp, qx, qp = p.d_x, p.d_tprime, p.basis_x, p.basis_tprime
-    g = (qx.columns.conj().T @ d_x @ tm)[:, :k]
+    g = p.t.right(qx.columns.conj().T @ d_x, k)
     v = np.vstack(
         [
             (qp.columns.conj().T @ d_tp @ p.x)[:, :k],
@@ -342,13 +411,13 @@ def explicit_coupling(p: CLTProblem) -> np.ndarray:
     window action intact.  The partial-isometry property is verified.
     D_X counts as invertible when rank_mask keeps all its singular values.
     """
-    tm = p.t_matrix
+    t = p.t
     d_x, d_tp, qx, qp = p.d_x, p.d_tprime, p.basis_x, p.basis_tprime
     if qx.dim < d_x.shape[0]:
         raise DefectSingular(f"D_X has numerical rank {qx.dim} < {d_x.shape[0]}")
-    reach = linalg.pinv(tm.conj().T @ d_x @ d_x @ tm) @ tm.conj().T @ d_x
+    reach = t.right_adjoint(linalg.pinv(t.right(t.left_adjoint(d_x) @ d_x))) @ d_x
     omega_full_matrix = np.vstack([d_tp @ p.x @ reach, d_x @ reach])
-    omsq = d_x @ tm @ reach
+    omsq = t.right(d_x) @ reach
     hp_dim = p.t_prime.shape[0]
     omega = np.vstack(
         [
@@ -356,11 +425,11 @@ def explicit_coupling(p: CLTProblem) -> np.ndarray:
             qx.columns.conj().T @ omega_full_matrix[hp_dim:] @ qx.columns,
         ]
     )
-    check = linalg.operator_norm(omega @ omega.conj().T @ omega - omega)
-    if check > 1e-8:
-        raise CLTError(f"explicit coupling is not a partial isometry ({check:.3e})")
+    check = omega @ omega.conj().T @ omega - omega
+    if linalg.norm_exceeds(check, 1e-8):
+        raise CLTError(f"explicit coupling is not a partial isometry ({linalg.operator_norm(check):.3e})")
     prod = qx.columns.conj().T @ omsq @ qx.columns
-    if linalg.operator_norm(prod - omega.conj().T @ omega) > 1e-8:
+    if linalg.norm_exceeds(prod - omega.conj().T @ omega, 1e-8):
         raise CLTError("coupling gram formula disagrees with the assembled operator")
     return omega
 
@@ -422,10 +491,9 @@ class Lifting:
         2-norm of ``linalg.operator_norm``, read off the k x k Gram
         matrix of the tall block."""
         k = self.problem.window_dim
-        y, tm = self.y, self.problem.t_matrix
         # U'Y - YT in place
-        defect = self.minimal.apply(y[:, :k])
-        defect -= y @ tm[:, :k]
+        defect = self.minimal.apply(self.y[:, :k])
+        defect -= self.problem.t.right(self.y, k)
         return {"intertwining": linalg.operator_norm(defect)}
 
 
@@ -504,10 +572,8 @@ def dims_report(ld: LiftingData, p: CLTProblem) -> DimsReport:
     range D_{T*} and range D_{T'} meet range D_{X*}; for invertible
     defects they collapse onto the defect dimensions.
     """
-    tm = p.t_matrix
-    d_tstar = linalg.defect_adjoint(tm, max(p.tol, 1e-6))
+    rng_tstar = p.t.adjoint_defect_range(max(p.tol, 1e-6))
     d_xstar = linalg.defect_adjoint(p.x, p.tol)
-    rng_tstar = linalg.range_basis(d_tstar)
     left = linalg.subspace_intersection(ld.basis_x, rng_tstar)
     right = linalg.subspace_intersection(ld.basis_tprime, linalg.range_basis(d_xstar))
     return DimsReport(

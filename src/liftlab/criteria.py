@@ -40,11 +40,13 @@ w = exp(2 pi i / G),
     mean_j ||L s(rho w^j)||^2 = sum_(k<G) rho^(2k) ||L M^k V d||^2 = d* V* S V d,
 
 S = sum_(k<G) (b^k)* N b^k, b = rho M, the Stein sum that
-``linalg.stein_sum`` doubles in log2 G steps, with b^G for M_rho; no
-node is solved, and the rung is the largest eigenvalue of V* S V.  As
-b^(2^j) = rho^(2^j) M^(2^j), one ladder of powers of M
-(``linalg.power_ladder``) serves every rung, and the rungs are summed
-at once.  One companion serves every check of a symbol, not only
+``linalg.stein_sum`` doubles in at most log2 G steps, with b^G for
+M_rho; it stops doubling where the rest of the sum is below rounding
+(its settle rule), and still multiplies b^G off the ladder, so V is
+that of G terms.  No node is solved, and the rung is the largest
+eigenvalue of V* S V.  As b^(2^j) = rho^(2^j) M^(2^j), one ladder of
+powers of M (``linalg.power_ladder``) serves every rung, and the rungs
+are summed at once.  One companion serves every check of a symbol, not only
 every rung: ``companion`` builds the ``h2.Companion`` of W, which holds
 W, A and B, its ladder squared once through the Taylor trace's cap and
 the grid.  It is the only symbol argument of every check of W, of
@@ -231,11 +233,14 @@ def hardy_gram(comp: h2.Companion, cols: np.ndarray) -> tuple[np.ndarray, bool]:
     c||^2 in H^2, and whether the Stein sum converged; W = [B; A] is the
     symbol of the companion `comp`.  With M the companion of A and L =
     ``h2.state_rows(B)``, coefficient n of B (I - zA)^(-1) C c is L M^n
-    E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum is doubled
-    TAYLOR_SQUARINGS times, to G = 2^TAYLOR_SQUARINGS terms, or until a
-    power of M is exactly zero.  When ||M^G||_F^2 <= eps the tail (M^G)*
-    S_inf M^G is below the rounding of S_inf and S_G is the limit;
-    otherwise it is a partial sum that decides nothing."""
+    E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum is doubled towards
+    G = 2^TAYLOR_SQUARINGS terms and stops where it settles
+    (``linalg.stein_sum``): at the first power with ||M^(2^j)||_F^2 <=
+    eps/4, a zero one at the latest, past which every doubling adds less
+    than eps/3 of S.  M^G is still multiplied off the ladder.  When
+    ||M^G||_F^2 <= eps the tail (M^G)* S_inf M^G is below the rounding
+    of S_inf and the settled sum is the limit; otherwise it is a partial
+    sum that decides nothing."""
     a, count = comp.a, 1 << TAYLOR_SQUARINGS
     rows = h2.state_rows(comp.b, a.degree + 1)
     s, power = linalg.stein_sum(comp.prefix(count), rows.conj().T @ rows, count)

@@ -553,8 +553,7 @@ def outer_from_boundary_modulus(samples, degree: int) -> OuterResult:
     l = np.zeros(degree + 1, dtype=complex)
     l[0] = hat[0].real
     top = min(degree, grid - 1, half)
-    for n in range(1, top + 1):
-        l[n] = 2.0 * hat[n]
+    l[1 : top + 1] = 2.0 * hat[1 : top + 1]
     if grid % 2 == 0 and half <= degree:
         l[half] = hat[half]
     series = series_exp_scalar(l, degree)

@@ -22,13 +22,18 @@ in one place:
   sqrt(lambda_max) of the smaller Gram matrix, scaled by a power of two
   first so that it neither overflows nor underflows, for one matrix or
   a stack; a Hermitian matrix is normed by ``hermitian_norm``, its
-  largest |eigenvalue|, with no product at all;
+  largest |eigenvalue|, with no product at all.  A norm that is only
+  compared with a threshold, and never reported, is decided by
+  ``norm_exceeds``: ||M|| <= ||M||_F, so a Frobenius norm at or below
+  the threshold settles it with no eigendecomposition.  The self-checks
+  of ``clt.explicit_coupling`` read their residuals this way, and only
+  a failing one is normed, for its message;
 * the basis check: ``SubspaceBasis(columns)`` checks that columns given
   from outside this module are orthonormal, isometry_gap within
   RANK_TOL.  ``kernel_basis``, ``range_basis``, ``orth_complement``,
-  ``subspace_intersection``, ``SubspaceBasis.full`` and ``empty`` take
-  their columns from an SVD, a QR or the identity, orthonormal by
-  construction, and do not check them again;
+  ``subspace_intersection``, ``SubspaceBasis.coordinates``, ``full``
+  and ``empty`` take their columns from an SVD, a QR or the identity,
+  orthonormal by construction, and do not check them again;
 * the thread rule: inside ``with OneBlasThread():`` the BLAS runs on one
   thread, and on any exit it runs again on the count found on entry.
   ``cli.main`` enters it around every command, and nothing else does.
@@ -163,6 +168,18 @@ def operator_norm(m):
     return float(norms) if a.ndim == 2 else norms
 
 
+def norm_exceeds(m, threshold: float) -> bool:
+    """||M|| > threshold, for a norm that is only compared and never
+    reported.  ||M|| <= ||M||_F, so a Frobenius norm at or below the
+    threshold decides it with one pass over the entries; only a larger
+    one takes ``operator_norm``'s eigendecomposition.  The squares are
+    compared, so the threshold's square must not underflow."""
+    a = np.asarray(m, dtype=complex)
+    if np.vdot(a, a).real <= threshold * threshold:
+        return False
+    return operator_norm(a) > threshold
+
+
 def hermitian_norm(h):
     """||H|| = max |eigenvalue| of a Hermitian matrix, a float, or of each
     matrix of a stack, an array.  eigvalsh reads the lower triangle, so
@@ -270,36 +287,61 @@ def stein_sum(powers: list, weights, count: int, radii=None) -> tuple[np.ndarray
     b is M, read off the ladder powers[j] = M^(2^j) of
     ``power_ladder(M, count)``, or rho M for each rho of `radii`, summed
     at once along a new leading axis: (b^m)* S b^m = rho^(2m) (M^m)* S
-    M^m, so every radius shares the products with the powers of M.  A
-    ladder that stopped at a zero power ends the sum there: the next
-    digit adds its piece once, and every later term is zero."""
+    M^m, so every radius shares the products with the powers of M.
+
+    The sum settles at rounding.  At the first step j that would double
+    the piece S_(2^j) while r^(2^(j+1)) ||M^(2^j)||_F^2 <= eps/4, r the
+    largest radius (1 without radii), ||b^(2^j)||^2 <= eps/4 for every
+    b, and the piece stops doubling: it is added once, at the power b^a
+    of the digits below j, for all the digits from j up.  What that
+    drops is (b^(a + 2^j))* S' b^(a + 2^j), S' a partial sum of the
+    same terms; for a positive semidefinite N it is at most eps/4 of
+    ||S||, and all the later doublings together add less than eps/3 of
+    it.  b^count is still multiplied off the ladder, digit by digit.  A
+    ladder that stopped at a zero power settles there at the latest,
+    and every later term is zero."""
     piece = np.asarray(weights, dtype=complex)
-    scale = 1.0
+    scale, top = 1.0, 1.0
     if radii is not None:
         scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
+        top = float(np.max(scale, initial=0.0))
         piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
-    total, power, done = None, None, 0
+    total, power, done, settled = None, None, 0, False
     for j, step in enumerate(powers):
-        if (count >> j) & 1:
-            total, power = _stein_add(total, power, piece, step, scale ** (2 * done))
+        digit, more = (count >> j) & 1, count >> (j + 1) > 0
+        if not settled:
+            settled = more and _settles(step, top, j)
+            if digit or settled:
+                total = _stein_add(total, power, piece, scale ** (2 * done))
+            if more and not settled:
+                piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
+        if digit:
+            power = step if power is None else power @ step
             done += 1 << j
-        if count >> (j + 1):
-            piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
     if count >> len(powers):
-        total, power = _stein_add(total, power, piece, powers[-1], scale ** (2 * done))
+        power = powers[-1] if power is None else power @ powers[-1]
     if power is None:
         return np.zeros_like(piece), scale ** count * np.eye(piece.shape[-1], dtype=complex)
     return total, scale ** count * power
 
 
-def _stein_add(total, power, piece, step, weight):
+def _settles(step: np.ndarray, top: float, j: int) -> bool:
+    """The settle rule of ``stein_sum`` at step M^(2^j): r^(2^(j+1))
+    ||M^(2^j)||_F^2 <= eps/4 for the largest radius r.  A zero power
+    always settles; a radius above 1 settles only there, so that the
+    power of r never overflows."""
+    frob = np.vdot(step, step).real
+    return frob == 0.0 or (top <= 1.0 and top ** (2 << j) * frob <= np.finfo(float).eps / 4)
+
+
+def _stein_add(total, power, piece, weight):
     """One selected digit of ``stein_sum``: total + weight (b^a)* piece
-    b^a and b^a M^(2^j).  The first digit starts the sum at a copy of the
-    piece, which may be the caller's weights or a read-only broadcast of
-    them, and the power at the step, with no product by the identity."""
+    b^a.  The first digit starts the sum at a copy of the piece, which
+    may be the caller's weights or a read-only broadcast of them, with no
+    product by the identity."""
     if power is None:
-        return piece.copy(), step
-    return total + weight * (power.conj().T @ piece @ power), power @ step
+        return piece.copy()
+    return total + weight * (power.conj().T @ piece @ power)
 
 
 @dataclass(frozen=True)
@@ -338,11 +380,16 @@ class SubspaceBasis:
 
     @staticmethod
     def full(n: int) -> "SubspaceBasis":
-        return SubspaceBasis._built(np.eye(n, dtype=complex))
+        return SubspaceBasis.coordinates(n, n)
+
+    @staticmethod
+    def coordinates(n: int, k: int) -> "SubspaceBasis":
+        """The first k coordinate vectors of C^n."""
+        return SubspaceBasis._built(np.eye(n, k, dtype=complex))
 
     @staticmethod
     def empty(n: int) -> "SubspaceBasis":
-        return SubspaceBasis._built(np.zeros((n, 0), dtype=complex))
+        return SubspaceBasis.coordinates(n, 0)
 
 
 def defect(m, tol: float = CLASSIFY_TOL) -> np.ndarray:

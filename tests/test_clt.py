@@ -70,7 +70,7 @@ class TestBuildProblem:
         x = np.zeros((1, 65), dtype=complex)
         x[0, 0] = 0.5
         p = clt.build_problem(clt.TruncatedShift(1, 64), np.array([[0.0]]), x)
-        residual = np.linalg.norm((p.t_prime @ p.x - p.x @ p.t_matrix)[:, : p.window_dim], 2)
+        residual = np.linalg.norm((p.t_prime @ p.x - p.x @ p.t.matrix())[:, : p.window_dim], 2)
         assert residual == 0.0
 
     def test_intertwining_violation(self, rng):
@@ -173,7 +173,7 @@ class TestBuildOmega:
             d_x = linalg.defect(p.x)
             d_tp = linalg.defect(p.t_prime)
             for h in window_vectors(p, rng, 10):
-                lhs = np.linalg.norm(d_x @ p.t_matrix @ h) ** 2
+                lhs = np.linalg.norm(d_x @ p.t.matrix() @ h) ** 2
                 rhs = np.linalg.norm(d_tp @ p.x @ h) ** 2 + np.linalg.norm(d_x @ h) ** 2
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 
@@ -212,7 +212,7 @@ GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 def coupling_g(p) -> np.ndarray:
     """g = Q_X* D_X T on the window, the matrix build_omega factors."""
-    return (p.basis_x.columns.conj().T @ p.d_x @ p.t_matrix)[:, : p.window_dim]
+    return (p.basis_x.columns.conj().T @ p.d_x @ p.t.matrix())[:, : p.window_dim]
 
 
 def golden_problem(name):
@@ -371,7 +371,7 @@ class TestLift:
         lifting = lifting_of(p, r, degree, ld)
         oracle = dense_lifting(lifting.minimal)
         y, k = lifting.y, p.window_dim
-        want = np.linalg.norm((oracle @ y - y @ p.t_matrix)[:, :k], 2)
+        want = np.linalg.norm((oracle @ y - y @ p.t.matrix())[:, :k], 2)
         assert lifting.residuals() == {"intertwining": pytest.approx(want, abs=1e-12)}
         # the projection onto H' is X, bit for bit
         assert np.array_equal(np.eye(p.t_prime.shape[0], y.shape[0]) @ y, p.x)

@@ -439,16 +439,25 @@ class TestSteinSum:
 
     @staticmethod
     def full_doubling(b, weights, count):
-        """Smith's doubling with no early stop: b squared for every binary
-        digit of count, zero powers included."""
+        """Smith's doubling with no early stop at a zero power: b squared
+        for every binary digit of count, zero powers included.  The piece
+        settles by the rule of ``stein_sum``, ||b^(2^j)||_F^2 <= eps/4 at
+        a step that would double it: it is added once, and only the power
+        goes on."""
         piece, step = np.asarray(weights, dtype=complex), np.asarray(b, dtype=complex)
-        total, power = np.zeros_like(piece), np.eye(len(step), dtype=complex)
+        total, power, settled = np.zeros_like(piece), np.eye(len(step), dtype=complex), False
         while count:
+            settles = not settled and count > 1 and np.vdot(step, step).real <= np.finfo(float).eps / 4
+            if not settled and (count & 1 or settles):
+                total = total + power.conj().T @ piece @ power
+            settled = settled or settles
             if count & 1:
-                total, power = total + power.conj().T @ piece @ power, power @ step
+                power = power @ step
             count >>= 1
             if count:
-                piece, step = piece + step.conj().T @ piece @ step, step @ step
+                if not settled:
+                    piece = piece + step.conj().T @ piece @ step
+                step = step @ step
         return total, power
 
     @pytest.mark.parametrize("count", [1 << 35, 512, 300])
@@ -472,20 +481,27 @@ class TestSteinSum:
     def from_the_identity(powers, weights, count, radii=None):
         """The doubling on the ladder with the sum started at 0 and the
         power at I, so the first selected digit takes I* piece I and
-        I M^(2^j): the products ``stein_sum`` leaves out."""
-        piece, scale = np.asarray(weights, dtype=complex), 1.0
+        I M^(2^j): the products ``stein_sum`` leaves out.  The piece
+        settles by the rule of ``stein_sum``, r^(2^(j+1)) ||M^(2^j)||_F^2
+        <= eps/4 for the largest radius r at a step that would double it."""
+        piece, scale, top = np.asarray(weights, dtype=complex), 1.0, 1.0
         if radii is not None:
             scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
             piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
+            top = max(radii)
         total, power, done = np.zeros_like(piece), np.eye(piece.shape[-1], dtype=complex), 0
+        settled = False
         for j, step in enumerate(powers):
-            if (count >> j) & 1:
+            settles = (not settled and count >> (j + 1) > 0
+                       and top ** (2 << j) * np.vdot(step, step).real <= np.finfo(float).eps / 4)
+            if not settled and ((count >> j) & 1 or settles):
                 total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+            settled = settled or settles
+            if (count >> j) & 1:
                 power, done = power @ step, done + (1 << j)
-            if count >> (j + 1):
+            if count >> (j + 1) and not settled:
                 piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
         if count >> len(powers):
-            total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
             power = power @ powers[-1]
         return total, scale ** count * power
 
@@ -548,6 +564,86 @@ class TestSteinSum:
         total, power = doubled(scale * u, np.eye(4), 1 << 35)
         assert np.linalg.norm(power) ** 2 <= np.finfo(float).eps
         assert np.max(np.abs(total - np.eye(4) / (1 - scale**2))) <= 1e-12 / (1 - scale**2)
+
+    @staticmethod
+    def unsettled(powers, weights, count, radii=None):
+        """The doubling on the ladder with no settle rule: the piece is
+        doubled for every digit of count, and a ladder that stopped at a
+        zero power adds its piece once more after it."""
+        piece, scale = np.asarray(weights, dtype=complex), 1.0
+        if radii is not None:
+            scale = np.asarray(radii, dtype=float).reshape((-1,) + (1,) * piece.ndim)
+            piece = np.broadcast_to(piece, scale.shape[:1] + piece.shape)
+        total, power, done = np.zeros_like(piece), np.eye(piece.shape[-1], dtype=complex), 0
+        for j, step in enumerate(powers):
+            if (count >> j) & 1:
+                total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+                power, done = power @ step, done + (1 << j)
+            if count >> (j + 1):
+                piece = piece + scale ** (2 << j) * (step.conj().T @ piece @ step)
+        if count >> len(powers):
+            total = total + scale ** (2 * done) * (power.conj().T @ piece @ power)
+            power = power @ powers[-1]
+        return total, scale ** count * power
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("count", [300, 512, 1000, 1 << 35])
+    @pytest.mark.parametrize("shape", ["one", "stack", "radii"])
+    def test_the_settled_sum_drops_less_than_rounding(self, seed, count, shape):
+        # against the un-settled doubling: the dropped tail is below eps ||S||
+        # for each weight and radius, and b^count keeps its bits
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(2, 9))
+        m = rng.uniform(0.3, 0.95) * random_contraction(rng, dim, dim)
+        l = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        weights = np.stack([l.conj().T @ l, np.eye(dim)])
+        weights, radii = {"one": (weights[0], None), "stack": (weights, None),
+                          "radii": (weights, (0.5, 0.9, 0.99))}[shape]
+        powers = la.power_ladder(m, count)
+        total, power = la.stein_sum(powers, weights, count, radii)
+        want_total, want_power = self.unsettled(powers, weights, count, radii)
+        assert total.shape == want_total.shape and np.array_equal(power, want_power)
+        tail = la.operator_norm(total - want_total)
+        assert np.all(tail <= np.finfo(float).eps * la.operator_norm(want_total))
+        # the rule fires on every such ladder: ||M^(2^j)||_F^2 decays below eps/4
+        assert any(la._settles(step, 1.0 if radii is None else max(radii), j)
+                   for j, step in enumerate(powers[:-1]))
+
+    @pytest.mark.parametrize("radii", [None, (0.5, 1.0)])
+    def test_a_unitary_ladder_never_settles_and_keeps_its_bits(self, radii):
+        # ||U^(2^j)||_F^2 = dim at every step: nothing is below rounding
+        rng = np.random.default_rng(11)
+        u = random_unitary(rng, 5)
+        l = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        weights = np.stack([l.conj().T @ l, np.eye(5)])
+        count = (1 << 20) + 37
+        powers = la.power_ladder(u, count)
+        top = 1.0 if radii is None else max(radii)
+        assert not any(la._settles(step, top, j) for j, step in enumerate(powers))
+        total, power = la.stein_sum(powers, weights, count, radii)
+        want_total, want_power = self.unsettled(powers, weights, count, radii)
+        assert np.array_equal(total, want_total) and np.array_equal(power, want_power)
+
+    def test_the_hardy_flag_is_that_of_the_unsettled_power(self):
+        # A = diag(1 - 2^-40, 0.5) is planted not to converge: ||M^(2^35)||_F^2
+        # is about 1.9, so the sum never settles, keeps the bits of the
+        # un-settled doubling, and the flag reads the same power; A = 0.5 U
+        # settles early and still converges
+        from liftlab import criteria, h2
+
+        rng = np.random.default_rng(13)
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        count = 1 << criteria.TAYLOR_SQUARINGS
+        for a, converges in ((np.diag([1.0 - 2.0**-40, 0.5]), False), (0.5 * random_unitary(rng, 2), True)):
+            comp = criteria.companion(h2.MatPoly.constant(np.vstack([a, b])))
+            gram, converged = criteria.hardy_gram(comp, np.eye(2))
+            rows = h2.state_rows(comp.b, comp.a.degree + 1)
+            want, power = self.unsettled(comp.prefix(count), rows.conj().T @ rows, count)
+            assert converged == converges == (np.vdot(power, power).real <= np.finfo(float).eps)
+            if not converges:
+                assert np.array_equal(gram, want[:2, :2])
+            else:
+                assert la.operator_norm(gram - want[:2, :2]) <= np.finfo(float).eps * la.operator_norm(want)
 
     def test_a_unimodular_eigenvalue_keeps_its_power(self):
         # b = diag(1, 0.5): the powers never vanish, and the partial sum at

@@ -183,7 +183,7 @@ def test_the_ladder_count_sees_a_check_that_builds_its_own(monkeypatch, tmp_path
 def factorings_of_g(monkeypatch) -> int:
     """SVDs that build_omega takes of g or of g* on the golden dims problem."""
     problem = serialize.decode_problem(json.loads((INPUTS / "dims.json").read_text(encoding="utf-8")))
-    g = (problem.basis_x.columns.conj().T @ problem.d_x @ problem.t_matrix)[:, : problem.window_dim]
+    g = (problem.basis_x.columns.conj().T @ problem.d_x @ problem.t.matrix())[:, : problem.window_dim]
     calls = recorded(monkeypatch, np.linalg, "svd")
     clt.build_omega(problem)
     return sum(any(a.shape == m.shape and np.array_equal(a, m) for m in (g.conj().T, g.conj())) for a, *_ in calls)

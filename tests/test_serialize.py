@@ -76,7 +76,7 @@ def test_problem_round_trip(tag, seed, dim, windowed):
     back = serialize.decode_problem(doc)
     assert type(back.t) is type(p.t)
     assert serialize.encode_operator_spec(back.t) == serialize.encode_operator_spec(p.t)
-    assert np.array_equal(back.t_matrix, p.t_matrix)
+    assert np.array_equal(back.t.matrix(), p.t.matrix())
     assert np.array_equal(back.t_prime, p.t_prime)
     assert np.array_equal(back.x, p.x)
     assert back.tol == p.tol
