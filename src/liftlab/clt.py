@@ -13,12 +13,19 @@ All defect-space quantities are stored in orthonormal coordinate bases
 of the numerical ranges of D_X and D_{T'}.  Every rank in this module,
 of those ranges, of the coupling's kernels and inside its
 pseudo-inverse, is cut by ``linalg.rank_mask``, so the pseudo-inverse
-inverts exactly what the kernels leave out.  ``lift`` reads the
-coefficients of Gamma = B (I - zA)^(-1), each r' x r in the defect
-coordinates, off the ``h2.Companion`` of W = [B; A] that the checks of
-the lifting read too: it doubles the stacked states with one product
-per power M^(2^j), and writes Y's rows Gamma_n D_X with one more.
-``Lifting.residuals`` reads only the intertwining residual off Y.
+inverts exactly what the kernels leave out.
+
+No command builds a lifting Y.  The `lift` command reads the window
+norm and the intertwining residual of the untruncated Y off the
+coupling identity and one Stein sum (``criteria.window_gram_extremes``,
+``criteria.intertwining_norm``, whose docstring derives the identity).
+``lift``, ``minimal_isometric_lifting`` and ``Lifting.residuals`` build
+the degree-truncated Y, U' and their residual, which the tests hold the
+identity to.  ``lift`` reads the coefficients of Gamma = B (I -
+zA)^(-1), each r' x r in the defect coordinates, off the
+``h2.Companion`` of W = [B; A]: it doubles the stacked states with one
+product per power M^(2^j), and writes Y's rows Gamma_n D_X with one
+more.
 
 The minimal isometric lifting U' of T' (Sz.-Nagy--Foias) acts on
 H' + H^2(D_{T'}), truncated to C^p followed by degree + 1 slots of the
@@ -513,9 +520,9 @@ def lift(p: CLTProblem, ld: LiftingData, comp: h2.Companion, degree: int) -> Lif
     the projection onto H' reads the rows it was written.
 
     The ladder of `comp` reaches at least `degree`; Y reads the prefix
-    2^j <= degree.  The caller builds the companion once for the command
-    and hands it to the checks of the lifting too, so A is squared once;
-    the lifting does not hold it.
+    2^j <= degree.  The lifting does not hold the companion.  No command
+    calls this: it is the truncated lifting the tests compare the
+    identities of ``criteria`` with.
     """
     r_prime, h_dim, a = ld.basis_tprime.dim, p.x.shape[0], comp.a
     # column block n holds X_n = (M^n)^T L^T, shape len(M) x r'

@@ -43,15 +43,20 @@ S = sum_(k<G) (b^k)* N b^k, b = rho M, the Stein sum that
 ``linalg.stein_sum`` doubles in at most log2 G steps, with b^G for
 M_rho; it stops doubling where the rest of the sum is below rounding
 (its settle rule), and still multiplies b^G off the ladder, so V is
-that of G terms.  No node is solved, and the rung is the largest
-eigenvalue of V* S V.  As b^(2^j) = rho^(2^j) M^(2^j), one ladder of
-powers of M (``linalg.power_ladder``) serves every rung, and the rungs
-are summed at once.  One companion serves every check of a symbol, not only
-every rung: ``companion`` builds the ``h2.Companion`` of W, which holds
-W, A and B, its ladder squared once through the Taylor trace's cap and
-the grid.  It is the only symbol argument of every check of W, of
-``hardy_gram``, ``window_gram_extremes`` and ``clt.lift``, so none of
-them splits W or squares A again.  With E = [I 0 ... 0] and L_W, L_A
+that of G terms.  V settles at rounding too: when ||b^G||_F <= eps/4
+on every rung, ||V - E*|| <= ||b^G|| / (1 - ||b^G||) <= eps/3, so V is
+taken as E* and the means are the top-left blocks of S, with no solve.
+No node is solved, and the rung is the largest eigenvalue of V* S V,
+one eigvalsh for the whole stack of rungs.  As b^(2^j) = rho^(2^j)
+M^(2^j), one ladder of powers of M (``linalg.power_ladder``) serves
+every rung, and the rungs are summed at once.  One companion serves
+every check of a symbol, not only every rung: ``companion`` builds the
+``h2.Companion`` of W, which holds W, A and B, its ladder squared once
+through the Taylor trace's cap and the grid.  It is the only symbol
+argument of every check of W, of ``hardy_gram``,
+``window_gram_extremes`` and ``intertwining_norm``, so none of them
+splits W or squares A again, and the last two read one Stein sum of the
+companion.  With E = [I 0 ... 0] and L_W, L_A
 and L_RK the rows of W, A and R K*, N is E*E - L_W* L_W, E*E and E*E -
 L_A* L_A for the radial defect, weighted and defect-of-A ladders, and
 E* K K* E - L_RK* L_RK for the lifting parameter defect (K the kernel
@@ -191,9 +196,12 @@ def combine_verdicts(*verdicts: str) -> str:
     return "inconclusive"
 
 
-def largest_eigenvalue(gram: np.ndarray) -> float:
-    """sup of d* G d over unit d for a Hermitian G; 0 for an empty G."""
-    return float(np.linalg.eigvalsh(gram)[-1]) if len(gram) else 0.0
+def largest_eigenvalue(gram: np.ndarray):
+    """sup of d* G d over unit d for a Hermitian G, a float, or for each
+    matrix of a stack, an array, read by one eigvalsh; 0 for an empty G."""
+    w = np.linalg.eigvalsh(gram)
+    top = w[..., -1] if w.shape[-1] else np.zeros(w.shape[:-1])
+    return float(top) if w.ndim == 1 else top
 
 
 def companion(w: MatPoly, start: int = 0, *, grid: int = 1) -> h2.Companion:
@@ -220,32 +228,39 @@ def parseval_means(comp: h2.Companion, weights: np.ndarray, ladder, grid: int) -
     dim A columns, of the forms d -> mean_j ||L s(rho w^j)||^2, s(z) =
     (I - zM)^(-1) E* d, for each rung and weight N = L*L of an
     (s, size, size) stack: shape (rungs, s, dim, dim).  Every rung is
-    summed at once on the companion's ladder, which must reach `grid`."""
+    summed at once on the companion's ladder, which must reach `grid`.
+    When every (rho M)^G has ||(rho M)^G||_F <= eps/4, V is E* within
+    eps/3 and the means are the top-left blocks of S, with no solve."""
     radii = [h2.check_radius(rho) for rho in ladder]
     s, top = linalg.stein_sum(comp.prefix(grid), weights, grid, radii)
-    size = len(comp.m)
-    v = np.linalg.solve(np.eye(size) - top, np.eye(size, comp.a.in_dim))
+    size, dim = len(comp.m), comp.a.in_dim
+    if np.vdot(top, top).real <= (np.finfo(float).eps / 4) ** 2:
+        return s[..., :dim, :dim]
+    v = np.linalg.solve(np.eye(size) - top, np.eye(size, dim))
     return linalg.adjoint_batch(v) @ s @ v
 
 
 def hardy_gram(comp: h2.Companion, cols: np.ndarray) -> tuple[np.ndarray, bool]:
-    """C* E S_inf E* C, the Gram matrix of c -> ||B(z) (I - z A(z))^(-1) C
-    c||^2 in H^2, and whether the Stein sum converged; W = [B; A] is the
-    symbol of the companion `comp`.  With M the companion of A and L =
-    ``h2.state_rows(B)``, coefficient n of B (I - zA)^(-1) C c is L M^n
-    E* C c, so S_inf = sum_k (M^k)* L*L M^k; the sum is doubled towards
-    G = 2^TAYLOR_SQUARINGS terms and stops where it settles
-    (``linalg.stein_sum``): at the first power with ||M^(2^j)||_F^2 <=
-    eps/4, a zero one at the latest, past which every doubling adds less
-    than eps/3 of S.  M^G is still multiplied off the ladder.  When
-    ||M^G||_F^2 <= eps the tail (M^G)* S_inf M^G is below the rounding
-    of S_inf and the settled sum is the limit; otherwise it is a partial
-    sum that decides nothing."""
-    a, count = comp.a, 1 << TAYLOR_SQUARINGS
-    rows = h2.state_rows(comp.b, a.degree + 1)
-    s, power = linalg.stein_sum(comp.prefix(count), rows.conj().T @ rows, count)
+    """C* S_inf C, the Gram matrix of c -> ||L (I - zM)^(-1) C c||^2 in
+    H^2, and whether the Stein sum converged.  W = [B; A] is the symbol
+    of the companion `comp`, M the companion of A and L =
+    ``h2.state_rows(B)``.  `cols` holds the first n rows of the states
+    C, whose other rows are zero, and the form reads the top-left n x n
+    block of S_inf: for C = E* C' with n = dim A it is the Gram matrix of
+    c -> ||B(z) (I - z A(z))^(-1) C' c||^2, since coefficient n of that
+    series is L M^n E* C' c.  S_inf = sum_k (M^k)* L*L M^k; the sum is
+    doubled towards G = 2^TAYLOR_SQUARINGS terms and stops where it
+    settles (``linalg.stein_sum``): at the first power with
+    ||M^(2^j)||_F^2 <= eps/4, a zero one at the latest, past which every
+    doubling adds less than eps/3 of S.  M^G is still multiplied off the
+    ladder.  When ||M^G||_F^2 <= eps the tail (M^G)* S_inf M^G is below
+    the rounding of S_inf and the settled sum is the limit; otherwise it
+    is a partial sum that decides nothing.  The companion sums S_inf once
+    (``h2.Companion.hardy_sum``), however many Gram matrices read it."""
+    s, power = comp.hardy_sum(1 << TAYLOR_SQUARINGS)
     converged = bool(np.vdot(power, power).real <= np.finfo(float).eps)
-    return cols.conj().T @ s[: a.in_dim, : a.in_dim] @ cols, converged
+    n = len(cols)
+    return cols.conj().T @ s[:n, :n] @ cols, converged
 
 
 def window_gram_extremes(problem: CLTProblem, ld: LiftingData, comp: h2.Companion) -> tuple[float, float, bool]:
@@ -260,6 +275,51 @@ def window_gram_extremes(problem: CLTProblem, ld: LiftingData, comp: h2.Companio
     x = problem.x[:, :k]
     low, top = np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]]
     return float(low), float(top), converged
+
+
+def intertwining_norm(problem: CLTProblem, ld: LiftingData, comp: h2.Companion) -> float:
+    """||U'Y - YT|| on the window for the untruncated lifting Y = [X;
+    Gamma(.) D_X] of the symbol W = [B; A] of `comp` into the minimal
+    isometric lifting U' of T', read off the residual of the coupling
+    identity; neither Y nor U' is built.
+
+    On the window columns let c = Q* D_X, c_T = Q* D_X T, v' = Q'* D_T'
+    X and Delta = T'X - XT.  U' sends [h'; f] to [T'h'; Q'* D_T' h' + z
+    f], so (U'Y - YT) h = (Delta h, (v' + z Gamma c - Gamma c_T) h).  Let
+    e(z) = W(z) c_T - [v'; c] z^0, of degree p = deg W, in rows e_B and
+    e_A; it vanishes with the coupling identity W c_T = [v'; c], up to
+    rounding.  Then c_T - zc = (I - zA) c_T + z e_A, so
+
+        Gamma c_T - z Gamma c - v' = e_B(z) + z B(z) Z(z),
+        Z(z) = (I - zA)^(-1) e_A(z).
+
+    Its coefficient n <= p is C_n = e_B,n + sum_(j<n) B_j Z_(n-1-j).
+    Past degree p, e no longer feeds Z, so the state s_n = (Z_n, ...,
+    Z_(n-p)) advances as s_(n+1) = M s_n from s_p, and coefficient p + 1
+    + k is L M^k s_p, L = ``h2.state_rows(B)``.  Hence
+
+        ||U'Y - YT||^2 = lambda_max(Delta* Delta + sum_(n<=p) C_n* C_n
+                                    + s_p* S_inf s_p),
+
+    S_inf = sum_k (M^k)* L*L M^k, the Stein sum of ``hardy_gram`` that
+    ``window_gram_extremes`` reads too.  Every term is formed from e, so
+    its rounding stays relative to the residual; the equal form (E* c -
+    M E* c_T)* S_inf (E* c - M E* c_T) would cancel terms of order one
+    inside the quadratic form."""
+    k = problem.window_dim
+    coords = ld.basis_x.columns.conj().T @ ld.d_x
+    c, c_t = coords[:, :k], problem.t.right(coords, k)
+    v = (ld.basis_tprime.columns.conj().T @ problem.d_tprime @ problem.x)[:, :k]
+    delta = (problem.t_prime @ problem.x)[:, :k] - problem.t.right(problem.x, k)
+    b, a = comp.b.coeffs, comp.a.coeffs
+    e_b, e_a = b @ c_t, a @ c_t
+    e_b[0] -= v
+    e_a[0] -= c
+    z = h2.resolvent_terms(a, e_a, len(a))
+    series = [e_b[n] + sum(b[j] @ z[n - 1 - j] for j in range(n)) for n in range(len(b))]
+    head = np.vstack([delta, *series])
+    tail, _ = hardy_gram(comp, z[::-1].reshape(-1, k))
+    return math.sqrt(max(largest_eigenvalue(head.conj().T @ head + tail), 0.0))
 
 
 def taylor_trace(comp: h2.Companion, tol: float) -> list:
@@ -325,8 +385,9 @@ def radial_isometry_check(
     gram, la = _corner(np.eye(a.in_dim), len(comp.m)), lw[comp.start : comp.start + a.out_dim]
     weights = np.stack([gram - lw.conj().T @ lw, gram, gram - la.conj().T @ la])
     means = parseval_means(comp, weights, ladder, grid)
-    defect_ladder = [largest_eigenvalue(g[0]) for g in means]
-    weighted_ladder = [(1.0 - rho) * largest_eigenvalue(g[1]) for rho, g in zip(ladder, means)]
+    tops = largest_eigenvalue(means[:, :2])
+    defect_ladder = tops[:, 0].tolist()
+    weighted_ladder = ((1.0 - np.asarray(ladder)) * tops[:, 1]).tolist()
     a_defect_dev = linalg.hermitian_norm(means[:, 2] - np.eye(a.in_dim)).tolist()
     trace = taylor_trace(comp, tol_taylor)
     v_ladder = ladder_verdict(defect_ladder, tol_int)
@@ -457,14 +518,14 @@ def lifting_isometry_check(
     the state, and the larger residual is reported as
     `defect_chain_residual`.  `comp` is the companion of W
     (``companion``), its ladder through at least `grid`: the one
-    ``clt.lift`` reads.
+    ``window_gram_extremes`` and ``intertwining_norm`` read.
     """
     terms, kker = comp.a.degree + 1, ld.ker_omega.columns
     size, lw = len(comp.m), h2.state_rows(comp.w, terms)
     lrk = h2.state_rows(MatPoly(r.coeffs @ kker.conj().T), terms)
     kk, rr, gram = kker @ kker.conj().T, lrk.conj().T @ lrk, ld.omega_bar.conj().T @ ld.omega_bar
     means = parseval_means(comp, (_corner(kk, size) - rr)[None], ladder, grid)[:, 0]
-    defect_ladder = [largest_eigenvalue(g) for g in means]
+    defect_ladder = largest_eigenvalue(means).tolist()
     chain_residual = max(linalg.hermitian_norm(lw.conj().T @ lw - _corner(gram, size) - rr),
                          linalg.hermitian_norm(np.eye(len(gram)) - gram - kk))
     trace = taylor_trace(comp, tol_taylor)

@@ -14,12 +14,14 @@ A(z))^(-1) d is ``state_rows(Q)`` M^n E* d, E* = [I; 0].  So every
 series the lifting and the isometry criteria need is read off the
 powers M, M^2, M^4, ... of ``linalg.power_ladder``, squared once per
 symbol and held by its ``Companion``, with the symbol W = [B; A] split
-once: the criteria Stein-sum the powers, and
-``clt.lift`` doubles the stacked states of Y's coefficients, one
-product per power.  The convolution recursion is
-written once, in ``resolvent_terms``, which returns the first `count`
-coefficients of (I - z A(z))^(-1) C(z), stacked; only
-``_neumann_coeffs`` runs it, with C = I.
+once: the criteria Stein-sum the powers, the Hardy sum once per
+companion (``Companion.hardy_sum``), and ``clt.lift``, the tests'
+truncated lifting, doubles the stacked states of Y's coefficients, one
+product per power.  The convolution recursion is written once, in
+``resolvent_terms``, which returns the first `count` coefficients of
+(I - z A(z))^(-1) C(z), stacked; ``_neumann_coeffs`` runs it with C =
+I, and ``criteria.intertwining_norm`` on the p + 1 terms of the
+residual of the coupling identity.
 
 Dense inverses go through one kernel for (I - z S(z))^(-1):
 ``neumann_inverse`` hands it A, ``series_inverse`` normalises P = P_0
@@ -211,6 +213,7 @@ class Companion:
         self.w, self.start, self.count = w, start, count
         self.a = MatPoly(c[:, start : start + dim])
         self.b = MatPoly(np.concatenate([c[:, :start], c[:, start + dim :]], axis=1))
+        self._hardy = {}
 
     @cached_property
     def m(self) -> np.ndarray:
@@ -232,6 +235,17 @@ class Companion:
         """||M^(2^j) E*||_F for each power of the ladder, E* = [I; 0]: the
         values of the Taylor trace, read once."""
         return [float(np.linalg.norm(p[:, : self.a.in_dim])) for p in self.powers]
+
+    def hardy_sum(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """``linalg.stein_sum`` of the weight L*L, L = ``state_rows(B)``,
+        over the ladder through `count`, and M^count: the Stein sum of the
+        H^2 norm of B (I - zA)^(-1) s on states s.  Summed on the first
+        read of a count and kept, so every Gram matrix read off one
+        companion shares one sum."""
+        if count not in self._hardy:
+            rows = state_rows(self.b, self.a.degree + 1)
+            self._hardy[count] = linalg.stein_sum(self.prefix(count), rows.conj().T @ rows, count)
+        return self._hardy[count]
 
 
 def vstack_polys(top: MatPoly, bottom: MatPoly) -> MatPoly:

@@ -38,8 +38,9 @@ in one place:
   thread, and on any exit it runs again on the count found on entry.
   ``cli.main`` enters it around every command, and nothing else does.
   On the scenarios and the benchmark's problems every matrix a command
-  factors is at most 53 x 50, and the tallest operand, the truncated
-  lifting of ``lift --degree 1024``, is 2052 x 25.  At those sizes one
+  factors is at most 53 x 50, and no command builds a truncated
+  lifting, whose 2052 x 25 block at degree 1024 was the tallest
+  operand.  At those sizes one
   thread takes the wall time of two, and OpenBLAS's second thread only
   spins: a benchmark `lifting` pass used about twice its wall time in
   CPU time with two threads, and about once with the rule.

@@ -55,9 +55,31 @@ def encode_matrix(m) -> list:
     return [[encode_complex(v) for v in row] for row in a]
 
 
+def _decode_matrix_at_once(obj: list) -> np.ndarray | None:
+    """The matrix of a well-formed `obj`, read by one numpy conversion:
+    every row a list, every entry a [re, im] pair of numbers whose exact
+    types are float or int (no bool, no string), all finite.  None
+    otherwise, so the per-entry path names the JSON path at fault.  Both
+    paths call float() on the same numbers, so the bits agree."""
+    if not all(type(row) is list for row in obj):
+        return None
+    try:
+        parts = np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if parts.ndim != 3 or parts.shape[2] != 2 or not np.isfinite(parts).all():
+        return None
+    if not {type(v) for row in obj for pair in row for v in pair} <= {float, int}:
+        return None
+    return parts.view(complex)[..., 0]
+
+
 def decode_matrix(obj, path: str = "$") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(path, "matrix must be a non-empty array of rows")
+    matrix = _decode_matrix_at_once(obj)
+    if matrix is not None:
+        return matrix
     rows = []
     width = None
     for i, row in enumerate(obj):

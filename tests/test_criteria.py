@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,6 +275,31 @@ class TestParsevalMeans:
             v = np.linalg.solve(np.eye(len(m)) - top, np.eye(len(m), 3))
             want = v.conj().T @ s @ v
             assert np.max(np.abs(rung - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+    @staticmethod
+    def solved_means(comp, weights, ladder, grid):
+        """The means through V = M_rho^(-1) E*, solved on every rung."""
+        s, top = linalg.stein_sum(comp.prefix(grid), weights, grid, list(ladder))
+        v = np.linalg.solve(np.eye(len(comp.m)) - top, np.eye(len(comp.m), comp.a.in_dim))
+        return linalg.adjoint_batch(v) @ s @ v
+
+    @pytest.mark.parametrize("norm, solves", [(0.5, 0), (0.999, 1)])
+    def test_v_is_e_once_the_power_is_below_rounding(self, rng, monkeypatch, norm, solves):
+        # ||(rho M)^G||_F <= eps/4 on every rung puts V within eps/3 of E*:
+        # the means are S's corners and no system is solved.  A symbol of
+        # norm 0.999 keeps a power far above rounding at G = 512
+        a = contractive_matpoly(rng, 3, 3, 1, norm=norm)
+        comp = criteria.companion(a, grid=512)
+        shape = (2, len(comp.m), len(comp.m))
+        l = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        weights = l.conj().transpose(0, 2, 1) @ l
+        want = self.solved_means(comp, weights, criteria.DEFAULT_LADDER, 512)
+        calls, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: (calls.append(1), solve(*args))[1])
+        got = criteria.parseval_means(comp, weights, criteria.DEFAULT_LADDER, 512)
+        assert len(calls) == solves
+        assert got.shape == want.shape == (3, 2, 3, 3)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("dim, size", [(1, 1), (3, 3), (3, 9), (25, 25), (2, 8)])
     def test_the_corner_has_the_bits_of_the_product_with_e(self, rng, dim, size):
@@ -809,3 +835,18 @@ class TestObstructionSearch:
         ld = clt.LiftingData(np.eye(1), full, full, np.zeros((2, 1)), full, linalg.SubspaceBasis.empty(2))
         with pytest.raises(criteria.NotIsometricR0, match="must be isometric"):
             obstruction(ld, np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (3, 2, 5), (3, 0), (2, 3, 0)])
+def test_a_stack_of_rungs_reads_the_bits_of_each_rung_alone(rng, shape):
+    # oracle: one eigvalsh per matrix, 0 for an empty one; the checks read
+    # strided slices of their rung stacks, so one is read here too
+    *stack, dim = shape
+    g = rng.standard_normal((*stack, 2, dim, dim)) + 1j * rng.standard_normal((*stack, 2, dim, dim))
+    grams = (g + linalg.adjoint_batch(g))[..., 0, :, :]
+    got = criteria.largest_eigenvalue(grams)
+    want = np.array([float(np.linalg.eigvalsh(h)[-1]) if dim else 0.0
+                     for h in grams.reshape(math.prod(stack), dim, dim)]).reshape(stack)
+    if not stack:
+        assert isinstance(got, float)
+    assert np.array_equal(got, want)

@@ -12,9 +12,12 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from liftlab import bimodel, cli, clt, coiso, criteria, h2, linalg, serialize
 from liftlab.h2 import MatPoly
 
+from conftest import lifting_of
 from test_bimodel import oracle_verdict, shift_symbol
 from test_cli import COMMANDS
 
@@ -53,6 +56,8 @@ def test_every_layer_records_a_span(tmp_path, rng, monkeypatch):
         # data, and no command multiplies two series
         h2.herglotz_from_A(MatPoly.constant([[0.5]]), 8)
         h2.polymul(MatPoly.constant([[0.5]]), MatPoly.constant([[0.5]]))
+        # no command builds the truncated lifting; the tests keep it as their oracle
+        lifting_of(clt.shift_intertwining_problem(rng, 1, 4, 0.5 * np.eye(2), x_norm=0.9), None, 8).residuals()
     assert h2.resolvent_apply_grid is original
     spanned = {name for name, *_ in tracer.spans}
     assert {layer.name for layer in layertrace.LAYERS} <= spanned

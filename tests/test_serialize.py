@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,3 +105,59 @@ def test_extension_problem_round_trip(seed, m_dim, h_extra, mp_extra, hp_extra):
         return q.m.columns @ q.c @ q.m_prime.columns.conj().T
 
     assert np.linalg.norm(operator(back) - operator(p), 2) <= 1e-12
+
+
+def per_entry(obj, path="$.M"):
+    """decode_matrix through its per-entry path alone: the matrix, or the
+    SchemaError message naming the entry at fault."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(serialize, "_decode_matrix_at_once", lambda obj: None)
+        try:
+            return serialize.decode_matrix(obj, path)
+        except serialize.SchemaError as exc:
+            return str(exc)
+
+
+def decoded(obj, path="$.M"):
+    try:
+        return serialize.decode_matrix(obj, path)
+    except serialize.SchemaError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 4), cols=st.integers(0, 4), data=st.data())
+def test_a_matrix_read_at_once_has_the_bits_of_the_per_entry_path(rows, cols, data):
+    number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**70, 2**70))
+    obj = [[[data.draw(number), data.draw(number)] for _ in range(cols)] for _ in range(rows)]
+    got, want = decoded(obj), per_entry(obj)
+    # rows with no entries take the per-entry path
+    assert (serialize._decode_matrix_at_once(obj) is not None) == (cols > 0)
+    assert got.dtype == want.dtype == complex
+    assert got.shape == want.shape == (rows, cols)
+    assert got.tobytes() == want.tobytes()
+
+
+BAD_MATRICES = {
+    "bool": [[[1.0, 0.0], [True, 0.0]]],
+    "string": [[[1.0, "0.5"]]],
+    "null": [[[None, 0.0]]],
+    "nan": [[[float("nan"), 0.0]]],
+    "infinity": [[[1.0, float("inf")]]],
+    "huge_int": [[[10**400, 0]]],
+    "triple": [[[1.0, 0.0, 2.0]]],
+    "single": [[[1.0]], [[2.0]]],
+    "ragged": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+    "row_not_a_list": [[[1.0, 0.0]], {"re": 1.0}],
+    "row_a_tuple": [([1.0, 0.0],)],
+    "nested": [[[[1.0, 0.0], [0.0, 1.0]]]],
+    "scalar_entries": [[1.0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRICES))
+def test_a_bad_matrix_names_the_same_path_as_the_per_entry_path(name):
+    obj = BAD_MATRICES[name]
+    want = per_entry(obj)
+    assert isinstance(want, str) and want.startswith("at $.M")
+    assert decoded(obj) == want
