@@ -45,7 +45,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -71,7 +71,8 @@ class RunConfig:
     seed: int = 0
 
     def echo(self) -> dict:
-        d = asdict(self)
+        """Every field by name, read off the fields with no deep copy."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["ladder"] = list(self.ladder)
         d["version"] = __version__
         return d

@@ -303,9 +303,9 @@ def build_problem(t, t_prime, x, tol: float = TOL, window: int | None = None) ->
     k = problem.window_dim
     if spec.window_gap(k) > tol:
         raise NotIsometryOnWindow("T fails to be isometric on its window")
-    residual = linalg.operator_norm((t_prime @ x)[:, :k] - spec.right(x, k))
-    if residual > tol:
-        raise IntertwiningViolated(residual)
+    residual = (t_prime @ x)[:, :k] - spec.right(x, k)
+    if linalg.norm_exceeds(residual, tol):
+        raise IntertwiningViolated(linalg.operator_norm(residual))
     return problem
 
 

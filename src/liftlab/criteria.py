@@ -105,7 +105,14 @@ cap: a unimodular eigenvalue's trace stays flat and fails.
 
 Only ``boundary_measure_check`` solves nodes, for the resolvent
 (I - z A(z))^(-1) itself: its exclusion masks are not Parseval sums, so
-it takes the masked node means of d*d, (Ad)*(Ad) and (Wd)*(Wd).
+it takes the masked node means of d*d, (Ad)*(Ad) and (Bd)*(Bd).  It
+samples the circle once for its whole ladder: ``h2.resolvent_apply_grid``
+and ``h2.eval_circle_grid`` take the ladder as a leading rung axis, and
+the (rungs, grid) keep-mask comes from one angular-distance array per
+exclusion.  Each node is scaled by the root of its share of its rung's
+mean, so a mean is one Gram product of the scaled values stacked over
+the nodes, with no copy of the kept nodes, and each ladder is one
+eigvalsh over the stack of rungs.
 """
 
 from __future__ import annotations
@@ -268,12 +275,14 @@ def window_gram_extremes(problem: CLTProblem, ld: LiftingData, comp: h2.Companio
     untruncated lifting Y = [X; Gamma(.) D_X] of the symbol W = [B; A],
     and whether ``hardy_gram`` converged; Y is not built.  ||Yh||^2 =
     ||Xh||^2 + ||B (I - zA)^(-1) c||^2, c = Q* D_X h, so the matrix is
-    X_k* X_k + C* S_inf C, C the window columns of Q* D_X."""
+    X_k* X_k + C* S_inf C, C the window columns of Q* D_X.  An empty
+    window reads 0.0 for both, as ``largest_eigenvalue`` does."""
     k = problem.window_dim
     cols = (ld.basis_x.columns.conj().T @ ld.d_x)[:, :k]
     hardy, converged = hardy_gram(comp, cols)
     x = problem.x[:, :k]
-    low, top = np.linalg.eigvalsh(x.conj().T @ x + hardy)[[0, -1]]
+    eigs = np.linalg.eigvalsh(x.conj().T @ x + hardy)
+    low, top = (eigs[0], eigs[-1]) if k else (0.0, 0.0)
     return float(low), float(top), converged
 
 
@@ -318,7 +327,7 @@ def intertwining_norm(problem: CLTProblem, ld: LiftingData, comp: h2.Companion) 
     z = h2.resolvent_terms(a, e_a, len(a))
     series = [e_b[n] + sum(b[j] @ z[n - 1 - j] for j in range(n)) for n in range(len(b))]
     head = np.vstack([delta, *series])
-    tail, _ = hardy_gram(comp, z[::-1].reshape(-1, k))
+    tail, _ = hardy_gram(comp, z[::-1].reshape(z.shape[0] * z.shape[1], k))
     return math.sqrt(max(largest_eigenvalue(head.conj().T @ head + tail), 0.0))
 
 
@@ -341,19 +350,22 @@ def _isometry_tolerances(tol_int: float, tol_taylor: float, trace: list, grid: i
             "degree_cap": 1 << TAYLOR_SQUARINGS, "grid": grid}
 
 
-def included_nodes(grid: int, rho: float, exclusions=()) -> np.ndarray:
-    """Boolean mask of grid nodes kept for boundary a.e. statements.
+def included_nodes(grid: int, rho, exclusions=()) -> np.ndarray:
+    """Boolean mask of grid nodes kept for boundary a.e. statements:
+    shape (grid,) for one radius, (rungs, grid) for a 1-d ladder, read
+    off one angular-distance array per exclusion.
 
     Each exclusion is (theta, kind): declared jump discontinuities are
     cut within one grid spacing; singular atoms within the wider
     max(spacing, 2*sqrt(1-rho)) because their radial bumps carry heavy
     tails at scale sqrt(1-rho).
     """
+    radii = np.asarray(rho, dtype=float)[..., None]
     theta = 2.0 * np.pi * np.arange(grid) / grid
-    mask = np.ones(grid, dtype=bool)
+    mask = np.ones(radii.shape[:-1] + (grid,), dtype=bool)
     spacing = 2.0 * np.pi / grid
     for point, kind in exclusions:
-        width = spacing if kind == "jump" else max(spacing, 2.0 * np.sqrt(max(1.0 - rho, 0.0)))
+        width = spacing if kind == "jump" else np.maximum(spacing, 2.0 * np.sqrt(np.maximum(1.0 - radii, 0.0)))
         delta = np.abs((theta - float(point) + np.pi) % (2.0 * np.pi) - np.pi)
         mask &= delta > width
     return mask
@@ -437,6 +449,15 @@ def constant_symbol_check(comp: h2.Companion) -> CriterionReport:
     )
 
 
+def _node_gram(x: np.ndarray) -> np.ndarray:
+    """sum_j x_j* x_j over the nodes j of each rung of a contiguous
+    (rungs, grid, rows, cols) stack, shape (rungs, cols, cols): one BLAS
+    product of the rows stacked over the nodes.  On a strided view numpy
+    sums in its own loop, 3e-15 off for ex3_1 where BLAS is 2e-16 off."""
+    flat = x.reshape(x.shape[0], -1, x.shape[-1])
+    return linalg.adjoint_batch(flat) @ flat
+
+
 def boundary_measure_check(
     w: MatPoly,
     ladder=DEFAULT_LADDER,
@@ -456,23 +477,34 @@ def boundary_measure_check(
     Each is the node mean of a Gram matrix, read over every unit d: the
     mass and remainder ladders by the largest eigenvalue, the mass
     deviation by ||H - I||, H the mass Gram matrix.
+
+    Every rung is read off one circle pass (module docstring): one
+    resolvent solve and one evaluation of W over the stacked ladder, the
+    means as weighted sums over the kept nodes of each rung, and one
+    eigvalsh per ladder.  Each temporary of the stack is released once
+    it is reduced.
     """
     a = companion(w).a
-    eye = np.eye(a.in_dim)
-    mass_ladder, mass_dev, k_ladder = [], [], []
-    for rho in ladder:
-        mask = included_nodes(grid, rho, exclusions)
-        if not mask.any():
-            raise CriteriaError(f"grid {grid} keeps no node outside the exclusions at rho {rho}")
-        # A tops W, so the top rows of W d give A d without evaluating A
-        d = h2.resolvent_apply_grid(a, eye, rho, grid)[mask]
-        wd = h2.eval_circle_grid(w, rho, grid)[mask] @ d
-        dd, ad, bd = (np.einsum("nji,njk->nik", x.conj(), x) for x in (d, wd[:, : a.out_dim], wd[:, a.out_dim :]))
-        mass = np.mean(dd - ad, axis=0)
-        remainder = np.mean(((1.0 - rho**2) / rho**2) * dd + (dd - (ad + bd)) / rho**2, axis=0)
-        mass_ladder.append(largest_eigenvalue(mass))
-        mass_dev.append(linalg.hermitian_norm(mass - eye))
-        k_ladder.append(largest_eigenvalue(remainder))
+    keep = included_nodes(grid, ladder, exclusions)
+    counts = keep.sum(axis=1)
+    if not counts.all():
+        rho = ladder[int(np.argmin(counts))]
+        raise CriteriaError(f"grid {grid} keeps no node outside the exclusions at rho {rho}")
+    d = h2.resolvent_apply_grid(a, np.eye(a.in_dim), ladder, grid)
+    # each node scaled by the root of its share of its rung's mean, so the
+    # means are Gram matrices of the scaled values and W d is scaled too
+    d *= np.sqrt(keep / counts[:, None])[..., None, None]
+    w_vals = h2.eval_circle_grid(w, ladder, grid)
+    aa = _node_gram(w_vals[..., : a.out_dim, :] @ d)
+    bb = _node_gram(w_vals[..., a.out_dim :, :] @ d)
+    del w_vals
+    dd = _node_gram(d)
+    rho2 = np.asarray(ladder, dtype=float)[:, None, None] ** 2
+    mass = dd - aa
+    remainder = ((1.0 - rho2) / rho2) * dd + (dd - (aa + bb)) / rho2
+    mass_ladder = largest_eigenvalue(mass).tolist()
+    mass_dev = linalg.hermitian_norm(mass - np.eye(a.in_dim)).tolist()
+    k_ladder = largest_eigenvalue(remainder).tolist()
     v_mass = "pass" if mass_dev[-1] <= TOL_MASS else "fail"
     v_k = ladder_verdict(k_ladder, TOL_REMAINDER)
     verdict = combine_verdicts(v_mass, v_k)

@@ -26,8 +26,10 @@ in one place:
   compared with a threshold, and never reported, is decided by
   ``norm_exceeds``: ||M|| <= ||M||_F, so a Frobenius norm at or below
   the threshold settles it with no eigendecomposition.  The self-checks
-  of ``clt.explicit_coupling`` read their residuals this way, and only
-  a failing one is normed, for its message;
+  of ``clt.explicit_coupling``, the intertwining check of
+  ``clt.build_problem`` and the F(0) = I check of
+  ``h2.herglotz_to_symbol`` read their residuals this way, and only a
+  failing intertwining residual is normed, for its message;
 * the basis check: ``SubspaceBasis(columns)`` checks that columns given
   from outside this module are orthonormal, isometry_gap within
   RANK_TOL.  ``kernel_basis``, ``range_basis``, ``orth_complement``,

@@ -22,6 +22,9 @@ import numpy as np
 from . import clt, coiso, linalg
 from .h2 import MatPoly
 
+_encode_str = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
@@ -285,6 +288,75 @@ def _native(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
+def _key(key) -> str:
+    """A dict key as json writes it: a string as itself, a number, bool
+    or None by its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar_text(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _scalar_text(obj) -> str | None:
+    """The JSON text of a float, string, None, bool or int, else None.  A
+    float is its repr, save NaN and the infinities, written as json
+    writes them."""
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return None
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON text of obj, its nested lines indented past `pad`."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _encode_str(_key(key)) + ": ")
+            _write(value, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        _write(_native(obj), pad, out)
+
+
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON: sorted keys, fixed indentation, native types."""
-    return json.dumps(obj, sort_keys=True, indent=2, default=_native) + "\n"
+    """Deterministic JSON: sorted keys, fixed indentation, native types.
+
+    The bytes of ``json.dumps(obj, sort_keys=True, indent=2,
+    default=_native) + "\n"``, from a writer of its own: with an indent,
+    json falls back to its pure-Python encoder, and the reports are
+    written faster without it."""
+    out = []
+    _write(obj, "", out)
+    out.append("\n")
+    return "".join(out)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from liftlab import cli, clt, criteria, serialize
@@ -405,3 +406,23 @@ def test_an_expectation_that_does_not_hold_exits_1(tmp_path, rng, command):
     assert cli.main(argv + (["--grid", "64", "--degree", "8"] if name == "bimodel" else [])) == 1
     expected = json.loads(out.read_text(encoding="utf-8"))["expected"]
     assert list(expected.values()).count(False) == 1
+
+
+# a shift of degree 0 has an empty window: lift raised an IndexError on the
+# 0 x 0 window Gram matrix and exited 1, while dims exited 0 on the same file
+EMPTY_WINDOW_DOC = {
+    "T": {"shift": {"mult": 1, "degree": 0}},
+    "T_prime": serialize.encode_matrix(0.5 * np.eye(2)),
+    "X": serialize.encode_matrix(np.zeros((2, 1))),
+}
+
+
+@pytest.mark.parametrize("command", ["lift", "dims"])
+def test_an_empty_window_exits_by_its_checks(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert cli.main([command, "--input", write_json(tmp_path / "input.json", EMPTY_WINDOW_DOC), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["matched"] is True
+    if command == "lift":
+        assert doc["values"]["window_norm"] == 0.0
+        assert doc["values"]["intertwining"] == 0.0

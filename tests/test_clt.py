@@ -80,6 +80,15 @@ class TestBuildProblem:
         with pytest.raises(clt.IntertwiningViolated):
             clt.build_problem(t, t_prime, x)
 
+    def test_intertwining_residual_is_decided_by_its_spectral_norm(self):
+        # T'X - XT = -e X with X = I/2: spectral norm e/2, Frobenius norm e/sqrt(2)
+        e = 1e-6
+        t, t_prime, x = np.eye(2), (1 - e) * np.eye(2), 0.5 * np.eye(2)
+        clt.build_problem(t, t_prime, x, tol=0.6 * e)
+        with pytest.raises(clt.IntertwiningViolated, match="intertwining residual 5.000e-07 exceeds") as exc:
+            clt.build_problem(t, t_prime, x, tol=0.4 * e)
+        assert exc.value.residual == pytest.approx(0.5 * e, rel=1e-9)
+
     def test_rejects_expansive_x(self):
         with pytest.raises(clt.NotContraction):
             clt.build_problem(np.eye(2), np.eye(2), 2 * np.eye(2))

@@ -441,6 +441,79 @@ class TestBoundaryMeasure:
             criteria.boundary_measure_check(MatPoly.constant([[0.5], [0.5]]), grid=grid, ladder=(0.9, 0.99),
                                             exclusions=[(0.0, "atom"), (np.pi, "jump")])
 
+    def test_a_node_where_the_resolvent_is_singular_raises_as_solve_does(self):
+        # A = 1: 1 - z A vanishes at the node z = 1 of the last rung
+        with pytest.raises(np.linalg.LinAlgError):
+            criteria.boundary_measure_check(MatPoly.constant([[1.0], [0.0]]), grid=16, ladder=(0.9, 1.0))
+
+    def test_a_grid_below_twice_the_degree_is_too_coarse(self, rng):
+        w = contractive_matpoly(rng, 2, 1, 3, norm=0.9)
+        with pytest.raises(h2.GridTooCoarse):
+            criteria.boundary_measure_check(w, grid=6)
+
+
+def per_rung_ladders(w: MatPoly, ladder, grid: int, exclusions=()) -> tuple:
+    """Reference: the mass, mass-deviation and remainder ladders of
+    ``boundary_measure_check`` one radius at a time, as the node means
+    of the kept nodes, copied out by a boolean index."""
+    dim = w.in_dim
+    eye = np.eye(dim)
+    mass_ladder, mass_dev, k_ladder = [], [], []
+    for rho in ladder:
+        mask = criteria.included_nodes(grid, rho, exclusions)
+        d = h2.resolvent_apply_grid(w.block_rows(dim)[0], eye, rho, grid)[mask]
+        wd = h2.eval_circle_grid(w, rho, grid)[mask] @ d
+        dd, ad, bd = (np.einsum("nji,njk->nik", x.conj(), x) for x in (d, wd[:, :dim], wd[:, dim:]))
+        mass = np.mean(dd - ad, axis=0)
+        remainder = np.mean(((1.0 - rho**2) / rho**2) * dd + (dd - (ad + bd)) / rho**2, axis=0)
+        mass_ladder.append(criteria.largest_eigenvalue(mass))
+        mass_dev.append(linalg.hermitian_norm(mass - eye))
+        k_ladder.append(criteria.largest_eigenvalue(remainder))
+    return mass_ladder, mass_dev, k_ladder
+
+
+def ex3_1_symbol(degree: int = 1024, grid: int = 4096) -> MatPoly:
+    """The Schur symbol [a; b] of ex3_1, built as the scenario builds it."""
+    u = h2.herglotz_from_measure(cli.split_measure_with_atom(), degree)
+    a = h2.herglotz_to_symbol(u, degree)
+    a_vals = h2.eval_circle_grid(a, criteria.DEFAULT_LADDER[-1], grid)[:, 0, 0]
+    m = np.sqrt(np.clip(1.0 - linalg.sq_norms(a_vals, axis=()), 0.0, None))
+    return h2.vstack_polys(a, h2.outer_from_boundary_modulus(m, grid // 2 - 1).poly)
+
+
+EX3_1_EXCLUSIONS = [(0.0, "atom"), (np.pi, "jump")]
+
+
+class TestBoundaryLaddersAgainstPerRung:
+    """Every ladder of the stacked check, one circle pass for all rungs,
+    is the per-rung node mean of the kept nodes within 1e-13."""
+
+    def assert_matches(self, w, ladder, grid, exclusions=()):
+        rep = criteria.boundary_measure_check(w, ladder=ladder, grid=grid, exclusions=exclusions)
+        mass, dev, remainder = per_rung_ladders(w, ladder, grid, exclusions)
+        for got, want in ((rep.extras["mass_ladder"], mass), (rep.extras["mass_deviation"], dev),
+                          (rep.rho_ladder, remainder)):
+            assert [r for r, _ in got] == list(ladder)
+            np.testing.assert_allclose([v for _, v in got], want, rtol=1e-13, atol=1e-13)
+
+    def test_ex3_1(self):
+        self.assert_matches(ex3_1_symbol(), criteria.DEFAULT_LADDER, 4096, EX3_1_EXCLUSIONS)
+
+    def test_ex3_2(self):
+        self.assert_matches(MatPoly.constant([[0.5], [0.5]]), criteria.DEFAULT_LADDER, 4096)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("exclusions", [(), EX3_1_EXCLUSIONS, [(1.0, "atom")]], ids=["none", "atom_jump", "atom"])
+    def test_seeded_polynomial_symbols(self, rng, dim, exclusions):
+        for degree in (0, 3):
+            w = contractive_matpoly(rng, dim + 1, dim, degree, norm=0.9, probe_grid=64)
+            self.assert_matches(w, (0.5, 0.9, 0.99, 0.999), 512, exclusions)
+
+    def test_a_one_rung_ladder(self, rng):
+        w = contractive_matpoly(rng, 3, 2, 4, norm=0.9, probe_grid=64)
+        self.assert_matches(w, (0.99,), 256, EX3_1_EXCLUSIONS)
+        self.assert_matches(ex3_1_symbol(), (0.999,), 4096, EX3_1_EXCLUSIONS)
+
 
 class TestLiftingIsometry:
     def test_shift_with_isometric_parameter_passes(self, rng):

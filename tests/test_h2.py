@@ -326,6 +326,79 @@ class TestResolventGrid:
         assert np.array_equal(block, np.stack(columns, axis=2))
 
 
+LADDER = (0.5, 0.9, 0.999, 1.0)
+
+
+def scalar_eval_oracle(p: MatPoly, rho: float, grid: int) -> np.ndarray:
+    """Reference: the coefficients weighted by rho^k, zero-padded to the
+    grid and transformed along the coefficient axis, one radius."""
+    if p.degree == 0:
+        return np.broadcast_to(p.coeffs[0], (grid,) + p.coeffs.shape[1:])
+    padded = np.zeros((grid,) + p.coeffs.shape[1:], dtype=complex)
+    padded[: p.degree + 1] = p.coeffs * (rho ** np.arange(p.degree + 1))[:, None, None]
+    return np.fft.ifft(padded, axis=0) * grid
+
+
+def scalar_resolvent_oracle(a: MatPoly, d, rho: float, grid: int) -> np.ndarray:
+    """Reference: the systems I - z A(z) of one radius, solved node by
+    node, a 1 x 1 system by division."""
+    systems = scalar_eval_oracle(a, rho, grid) * -(rho * np.exp(2j * np.pi * np.arange(grid) / grid))[:, None, None]
+    systems[:, np.arange(a.in_dim), np.arange(a.in_dim)] += 1.0
+    block = np.asarray(d, dtype=complex).reshape(a.in_dim, -1)
+    if a.in_dim == 1:
+        out = block / systems
+    else:
+        out = np.linalg.solve(systems, np.broadcast_to(block, (grid,) + block.shape))
+    return out if np.ndim(d) == 2 else out[..., 0]
+
+
+def relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestRungAxis:
+    """A 1-d ladder of radii adds a leading rung axis to the circle layer;
+    each rung is the scalar call at its radius, and a scalar radius keeps
+    the bits of the one-radius transform."""
+
+    @pytest.mark.parametrize("shape, degree", [((1, 1), 0), ((2, 1), 7), ((3, 2), 40), ((1, 1), 1023)])
+    def test_each_rung_of_eval_is_the_scalar_call(self, rng, shape, degree):
+        p = random_matpoly(rng, *shape, degree)
+        grid = 2 * degree + 64
+        stacked = h2.eval_circle_grid(p, LADDER, grid)
+        assert stacked.shape == (len(LADDER), grid) + shape
+        for rung, rho in zip(stacked, LADDER):
+            single = h2.eval_circle_grid(p, rho, grid)
+            assert np.array_equal(single, scalar_eval_oracle(p, rho, grid))
+            assert relative_gap(rung, single) <= 1e-15
+
+    @pytest.mark.parametrize("dim, degree", [(1, 0), (1, 3), (2, 0), (3, 5)])
+    def test_each_rung_of_the_resolvent_is_the_scalar_call(self, rng, dim, degree):
+        a = contractive_matpoly(rng, dim, dim, degree, norm=0.9)
+        grid = 128
+        for d in (rng.standard_normal(dim) + 1j * rng.standard_normal(dim), np.eye(dim)):
+            stacked = h2.resolvent_apply_grid(a, d, LADDER, grid)
+            assert stacked.shape == (len(LADDER), grid) + d.shape
+            for rung, rho in zip(stacked, LADDER):
+                single = h2.resolvent_apply_grid(a, d, rho, grid)
+                assert np.array_equal(single, scalar_resolvent_oracle(a, d, rho, grid))
+                assert relative_gap(rung, single) <= 1e-15
+
+    def test_a_one_rung_ladder_keeps_its_axis(self, rng):
+        a = contractive_matpoly(rng, 2, 2, 3, norm=0.9)
+        assert h2.eval_circle_grid(a, [0.9], 16).shape == (1, 16, 2, 2)
+        assert h2.resolvent_apply_grid(a, np.eye(2), [0.9], 16).shape == (1, 16, 2, 2)
+        assert h2.circle_nodes([0.9], 16).shape == (1, 16)
+
+    def test_every_radius_of_a_ladder_is_checked(self, rng):
+        p = random_matpoly(rng, 1, 1, 2)
+        for ladder in ((0.9, 1.5), (0.0, 0.9), [[0.5, 0.9]]):
+            with pytest.raises(h2.H2Error):
+                h2.eval_circle_grid(p, ladder, 8)
+        with pytest.raises(h2.GridTooCoarse):
+            h2.eval_circle_grid(p, (0.5, 0.9), 4)
+
+
 class TestHerglotzFromMeasure:
     def test_lebesgue_gives_one(self):
         mu = h2.CircleMeasure(density_pieces=[(0.0, 2 * np.pi, 1.0)])
@@ -675,6 +748,18 @@ class TestSeriesKernel:
             want = product_formula_symbol(f, degree)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_herglotz_to_symbol_needs_f0_the_identity_in_spectral_norm(self, rng):
+        # F(0) - I = c I in 3 x 3: spectral norm c, Frobenius norm c sqrt(3)
+        f = h2.herglotz_from_A(contractive_matpoly(rng, 3, 3, 2, norm=0.9, probe_grid=64), 8)
+        for c, ok in ((0.8e-10, True), (1.2e-10, False)):
+            shifted = f.coeffs.copy()
+            shifted[0] += c * np.eye(3)
+            if ok:
+                assert h2.herglotz_to_symbol(MatPoly(shifted), 8).degree == 7
+            else:
+                with pytest.raises(h2.H2Error, match=r"needs F\(0\) = I"):
+                    h2.herglotz_to_symbol(MatPoly(shifted), 8)
 
     def test_herglotz_round_trip_3x3_degree_1024(self, rng):
         a = contractive_matpoly(rng, 3, 3, 6, norm=0.9, probe_grid=64)

@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +163,61 @@ def test_a_bad_matrix_names_the_same_path_as_the_per_entry_path(name):
     want = per_entry(obj)
     assert isinstance(want, str) and want.startswith("at $.M")
     assert decoded(obj) == want
+
+
+GOLDEN_REPORTS = sorted((Path(__file__).resolve().parent / "golden" / "reports").glob("*.json"))
+
+
+def json_canonical(obj) -> str:
+    """Reference: json's own writer, which falls back to its pure-Python
+    encoder with an indent."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=serialize._native) + "\n"
+
+
+def test_the_golden_reports_are_found():
+    assert len(GOLDEN_REPORTS) == 11
+
+
+@pytest.mark.parametrize("path", GOLDEN_REPORTS, ids=lambda p: p.stem)
+def test_the_writer_has_the_bytes_of_json_on_every_golden_report(path):
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert serialize.dumps_canonical(doc) == json_canonical(doc) == text
+
+
+numpy_scalars = st.one_of(
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-(2**62), 2**62).map(np.int64),
+    st.booleans().map(np.bool_),
+    finite_complex.map(np.complex128),
+)
+numpy_arrays = st.lists(st.floats(), max_size=4).map(np.array) | st.lists(finite_complex, max_size=3).map(np.array)
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+          | st.text() | numpy_scalars | numpy_arrays)
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=payloads)
+def test_the_writer_has_the_bytes_of_json(obj):
+    assert serialize.dumps_canonical(obj) == json_canonical(obj)
+
+
+@pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [[]]}, {"é": "ᐃ\n\"", "\x00": "\ud800"},
+                                 {2: "int", 1.5: "float", False: "bool"}, {None: [math.nan]}],
+                         ids=["dict", "list", "tuple", "nested_empty", "non_ascii", "number_keys", "null_key"])
+def test_the_writer_has_the_bytes_of_json_at_the_edges(obj):
+    assert serialize.dumps_canonical(obj) == json_canonical(obj)
+
+
+def test_the_writer_rejects_what_json_rejects():
+    for obj in ({(1, 2): 0}, object(), {"a": {1j: 0}}):
+        with pytest.raises(TypeError):
+            json_canonical(obj)
+        with pytest.raises(TypeError):
+            serialize.dumps_canonical(obj)
